@@ -8,8 +8,7 @@
  *
  * After the microbenchmarks, main() runs two end-to-end measurements:
  * the simulate phase itself (reference cycle-stepped loop vs the
- * event-driven fast path vs the cold time-parallel stitched run, into
- * BENCH_simulator.json) and the persistent trace cache (one cold
+ * event-driven fast path, into BENCH_simulator.json) and the persistent trace cache (one cold
  * simulate+store run vs warm mmap+decode+replay runs, into
  * BENCH_trace_cache.json), both for CI tracking. Each measurement is
  * best-of-N with N from TEA_PERF_TRIALS (default 4).
@@ -29,7 +28,6 @@
 #include <unistd.h>
 
 #include "analysis/parallel_runner.hh"
-#include "analysis/parallel_sim.hh"
 #include "analysis/runner.hh"
 #include "common/logging.hh"
 #include "core/cache.hh"
@@ -350,56 +348,6 @@ measureSimulator()
         return 1;
     }
 
-    // Cold time-parallel run: checkpoint pre-pass + N workers +
-    // stitcher, everything on the clock, against the same discarding
-    // sink. Honest end-to-end numbers — on a single hardware core the
-    // workers time-slice and the pre-pass is pure overhead, so the
-    // ratio dips below 1; machine_cores in the JSON is the context that
-    // makes the figure interpretable across boxes.
-    const unsigned simThreads = 8;
-    struct ParRun
-    {
-        Cycle cycles = 0;
-        std::uint64_t events = 0;
-        double seconds = 0.0;
-        TimeParallelStats tp;
-    };
-    ParRun par;
-    for (int rep = 0; rep < trials; ++rep) {
-        Workload w = workloads::byName(workload);
-        CoreConfig cfg;
-        TimeParallelOptions opts;
-        opts.threads = simThreads;
-        opts.mode = SimParallelMode::On;
-        ChunkingSink sink(4096, [](TraceChunkPtr) {});
-        CoreStats st;
-        SimPerf pf;
-        const auto start = std::chrono::steady_clock::now();
-        TimeParallelStats tp = simulateTimeParallel(
-            cfg, w.program, w.initial, opts, {&sink}, &st, &pf);
-        sink.finish();
-        ParRun p;
-        p.seconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-        p.cycles = st.cycles;
-        p.events = sink.eventsCaptured();
-        p.tp = tp;
-        if (rep == 0 || p.seconds < par.seconds)
-            par = p;
-    }
-    if (par.cycles != fastp.cycles || par.events != fastp.events) {
-        std::fprintf(stderr,
-                     "simulator bench: time-parallel run diverged "
-                     "(serial %llu cycles / %llu events, "
-                     "parallel %llu cycles / %llu events)\n",
-                     static_cast<unsigned long long>(fastp.cycles),
-                     static_cast<unsigned long long>(fastp.events),
-                     static_cast<unsigned long long>(par.cycles),
-                     static_cast<unsigned long long>(par.events));
-        return 1;
-    }
-
     double vs_ref =
         fastp.seconds > 0.0 ? ref.seconds / fastp.seconds : 0.0;
     double vs_seed =
@@ -411,13 +359,6 @@ measureSimulator()
     double events_per_s =
         fastp.seconds > 0.0
             ? static_cast<double>(fastp.events) / fastp.seconds
-            : 0.0;
-
-    double par_vs_fast =
-        par.seconds > 0.0 ? fastp.seconds / par.seconds : 0.0;
-    double par_events_per_s =
-        par.seconds > 0.0
-            ? static_cast<double>(par.events) / par.seconds
             : 0.0;
     const char *kernel = varintKernelName(activeVarintKernel());
     const unsigned cores = std::thread::hardware_concurrency();
@@ -432,14 +373,6 @@ measureSimulator()
                 static_cast<unsigned long long>(fastp.events),
                 cycles_per_s / 1e6, events_per_s / 1e6,
                 fastp.skipRatio * 100.0);
-    std::printf("simulator: time-parallel %.3f s (%.2fx vs fast path, "
-                "%u sim threads on %u cores), %llu intervals, "
-                "%llu retries, %.0f%% parallel efficiency\n",
-                par.seconds, par_vs_fast, simThreads, cores,
-                static_cast<unsigned long long>(par.tp.intervals),
-                static_cast<unsigned long long>(
-                    par.tp.convergenceRetries),
-                par.tp.parallelEfficiency * 100.0);
 
     std::FILE *f = std::fopen("BENCH_simulator.json", "w");
     if (!f) {
@@ -461,13 +394,6 @@ measureSimulator()
                  "  \"fastpath_cycles_per_second\": %.0f,\n"
                  "  \"fastpath_events_per_second\": %.0f,\n"
                  "  \"skip_ratio\": %.4f,\n"
-                 "  \"parallel_seconds\": %.6f,\n"
-                 "  \"parallel_events_per_second\": %.0f,\n"
-                 "  \"parallel_speedup_vs_fastpath\": %.3f,\n"
-                 "  \"sim_threads\": %u,\n"
-                 "  \"parallel_intervals\": %llu,\n"
-                 "  \"parallel_retries\": %llu,\n"
-                 "  \"parallel_efficiency\": %.4f,\n"
                  "  \"machine_cores\": %u,\n"
                  "  \"varint_kernel\": \"%s\"\n"
                  "}\n",
@@ -475,11 +401,7 @@ measureSimulator()
                  static_cast<unsigned long long>(fastp.events),
                  kSeedColdSeconds, ref.seconds, fastp.seconds, vs_seed,
                  vs_ref, cycles_per_s, events_per_s, fastp.skipRatio,
-                 par.seconds, par_events_per_s, par_vs_fast, simThreads,
-                 static_cast<unsigned long long>(par.tp.intervals),
-                 static_cast<unsigned long long>(
-                     par.tp.convergenceRetries),
-                 par.tp.parallelEfficiency, cores, kernel);
+                 cores, kernel);
     std::fclose(f);
     return 0;
 }

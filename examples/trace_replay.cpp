@@ -7,6 +7,10 @@
  * single run because it enables fairly comparing analysis approaches as
  * they sample in the exact same cycle".
  *
+ * The dump uses the trace-cache format (core/trace_io): CRC-checked
+ * chunk frames behind a header keyed by the workload/config
+ * fingerprint.
+ *
  * Usage: trace_replay [benchmark] [trace-file]
  */
 
@@ -15,8 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/trace_cache.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
 #include "core/core.hh"
+#include "core/trace_buffer.hh"
 #include "core/trace_io.hh"
 #include "profilers/golden.hh"
 #include "profilers/sampler.hh"
@@ -32,20 +39,23 @@ main(int argc, char **argv)
 
     // Pass 1: simulate once, dumping the trace.
     Workload w = workloads::byName(name);
-    const Program prog = w.program; // keep for reporting
     CoreConfig cfg;
-    Cycle sim_cycles = 0;
+    const std::uint64_t fp = TraceCache::fingerprintOf(w, cfg);
     {
-        TraceWriter writer(path);
+        CompactTraceWriter writer(path, fp);
+        ChunkingSink tee(4096,
+                         [&](TraceChunkPtr c) { writer.writeChunk(*c); });
         Core core(cfg, w.program, std::move(w.initial));
-        core.addSink(&writer);
-        sim_cycles = core.run();
+        core.addSink(&tee);
+        Cycle sim_cycles = core.run();
+        tee.finish();
+        if (!writer.commit(core.stats()))
+            tea_fatal("cannot write trace file '%s'", path.c_str());
         std::printf("simulated %s once: %llu cycles, %llu trace events "
                     "-> %s\n",
                     name.c_str(),
                     static_cast<unsigned long long>(sim_cycles),
-                    static_cast<unsigned long long>(
-                        writer.eventsWritten()),
+                    static_cast<unsigned long long>(tee.eventsCaptured()),
                     path.c_str());
     }
 
@@ -62,7 +72,15 @@ main(int argc, char **argv)
             sinks.push_back(samplers.back().get());
         }
     }
-    Cycle replayed = replayTrace(path, sinks);
+    std::string why;
+    std::unique_ptr<MappedTraceFile> mapped =
+        MappedTraceFile::open(path, fp, &why);
+    if (!mapped)
+        tea_fatal("cannot read trace file '%s': %s", path.c_str(),
+                  why.c_str());
+    Cycle replayed = 0;
+    while (TraceChunkPtr chunk = mapped->nextChunk())
+        replayed += replayChunk(*chunk, sinks);
     std::printf("replayed %llu cycles through %zu configurations\n\n",
                 static_cast<unsigned long long>(replayed),
                 samplers.size());

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <limits>
 
 #include <dirent.h>
 #include <sys/file.h>
@@ -14,6 +15,7 @@
 #include <unistd.h>
 
 #include "analysis/trace_cache.hh"
+#include "common/env.hh"
 #include "common/failpoint.hh"
 #include "common/file_lock.hh"
 #include "common/logging.hh"
@@ -154,20 +156,6 @@ sortByAge(std::vector<CacheFileInfo> &files)
               });
 }
 
-std::uint64_t
-envU64(const char *name, std::uint64_t dflt)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr || *env == '\0')
-        return dflt;
-    char *end = nullptr;
-    std::uint64_t value = std::strtoull(env, &end, 10);
-    if (*end != '\0')
-        tea_fatal("%s must be a non-negative integer, got \"%s\"", name,
-                  env);
-    return value;
-}
-
 /**
  * Once-per-(process, directory) gate for recoverOnce. Meyers singleton
  * for the same static-initialization-order reasons as the failpoint
@@ -204,14 +192,17 @@ class RecoverRegistry
 JanitorConfig
 JanitorConfig::fromEnv()
 {
+    constexpr std::uint64_t maxU64 =
+        std::numeric_limits<std::uint64_t>::max();
     JanitorConfig cfg;
-    cfg.maxBytes = envU64("TEA_TRACE_CACHE_MAX_BYTES", cfg.maxBytes);
-    cfg.quarantineMaxCount =
-        envU64("TEA_CACHE_QUARANTINE_MAX", cfg.quarantineMaxCount);
-    cfg.quarantineMaxAgeS =
-        envU64("TEA_CACHE_QUARANTINE_MAX_AGE_S", cfg.quarantineMaxAgeS);
-    cfg.orphanMaxAgeS =
-        envU64("TEA_CACHE_ORPHAN_MAX_AGE_S", cfg.orphanMaxAgeS);
+    cfg.maxBytes =
+        envUnsigned("TEA_TRACE_CACHE_MAX_BYTES", cfg.maxBytes, 0, maxU64);
+    cfg.quarantineMaxCount = envUnsigned(
+        "TEA_CACHE_QUARANTINE_MAX", cfg.quarantineMaxCount, 0, maxU64);
+    cfg.quarantineMaxAgeS = envUnsigned("TEA_CACHE_QUARANTINE_MAX_AGE_S",
+                                        cfg.quarantineMaxAgeS, 0, maxU64);
+    cfg.orphanMaxAgeS = envUnsigned("TEA_CACHE_ORPHAN_MAX_AGE_S",
+                                    cfg.orphanMaxAgeS, 0, maxU64);
     return cfg;
 }
 

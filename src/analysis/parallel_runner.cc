@@ -4,13 +4,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "analysis/audit.hh"
 #include "analysis/cache_janitor.hh"
 #include "analysis/trace_cache.hh"
 #include "common/chunk_queue.hh"
+#include "common/env.hh"
 #include "common/failpoint.hh"
 #include "common/file_lock.hh"
 #include "common/logging.hh"
@@ -37,20 +38,6 @@ double
 secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/** Environment unsigned with a default (fatal on garbage). */
-unsigned long long
-envCount(const char *name, unsigned long long dflt)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return dflt;
-    char *end = nullptr;
-    unsigned long long n = std::strtoull(v, &end, 10);
-    if (end == v || *end)
-        tea_fatal("%s must be a non-negative integer, got '%s'", name, v);
-    return n;
 }
 
 /**
@@ -209,30 +196,25 @@ RunnerOptions
 RunnerOptions::fromEnv()
 {
     RunnerOptions opts;
+    constexpr unsigned maxU = std::numeric_limits<unsigned>::max();
     unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     // Default: one replay worker per hardware thread (results are
     // identical at any thread count, so this is purely a speed knob).
     auto threads =
-        static_cast<unsigned>(envCount("TEA_THREADS", hw));
+        static_cast<unsigned>(envUnsigned("TEA_THREADS", hw, 0, maxU));
     opts.threads = threads == 0 ? hw : threads;
-    opts.chunkEvents = static_cast<std::size_t>(
-        envCount("TEA_CHUNK_EVENTS", opts.chunkEvents));
-    opts.queueChunks = static_cast<std::size_t>(
-        envCount("TEA_QUEUE_CHUNKS", opts.queueChunks));
-    tea_assert(opts.chunkEvents >= 1, "TEA_CHUNK_EVENTS must be >= 1");
-    tea_assert(opts.queueChunks >= 1, "TEA_QUEUE_CHUNKS must be >= 1");
-    opts.audit = static_cast<unsigned>(envCount("TEA_AUDIT", 0));
+    opts.audit = static_cast<unsigned>(envUnsigned("TEA_AUDIT", 0, 0, 2));
     opts.cache = TraceCacheOptions::fromEnv();
     opts.janitor = JanitorConfig::fromEnv();
-    opts.cacheLockTimeoutMs = static_cast<unsigned>(envCount(
-        "TEA_CACHE_LOCK_TIMEOUT_MS", opts.cacheLockTimeoutMs));
+    opts.cacheLockTimeoutMs = static_cast<unsigned>(
+        envUnsigned("TEA_CACHE_LOCK_TIMEOUT_MS", opts.cacheLockTimeoutMs,
+                    0, maxU));
     auto dthreads = static_cast<unsigned>(
-        envCount("TEA_DECODE_THREADS", opts.decodeThreads));
+        envUnsigned("TEA_DECODE_THREADS", opts.decodeThreads, 0, maxU));
     opts.decodeThreads = dthreads == 0 ? hw : dthreads;
     opts.batchFrames = static_cast<std::size_t>(
-        envCount("TEA_BATCH_FRAMES", opts.batchFrames));
-    tea_assert(opts.batchFrames >= 1, "TEA_BATCH_FRAMES must be >= 1");
-    opts.sim = TimeParallelOptions::fromEnv();
+        envUnsigned("TEA_BATCH_FRAMES", opts.batchFrames, 1,
+                    std::numeric_limits<std::size_t>::max()));
     return opts;
 }
 
@@ -357,11 +339,10 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
 {
     failpoints::checkEnvConsumed();
     TraceCache cache(opts.cache);
-    if (!cache.enabled() && opts.threads <= 1 && opts.audit == 0 &&
-        !opts.sim.wantsParallel()) {
-        // Serial path without caching, auditing or time-parallel
-        // simulation: observers attached directly to the live core,
-        // bit-for-bit the historical behaviour.
+    if (!cache.enabled() && opts.threads <= 1 && opts.audit == 0) {
+        // Serial path without caching or auditing: observers attached
+        // directly to the live core, bit-for-bit the historical
+        // behaviour.
         return runWorkload(std::move(workload), std::move(techniques),
                            cfg);
     }
@@ -530,20 +511,7 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
             writer->setByteLimit(opts.janitor.maxBytes);
         }
 
-        // The simulate call dispatches on opts.sim: with sim.threads
-        // <= 1 it is exactly the historical serial core.run(); with
-        // more it splits the run along the time axis and stitches the
-        // intervals back bit-identically (analysis/parallel_sim), so
-        // everything downstream — cache writer, observers, audit — is
-        // oblivious to how the stream was produced.
-        CoreStats simStats;
-        SimPerf simPerf;
-        TimeParallelStats simPar;
-        const auto simulate = [&](const std::vector<TraceSink *> &sinks) {
-            simPar = simulateTimeParallel(cfg, workload.program,
-                                          workload.initial, opts.sim, sinks,
-                                          &simStats, &simPerf);
-        };
+        Core core(cfg, workload.program, std::move(workload.initial));
         if (opts.threads <= 1) {
             std::vector<TraceSink *> sinks;
             for (const SinkGroup &g : groups)
@@ -556,8 +524,10 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
                     });
                 sinks.push_back(tee.get());
             }
+            for (TraceSink *sink : sinks)
+                core.addSink(sink);
             const auto t0 = Clock::now();
-            simulate(sinks);
+            core.run();
             res.replay.simulateSeconds = secondsSince(t0);
             if (tee) {
                 tee->finish();
@@ -573,20 +543,16 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
                                               writer->writeChunk(*c);
                                           push(std::move(c));
                                       });
-                    simulate({&sink});
+                    core.addSink(&sink);
+                    core.run();
                     sink.finish();
                 });
         }
-        res.stats = simStats;
-        res.replay.simCycles = simStats.cycles;
-        res.replay.simEvents = simPerf.traceEvents;
-        res.replay.simParallel = simPar.usedParallel;
-        res.replay.simIntervals = simPar.intervals;
-        res.replay.simWarmupCycles = simPar.warmupCycles;
-        res.replay.simConvergenceRetries = simPar.convergenceRetries;
-        res.replay.simParallelEfficiency = simPar.parallelEfficiency;
+        res.stats = core.stats();
+        res.replay.simCycles = core.stats().cycles;
+        res.replay.simEvents = core.perf().traceEvents;
         if (writer) {
-            res.replay.cacheStored = writer->commit(simStats);
+            res.replay.cacheStored = writer->commit(core.stats());
             res.replay.cacheBytes = writer->bytesWritten();
             res.replay.cacheAdmissionDenied = writer->admissionDenied();
             res.replay.ioRetries += writer->retryStats().retries;

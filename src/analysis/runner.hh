@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "analysis/cache_janitor.hh"
-#include "analysis/parallel_sim.hh"
 #include "analysis/trace_cache.hh"
 #include "common/stats.hh"
 #include "core/core.hh"
@@ -105,27 +104,24 @@ struct RunnerOptions
      */
     std::size_t batchFrames = 4;
 
-    /**
-     * Time-parallel simulation of cache misses (analysis/parallel_sim):
-     * when sim.threads > 1, a cold simulate splits the run into
-     * checkpointed intervals simulated concurrently and stitched back
-     * bit-identically (serial fallback on any convergence failure).
-     * Orthogonal to `threads`, which parallelizes the *observers*.
-     */
-    TimeParallelOptions sim;
+    /** Exists only because perfbench reads it; simulation is serial. */
+    struct SimOptions
+    {
+        bool wantsParallel() const { return false; }
+    } sim;
 
     /**
-     * Options from the environment: TEA_THREADS (default 1),
-     * TEA_CHUNK_EVENTS, TEA_QUEUE_CHUNKS, TEA_AUDIT (default 0, see
-     * audit above), TEA_CACHE_LOCK_TIMEOUT_MS, TEA_DECODE_THREADS and
+     * Options from the environment: TEA_THREADS (default: one per
+     * hardware thread), TEA_AUDIT (default 0, see audit above),
+     * TEA_CACHE_LOCK_TIMEOUT_MS, TEA_DECODE_THREADS and
      * TEA_BATCH_FRAMES (see decodeThreads/batchFrames above), the
      * trace-cache controls TEA_TRACE_CACHE / TEA_TRACE_CACHE_DIR (see
      * TraceCacheOptions), and the janitor budgets
      * TEA_TRACE_CACHE_MAX_BYTES etc. (see JanitorConfig::fromEnv).
      * TEA_THREADS=0 and TEA_DECODE_THREADS=0 mean "one worker per
-     * hardware thread". The time-parallel simulation knobs
-     * TEA_SIM_THREADS / TEA_SIM_INTERVAL / TEA_SIM_WARMUP /
-     * TEA_SIM_PARALLEL load via TimeParallelOptions::fromEnv.
+     * hardware thread". chunkEvents and queueChunks are set in code
+     * only. Integers go through envUnsigned (common/env.hh): a sign,
+     * an overflow or an out-of-range value is fatal.
      */
     static RunnerOptions fromEnv();
 };

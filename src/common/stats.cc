@@ -159,15 +159,6 @@ ReplayStats::render() const
             "  simulate throughput: %.2f Mcycles/s, %.2f Mevents/s\n",
             simCyclesPerSecond() / 1e6, simEventsPerSecond() / 1e6);
     }
-    if (simParallel) {
-        out += strprintf(
-            "  time-parallel: %llu interval(s), %llu warmup cycle(s), "
-            "%llu convergence retry(s), %.1f%% parallel\n",
-            static_cast<unsigned long long>(simIntervals),
-            static_cast<unsigned long long>(simWarmupCycles),
-            static_cast<unsigned long long>(simConvergenceRetries),
-            simParallelEfficiency * 100.0);
-    }
     if (cacheHit || cacheStored)
         out += strprintf("  cache: %s, %llu byte(s) on disk\n",
                          cacheHit ? "hit" : "miss (entry stored)",
@@ -223,10 +214,6 @@ ReplayStats::renderLine() const
             simulateSeconds, simCyclesPerSecond() / 1e6,
             simEventsPerSecond() / 1e6);
     }
-    if (simParallel)
-        out += strprintf(" [time-parallel x%llu, %.0f%%]",
-                         static_cast<unsigned long long>(simIntervals),
-                         simParallelEfficiency * 100.0);
     out += cacheHit ? " [cache hit]" : "";
     return out;
 }

@@ -127,13 +127,7 @@ struct ReplayStats
     double totalSeconds = 0.0;         ///< whole-experiment wall time
     std::uint64_t simCycles = 0;  ///< cycles simulated (0 on a cache hit)
     std::uint64_t simEvents = 0;  ///< trace events the simulation emitted
-
-    // Time-parallel simulation counters (see analysis/parallel_sim).
-    bool simParallel = false;     ///< cold simulate took the parallel path
-    std::uint64_t simIntervals = 0;       ///< intervals the run split into
-    std::uint64_t simWarmupCycles = 0;    ///< worker cycles spent warming up
-    std::uint64_t simConvergenceRetries = 0; ///< intervals redone serially
-    double simParallelEfficiency = 0.0; ///< accepted parallel cycle fraction
+    bool simParallel = false; ///< always false; exists only for perfbench
     std::vector<ReplayWorkerStats> workers;
 
     // Trace-cache counters (see analysis/trace_cache).

@@ -38,18 +38,6 @@ class BranchPredictor
     /** Approximate storage budget in bits. */
     virtual std::uint64_t storageBits() const = 0;
 
-    /**
-     * Deep-copy the full predictor state (tables, history, counters).
-     *
-     * Because predict() is const and the core trains the predictor at
-     * fetch along the oracle-correct path, predictor state is a pure
-     * function of the architectural branch sequence — so a snapshot
-     * taken by a functional pre-pass that replays update() per branch
-     * is bit-identical to the timing core's state at the same dynamic
-     * instruction (core/checkpoint relies on this for warm restarts).
-     */
-    virtual std::unique_ptr<BranchPredictor> clone() const = 0;
-
     std::uint64_t lookups = 0;
     std::uint64_t mispredicts = 0;
 
@@ -73,10 +61,6 @@ class GsharePredictor : public BranchPredictor
     bool predict(InstIndex pc) const override;
     void update(InstIndex pc, bool taken) override;
     std::uint64_t storageBits() const override;
-    std::unique_ptr<BranchPredictor> clone() const override
-    {
-        return std::make_unique<GsharePredictor>(*this);
-    }
 
   private:
     std::size_t index(InstIndex pc) const;
@@ -100,10 +84,6 @@ class TagePredictor : public BranchPredictor
     bool predict(InstIndex pc) const override;
     void update(InstIndex pc, bool taken) override;
     std::uint64_t storageBits() const override;
-    std::unique_ptr<BranchPredictor> clone() const override
-    {
-        return std::make_unique<TagePredictor>(*this);
-    }
 
   private:
     static constexpr unsigned numTables = 5;

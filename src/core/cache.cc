@@ -1,9 +1,7 @@
 #include "core/cache.hh"
 
 #include <algorithm>
-#include <array>
 
-#include "common/fingerprint.hh"
 #include "common/logging.hh"
 #include "isa/memory.hh"
 
@@ -113,31 +111,6 @@ CacheArray::invalidate(Addr line)
         w->valid = false;
 }
 
-void
-CacheArray::fingerprintState(Fnv1a &h) const
-{
-    constexpr unsigned kMaxWays = 64;
-    tea_assert(ways_ <= kMaxWays, "%s: %u ways exceed fingerprint bound",
-               name_.c_str(), ways_);
-    std::array<const Way *, kMaxWays> order;
-    for (unsigned s = 0; s < numSets_; ++s) {
-        const Way *base = &tags_[static_cast<std::size_t>(s) * ways_];
-        unsigned n = 0;
-        for (unsigned w = 0; w < ways_; ++w)
-            if (base[w].valid)
-                order[n++] = &base[w];
-        std::sort(order.begin(), order.begin() + n,
-                  [](const Way *a, const Way *b) {
-                      return a->lastUse < b->lastUse;
-                  });
-        h.add(n);
-        for (unsigned w = 0; w < n; ++w) {
-            h.add(order[w]->line);
-            h.add(static_cast<std::uint64_t>(order[w]->dirty));
-        }
-    }
-}
-
 MshrFile::MshrFile(unsigned entries) : entries_(entries)
 {
     pending_.reserve(entries);
@@ -207,25 +180,6 @@ MshrFile::inFlight(Cycle now)
 {
     prune(now);
     return static_cast<unsigned>(pending_.size());
-}
-
-void
-MshrFile::fingerprintState(Fnv1a &h, Cycle base) const
-{
-    std::vector<Pending> live;
-    live.reserve(pending_.size());
-    for (const Pending &p : pending_)
-        if (p.fill > base)
-            live.push_back(p);
-    std::sort(live.begin(), live.end(),
-              [](const Pending &a, const Pending &b) {
-                  return a.line < b.line;
-              });
-    h.add(live.size());
-    for (const Pending &p : live) {
-        h.add(p.line);
-        h.add(p.fill - base);
-    }
 }
 
 } // namespace tea

@@ -16,8 +16,6 @@
 
 namespace tea {
 
-class Fnv1a;
-
 /** Result of inserting a line: what was evicted, if anything. */
 struct Eviction
 {
@@ -54,16 +52,6 @@ class CacheArray
 
     unsigned numSets() const { return numSets_; }
     const std::string &name() const { return name_; }
-
-    /**
-     * Mix the array's *behavioral* state into @p h: per set, the valid
-     * (line, dirty) pairs in LRU-to-MRU order. Replacement decisions
-     * depend only on this relative order, never on absolute use-clock
-     * values, so two arrays with equal fingerprints evolve identically
-     * under identical access streams. Statistics are excluded on
-     * purpose (a warmed core's counters legitimately differ).
-     */
-    void fingerprintState(Fnv1a &h) const;
 
     // Statistics.
     std::uint64_t accesses = 0;
@@ -115,17 +103,6 @@ class MshrFile
 
     /** Current number of outstanding entries (after pruning @p now). */
     unsigned inFlight(Cycle now);
-
-    /** Drop all outstanding fills (checkpoint warm-replay reset). */
-    void clear() { pending_.clear(); }
-
-    /**
-     * Mix the live entries (fill > @p base) into @p h with fill times
-     * rebased to @p base, sorted by line so lazy-pruning order does
-     * not leak in. Entries at or before @p base are behaviorally dead
-     * (every probe prunes them first) and are skipped.
-     */
-    void fingerprintState(Fnv1a &h, Cycle base) const;
 
   private:
     /** One outstanding line fill. */

@@ -87,10 +87,7 @@ struct CoreConfig
     unsigned moReplayPenalty = 12; ///< squash/refetch cost of a violation
     /** Store-set predictor aging: tables are cleared every this many
      * committed uops (0 disables aging), as in BOOM's
-     * periodically-flushed SSIT. Keyed on committed uops rather than
-     * cycles so the schedule is architectural: a checkpoint-resumed
-     * core (core/checkpoint) ages at the same program points as the
-     * serial run it continues. */
+     * periodically-flushed SSIT. */
     Cycle storeSetClearInterval = 250'000;
 
     // Sampling-interrupt cost injection (Section 3, "Overheads"): when

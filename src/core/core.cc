@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "common/fingerprint.hh"
 #include "common/logging.hh"
-#include "core/checkpoint.hh"
 #include "isa/memory.hh"
 
 namespace tea {
@@ -90,23 +88,6 @@ Core::Core(const CoreConfig &cfg, const Program &prog, ArchState initial,
     init();
 }
 
-Core::Core(const CoreConfig &cfg, const Program &prog, ArchState initial,
-           InstIndex start_pc, std::uint64_t uop_base,
-           const BranchPredictor *warm_predictor)
-    : cfg_(cfg),
-      prog_(prog),
-      arch_(std::move(initial)),
-      mem_(cfg),
-      bp_(warm_predictor ? warm_predictor->clone() : makePredictor(cfg)),
-      fetchPc_(start_pc),
-      rob_(cfg.robEntries)
-{
-    tea_assert(start_pc < prog.size(), "start pc %u out of range",
-               static_cast<unsigned>(start_pc));
-    uopBase_ = uop_base;
-    init();
-}
-
 void
 Core::init()
 {
@@ -115,8 +96,7 @@ Core::init()
     lastWriter_.fill(invalidSeqNum);
     nextSsClear_ = cfg_.storeSetClearInterval == 0
                        ? ~std::uint64_t(0)
-                       : (uopBase_ / cfg_.storeSetClearInterval + 1) *
-                             cfg_.storeSetClearInterval;
+                       : cfg_.storeSetClearInterval;
 
     // Every container touched per cycle is sized once, here: the hot
     // stages (annotated `tea_lint: hot`) must never allocate.
@@ -143,47 +123,6 @@ void
 Core::addSink(TraceSink *sink)
 {
     sinks_.push_back(sink);
-}
-
-void
-Core::warmFromCheckpoint(const ArchCheckpoint &ck)
-{
-    tea_assert(cycle_ == 0,
-               "warmFromCheckpoint requires a core that has not yet run "
-               "(cycle %llu)",
-               static_cast<unsigned long long>(cycle_));
-    mem_.warmReplay(ck.codeFirstTouch, ck.warmAccesses);
-    mem_.installCodeLines(ck.codeLastUse);
-    mem_.installL2Tlb(ck.l2Tlb);
-}
-
-std::uint64_t
-Core::stateFingerprint() const
-{
-    Fnv1a h;
-    mem_.fingerprintState(h, cycle_);
-    hashStoreSets(h);
-    return h.value();
-}
-
-std::vector<std::pair<const char *, std::uint64_t>>
-Core::stateFingerprintParts() const
-{
-    auto parts = mem_.fingerprintParts(cycle_);
-    Fnv1a h;
-    hashStoreSets(h);
-    parts.emplace_back("store-sets", h.value());
-    return parts;
-}
-
-void
-Core::hashStoreSets(Fnv1a &h) const
-{
-    std::vector<InstIndex> ss(storeSets_.begin(), storeSets_.end());
-    std::sort(ss.begin(), ss.end());
-    h.add(ss.size());
-    for (InstIndex pc : ss)
-        h.add(pc);
 }
 
 // tea_lint: hot
@@ -971,7 +910,7 @@ Core::fetchStage()
 void
 Core::ageStoreSets()
 {
-    const std::uint64_t committed = uopBase_ + stats_.committedUops;
+    const std::uint64_t committed = stats_.committedUops;
     if (committed < nextSsClear_)
         return;
     storeSets_.clear();
@@ -1108,15 +1047,13 @@ Core::drSqBlockedNow() const
 }
 
 Cycle
-Core::runFast(Cycle max_cycles, std::uint64_t stop_uops)
+Core::runFast(Cycle max_cycles)
 {
-    while (!halted_ && cycle_ < max_cycles &&
-           stats_.committedUops < stop_uops) {
+    while (!halted_ && cycle_ < max_cycles) {
         runStages();
         ageStoreSets();
         endOfCycle();
-        if (halted_ || cycle_ >= max_cycles ||
-            stats_.committedUops >= stop_uops)
+        if (halted_ || cycle_ >= max_cycles)
             break;
 
         if (wakeNext_) {
@@ -1147,7 +1084,7 @@ Cycle
 Core::run(Cycle max_cycles)
 {
     if (fastPath_) {
-        runFast(max_cycles, ~std::uint64_t(0));
+        runFast(max_cycles);
     } else {
         while (!halted_ && cycle_ < max_cycles) {
             step();
@@ -1156,18 +1093,6 @@ Core::run(Cycle max_cycles)
     tea_assert(halted_, "%s did not halt within %lu cycles",
                prog_.name().c_str(),
                static_cast<unsigned long>(max_cycles));
-    return cycle_;
-}
-
-Cycle
-Core::runUntilCommitted(std::uint64_t target_uops, Cycle max_cycles)
-{
-    if (fastPath_)
-        return runFast(max_cycles, target_uops);
-    while (!halted_ && cycle_ < max_cycles &&
-           stats_.committedUops < target_uops) {
-        step();
-    }
     return cycle_;
 }
 

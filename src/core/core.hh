@@ -53,8 +53,6 @@
 namespace tea {
 
 /** Aggregate statistics of one simulation. */
-struct ArchCheckpoint;
-
 struct CoreStats
 {
     Cycle cycles = 0;
@@ -123,24 +121,6 @@ class Core
     Core(const CoreConfig &cfg, const Program &prog, ArchState initial,
          Uncore &uncore);
 
-    /**
-     * Checkpoint-resume variant (core/checkpoint): fetch starts at
-     * @p start_pc instead of the program entry, with @p initial holding
-     * the architectural state materialized at that instruction
-     * boundary. @p uop_base is the number of dynamic instructions
-     * committed before the boundary; committed-uop-keyed schedules
-     * (store-set aging) count from it so they stay aligned with the
-     * serial run this core is resuming. When @p warm_predictor is
-     * non-null the branch predictor starts from a clone of it (the
-     * pre-pass snapshot, bit-identical to serial state at the
-     * boundary) instead of cold. Remaining microarchitectural state
-     * (caches, TLBs, LSQ history) starts cold — converging it is the
-     * caller's warmup problem (analysis/parallel_sim).
-     */
-    Core(const CoreConfig &cfg, const Program &prog, ArchState initial,
-         InstIndex start_pc, std::uint64_t uop_base = 0,
-         const BranchPredictor *warm_predictor = nullptr);
-
     /** Register a trace observer (not owned). */
     void addSink(TraceSink *sink);
 
@@ -154,31 +134,6 @@ class Core
     Cycle run(Cycle max_cycles = 2'000'000'000ULL);
 
     /**
-     * Run one leg: simulate until the end of the cycle in which the
-     * cumulative committed-micro-op count reaches @p target_uops (or
-     * the program halts, or @p max_cycles elapse), then pause with all
-     * pipeline state intact and buffered trace events flushed. Unlike
-     * run() this neither asserts halt nor emits End unless the program
-     * actually halted, so a caller can stitch several legs into one
-     * continuous run — the event stream across legs is bit-identical
-     * to a single run() (the time-parallel interval contract,
-     * analysis/parallel_sim). Honors the selected execution mode.
-     * @return current cycle
-     */
-    Cycle runUntilCommitted(std::uint64_t target_uops,
-                            Cycle max_cycles = 2'000'000'000ULL);
-
-    /**
-     * Functionally warm the cache/TLB hierarchy from a checkpoint
-     * (core/checkpoint), before any timing cycles have run: replay the
-     * code-line prologue and recorded data-access stream
-     * (MemorySystem::warmReplay), install the L1I/ITLB end-state
-     * (installCodeLines), then overwrite the L2 TLB with the
-     * checkpoint's exact functional-model snapshot (installL2Tlb).
-     */
-    void warmFromCheckpoint(const ArchCheckpoint &ck);
-
-    /**
      * Select the execution mode used by run(): the event-driven fast
      * path (default; overridable via TEA_CORE_FASTPATH=0) or the
      * per-cycle reference loop. Not part of CoreConfig on purpose — the
@@ -187,25 +142,6 @@ class Core
      */
     void setFastPath(bool on) { fastPath_ = on; }
     bool fastPath() const { return fastPath_; }
-
-    /**
-     * Hash of the core's latent long-memory state at the current
-     * cycle: cache/TLB/MSHR contents (cycle-rebased, LRU-relative; see
-     * MemorySystem::fingerprintState) plus the store-set tables. Two
-     * paused cores at the same committed-uop boundary with equal
-     * fingerprints carry behaviorally identical memory and
-     * memory-ordering state. The branch predictor is excluded because
-     * it is exact by construction on the checkpoint-resume path (pure
-     * function of the architectural branch sequence); pipeline
-     * contents are excluded because the stitcher's matched-suffix
-     * check covers them. Used as the state leg of the time-parallel
-     * convergence acceptance (analysis/parallel_sim).
-     */
-    std::uint64_t stateFingerprint() const;
-
-    /** Diagnostic decomposition of stateFingerprint() by structure. */
-    std::vector<std::pair<const char *, std::uint64_t>>
-    stateFingerprintParts() const;
 
     const CoreStats &stats() const { return stats_; }
     const SimPerf &perf() const { return perf_; }
@@ -280,22 +216,16 @@ class Core
     void fetchStage();
 
     /**
-     * Store-set aging: clear the tables whenever the absolute
-     * committed-uop count (uopBase_ + committed) crosses a multiple of
-     * cfg.storeSetClearInterval. Keying the schedule on committed
-     * uops — architectural state — rather than cycles means a
-     * checkpoint-resumed core ages on exactly the serial schedule.
+     * Store-set aging: clear the tables whenever the committed-uop
+     * count crosses a multiple of cfg.storeSetClearInterval.
      */
     void ageStoreSets();
-
-    /** Order-normalized store-set table hash (stateFingerprint leg). */
-    void hashStoreSets(Fnv1a &h) const;
 
     // Cycle drivers shared by step() and the fast path.
     void init();
     void runStages();
     void endOfCycle();
-    Cycle runFast(Cycle max_cycles, std::uint64_t stop_uops);
+    Cycle runFast(Cycle max_cycles);
     void skipIdleCycles(Cycle until);
     bool drSqBlockedNow() const;
 
@@ -367,11 +297,7 @@ class Core
     // Memory-dependence (store-set-style) predictor: load pcs that have
     // violated before are issued conservatively.
     std::unordered_set<InstIndex> storeSets_;
-    // Committed uops before this core's first instruction (checkpoint
-    // resume) — aging below counts absolute uops so a resumed core
-    // clears on the same schedule as the serial run it continues.
-    std::uint64_t uopBase_ = 0;
-    std::uint64_t nextSsClear_ = 0; ///< next absolute-uop clear boundary
+    std::uint64_t nextSsClear_ = 0; ///< next committed-uop clear boundary
 
     // Oldest load to squash this cycle (deferred so squash never mutates
     // an issue queue mid-scan).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/fingerprint.hh"
 #include "common/logging.hh"
 #include "isa/memory.hh"
 
@@ -131,96 +130,6 @@ MemorySystem::ifetch(Addr pc, Cycle now)
     l1i_.insert(line, false);
     res.done = fill;
     return res;
-}
-
-void
-MemorySystem::warmReplay(const std::vector<Addr> &code_lines,
-                         const std::vector<WarmAccess> &accesses)
-{
-    // Wide spacing between replayed accesses: each one completes (no
-    // MSHR merging, no DRAM bandwidth backpressure) before the next
-    // starts, so the replay reduces to the pure demand stream's effect
-    // on tags and LRU order.
-    constexpr Cycle stride = 1024;
-    Cycle now = 0;
-    for (Addr line : code_lines) {
-        ifetch(line, now);
-        now += stride;
-    }
-    for (const WarmAccess &a : accesses) {
-        switch (a.kind) {
-        case WarmAccess::Load:
-            dataTranslate(a.addr);
-            load(a.addr, now);
-            break;
-        case WarmAccess::Store:
-            dataTranslate(a.addr);
-            storeDrain(a.addr, now);
-            break;
-        default:
-            prefetch(a.addr, now);
-            break;
-        }
-        now += stride;
-    }
-    resetTransientTiming();
-}
-
-void
-MemorySystem::installCodeLines(const std::vector<Addr> &lines)
-{
-    for (Addr line : lines) {
-        itlb_.translate(line);
-        l1i_.insert(lineOf(line), false);
-    }
-}
-
-void
-MemorySystem::installL2Tlb(
-    const std::vector<std::pair<std::uint32_t, Addr>> &slots)
-{
-    uncore_->l2Tlb().installSnapshot(slots);
-}
-
-void
-MemorySystem::resetTransientTiming()
-{
-    l1dMshrs_.clear();
-    l1iMshrs_.clear();
-    uncore_->resetTransientTiming();
-}
-
-std::vector<std::pair<const char *, std::uint64_t>>
-MemorySystem::fingerprintParts(Cycle base) const
-{
-    std::vector<std::pair<const char *, std::uint64_t>> out;
-    const auto part = [&out](const char *name, auto &&fill) {
-        Fnv1a h;
-        fill(h);
-        out.emplace_back(name, h.value());
-    };
-    part("l1i", [this](Fnv1a &h) { l1i_.fingerprintState(h); });
-    part("l1d", [this](Fnv1a &h) { l1d_.fingerprintState(h); });
-    part("l1i-mshrs",
-         [this, base](Fnv1a &h) { l1iMshrs_.fingerprintState(h, base); });
-    part("l1d-mshrs",
-         [this, base](Fnv1a &h) { l1dMshrs_.fingerprintState(h, base); });
-    part("dtlb", [this](Fnv1a &h) { dtlb_.l1().fingerprintState(h); });
-    part("itlb", [this](Fnv1a &h) { itlb_.l1().fingerprintState(h); });
-    uncore_->fingerprintParts(base, out);
-    return out;
-}
-
-void
-MemorySystem::fingerprintState(Fnv1a &h, Cycle base) const
-{
-    l1i_.fingerprintState(h);
-    l1d_.fingerprintState(h);
-    l1iMshrs_.fingerprintState(h, base);
-    l1dMshrs_.fingerprintState(h, base);
-    dtlb_.l1().fingerprintState(h);
-    itlb_.l1().fingerprintState(h);
-    uncore_->fingerprintState(h, base);
 }
 
 } // namespace tea

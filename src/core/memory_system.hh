@@ -13,8 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "common/types.hh"
 #include "core/cache.hh"
@@ -38,24 +36,6 @@ struct IFetchResult
     Cycle done = 0;       ///< absolute cycle the fetch packet is ready
     bool l1Miss = false;  ///< missed in the L1 I-cache (DR-L1)
     bool itlbMiss = false; ///< missed in the L1 I-TLB (DR-TLB)
-};
-
-/**
- * One data-side access recorded by the checkpoint pre-pass
- * (core/checkpoint) for functional cache warming: enough to replay
- * the demand stream through the hierarchy without timing.
- */
-struct WarmAccess
-{
-    enum Kind : std::uint8_t
-    {
-        Load = 0,
-        Store = 1,
-        Prefetch = 2,
-    };
-
-    Addr addr = 0;
-    std::uint8_t kind = Load;
 };
 
 /** The L1-level memory system of one core. */
@@ -88,72 +68,6 @@ class MemorySystem
 
     /** Instruction fetch of the line containing @p pc. */
     IFetchResult ifetch(Addr pc, Cycle now);
-
-    /**
-     * Functionally warm the hierarchy: first fetch each of
-     * @p code_lines once (the serial run inserted each code line into
-     * the LLC exactly once, at its first L1I miss near program start,
-     * so fetching them *before* the data window lets the window's churn
-     * age them out of the LLC exactly when the serial run's did), then
-     * replay @p accesses (in program order) as widely spaced demand
-     * accesses: tags, LRU state, TLBs and next-line-prefetch effects
-     * end up approximately where a timing run over the same stream
-     * would leave them. Transient timing state accumulated by the
-     * replay (MSHR fills, the DRAM bandwidth clock) is reset afterwards
-     * so a timing run can start at cycle 0. Only meaningful on a core
-     * with a private uncore, before any timing cycles have run — the
-     * warming exists for checkpoint-resumed cores
-     * (analysis/parallel_sim), which satisfy both.
-     */
-    void warmReplay(const std::vector<Addr> &code_lines,
-                    const std::vector<WarmAccess> &accesses);
-
-    /**
-     * Install the L1I/ITLB end-state after warmReplay: touch each code
-     * line of @p lines (oldest-to-newest last-fetch order) in the L1I
-     * and its page in the ITLB, without LLC side effects. The serial
-     * core's L1I holds every code line ever fetched (the instruction
-     * footprint fits) with LRU order equal to last-fetch order; this
-     * reproduces that directly instead of hoping the warmup leg
-     * re-fetches rare lines (it cannot — e.g. init code runs once).
-     */
-    void installCodeLines(const std::vector<Addr> &lines);
-
-    /**
-     * Overwrite the shared L2 TLB with a checkpoint snapshot (see
-     * ArchCheckpoint::l2Tlb). Must run after warmReplay and
-     * installCodeLines — their page walks insert a window-local
-     * approximation this replaces with the exact model content.
-     */
-    void installL2Tlb(
-        const std::vector<std::pair<std::uint32_t, Addr>> &slots);
-
-    /**
-     * Forget in-flight timing state (MSHR fills, the DRAM bandwidth
-     * clock) while keeping tag/LRU contents. Used at the end of
-     * warmReplay; see there.
-     */
-    void resetTransientTiming();
-
-    /**
-     * Mix the hierarchy's complete *behavioral* state into @p h with
-     * absolute cycles rebased to @p base: cache and TLB contents in
-     * relative LRU order, live MSHR fills as (line, fill - base), the
-     * uncore likewise. Two hierarchies with equal fingerprints at
-     * their respective base cycles evolve identically under identical
-     * access streams — the convergence-acceptance test of the
-     * time-parallel stitcher (analysis/parallel_sim). Statistics are
-     * excluded on purpose. Only meaningful with a private uncore.
-     */
-    void fingerprintState(Fnv1a &h, Cycle base) const;
-
-    /**
-     * Per-structure fingerprints with stable names — the diagnostic
-     * decomposition of fingerprintState, so a convergence failure can
-     * be attributed to the structure that diverged.
-     */
-    std::vector<std::pair<const char *, std::uint64_t>>
-    fingerprintParts(Cycle base) const;
 
     // Inspection for tests and reports.
     const CacheArray &l1i() const { return l1i_; }

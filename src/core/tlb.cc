@@ -1,8 +1,5 @@
 #include "core/tlb.hh"
 
-#include <algorithm>
-
-#include "common/fingerprint.hh"
 #include "common/logging.hh"
 #include "isa/memory.hh"
 
@@ -46,23 +43,6 @@ TlbArray::insert(Addr page)
     victim->lastUse = ++useClock_;
 }
 
-void
-TlbArray::fingerprintState(Fnv1a &h) const
-{
-    std::vector<const Entry *> order;
-    order.reserve(entries_.size());
-    for (const Entry &e : entries_)
-        if (e.valid)
-            order.push_back(&e);
-    std::sort(order.begin(), order.end(),
-              [](const Entry *a, const Entry *b) {
-                  return a->lastUse < b->lastUse;
-              });
-    h.add(order.size());
-    for (const Entry *e : order)
-        h.add(e->page);
-}
-
 L2Tlb::L2Tlb(unsigned entries) : slots_(entries, 0), valid_(entries, false)
 {
 }
@@ -86,36 +66,6 @@ L2Tlb::insert(Addr page)
     std::size_t idx = static_cast<std::size_t>(page) % slots_.size();
     slots_[idx] = page;
     valid_[idx] = true;
-}
-
-void
-L2Tlb::fingerprintState(Fnv1a &h) const
-{
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-        h.add(static_cast<std::uint64_t>(valid_[i]));
-        h.add(valid_[i] ? slots_[i] : 0);
-    }
-}
-
-std::vector<std::pair<std::uint32_t, Addr>>
-L2Tlb::snapshotValid() const
-{
-    std::vector<std::pair<std::uint32_t, Addr>> out;
-    for (std::size_t i = 0; i < slots_.size(); ++i)
-        if (valid_[i])
-            out.emplace_back(static_cast<std::uint32_t>(i), slots_[i]);
-    return out;
-}
-
-void
-L2Tlb::installSnapshot(
-    const std::vector<std::pair<std::uint32_t, Addr>> &slots)
-{
-    std::fill(valid_.begin(), valid_.end(), false);
-    for (const auto &[idx, page] : slots) {
-        slots_[idx] = page;
-        valid_[idx] = true;
-    }
 }
 
 TlbHierarchy::TlbHierarchy(const TlbConfig &cfg, L2Tlb &l2, std::string name)

@@ -9,15 +9,12 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.hh"
 #include "core/config.hh"
 
 namespace tea {
-
-class Fnv1a;
 
 /** Fully associative, true-LRU translation buffer over page numbers. */
 class TlbArray
@@ -30,13 +27,6 @@ class TlbArray
 
     /** Insert a translation, evicting LRU. */
     void insert(Addr page);
-
-    /**
-     * Mix the behavioral state into @p h: valid pages in LRU-to-MRU
-     * order (replacement sees only the relative order; statistics are
-     * excluded — see CacheArray::fingerprintState).
-     */
-    void fingerprintState(Fnv1a &h) const;
 
     std::uint64_t accesses = 0;
     std::uint64_t misses = 0;
@@ -65,24 +55,6 @@ class L2Tlb
 
     /** Insert a translation. */
     void insert(Addr page);
-
-    /** Mix the behavioral state (positional: direct-mapped) into @p h. */
-    void fingerprintState(Fnv1a &h) const;
-
-    /**
-     * Export the valid (slot, page) pairs — the checkpoint pre-pass
-     * snapshots its functional L2 model with this (core/checkpoint).
-     */
-    std::vector<std::pair<std::uint32_t, Addr>> snapshotValid() const;
-
-    /**
-     * Replace the entire content with @p slots, invalidating the rest.
-     * Installs a pre-pass snapshot into a checkpoint-resumed core's L2
-     * after warm replay (whose walks insert a window-local
-     * approximation this overwrites with the exact model state).
-     */
-    void
-    installSnapshot(const std::vector<std::pair<std::uint32_t, Addr>> &slots);
 
     std::uint64_t accesses = 0;
     std::uint64_t misses = 0;

@@ -6,15 +6,12 @@
  * many analysis configurations be evaluated out-of-band from a single
  * simulation run.
  *
- * Two formats live here:
- *  - TraceWriter/replayTrace: the original tagged fixed-width stream
- *    (simple, appendable, fatal on I/O error — for explicit dumps).
- *  - CompactTraceWriter/MappedTraceFile: the trace-cache format — a
- *    validated header plus CoreStats snapshot plus compact SoA chunk
- *    frames (core/trace_codec), published by atomic rename and read
- *    back zero-copy through mmap. Cache writes are best-effort (warn,
- *    never fatal): the experiment's results are computed in memory, so
- *    a full disk must not kill the run, only the cache entry.
+ * One format lives here, CompactTraceWriter/MappedTraceFile: a
+ * validated header plus CoreStats snapshot plus compact SoA chunk
+ * frames (core/trace_codec), published by atomic rename and read back
+ * zero-copy through mmap. Writes are best-effort (warn, never fatal):
+ * the trace cache computes each experiment's results in memory, so a
+ * full disk must not kill the run, only the cache entry.
  */
 
 #ifndef TEA_CORE_TRACE_IO_HH
@@ -32,49 +29,6 @@
 #include "core/trace_codec.hh"
 
 namespace tea {
-
-/** TraceSink that streams every trace event to a binary file. */
-class TraceWriter : public TraceSink
-{
-  public:
-    /** Open @p path for writing (fatal on failure). */
-    explicit TraceWriter(const std::string &path);
-    ~TraceWriter() override;
-
-    TraceWriter(const TraceWriter &) = delete;
-    TraceWriter &operator=(const TraceWriter &) = delete;
-
-    void onCycle(const CycleRecord &rec) override;
-    void onDispatch(const UopRecord &rec) override;
-    void onFetch(const UopRecord &rec) override;
-    void onRetire(const RetireRecord &rec) override;
-    void onEnd(Cycle final_cycle) override;
-
-    /** Events written so far. */
-    std::uint64_t eventsWritten() const { return events_; }
-
-    /**
-     * Flush and close the file (also done by the destructor). Fatal if
-     * the flush or close fails: buffered writes mean a full disk often
-     * only surfaces here, and a silently truncated trace would corrupt
-     * every analysis replayed from it.
-     */
-    void close();
-
-  private:
-    void put(const void *data, std::size_t bytes);
-
-    std::FILE *file_ = nullptr;
-    std::string path_;
-    std::uint64_t events_ = 0;
-};
-
-/**
- * Replay a trace file through @p sinks, delivering events in the exact
- * order the simulation produced them. @return number of replayed cycles
- */
-Cycle replayTrace(const std::string &path,
-                  const std::vector<TraceSink *> &sinks);
 
 /**
  * Streaming writer of the compact chunked trace-cache format.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/fingerprint.hh"
-
 namespace tea {
 
 Uncore::Uncore(const CoreConfig &cfg)
@@ -67,36 +65,6 @@ Uncore::llcAccess(Addr line, Cycle start, bool &llc_miss)
         ++dramTransfers_;
     }
     return fill;
-}
-
-void
-Uncore::fingerprintParts(
-    Cycle base,
-    std::vector<std::pair<const char *, std::uint64_t>> &out) const
-{
-    const auto part = [&out](const char *name, auto &&fill) {
-        Fnv1a h;
-        fill(h);
-        out.emplace_back(name, h.value());
-    };
-    part("llc", [this](Fnv1a &h) { llc_.fingerprintState(h); });
-    part("llc-mshrs",
-         [this, base](Fnv1a &h) { llcMshrs_.fingerprintState(h, base); });
-    part("l2tlb", [this](Fnv1a &h) { l2Tlb_.fingerprintState(h); });
-    part("dram", [this, base](Fnv1a &h) {
-        h.add(dramNextFree_ > base ? dramNextFree_ - base : 0);
-    });
-}
-
-void
-Uncore::fingerprintState(Fnv1a &h, Cycle base) const
-{
-    llc_.fingerprintState(h);
-    llcMshrs_.fingerprintState(h, base);
-    l2Tlb_.fingerprintState(h);
-    // The DRAM bandwidth clock only matters when it is in the future;
-    // any past value behaves as "free now".
-    h.add(dramNextFree_ > base ? dramNextFree_ - base : 0);
 }
 
 } // namespace tea

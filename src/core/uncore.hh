@@ -10,8 +10,6 @@
 #define TEA_CORE_UNCORE_HH
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "common/types.hh"
 #include "core/cache.hh"
@@ -44,28 +42,6 @@ class Uncore
     L2Tlb &l2Tlb() { return l2Tlb_; }
     const CacheArray &llc() const { return llc_; }
     std::uint64_t dramLineTransfers() const { return dramTransfers_; }
-
-    /**
-     * Forget in-flight timing state (LLC MSHR fills, the DRAM
-     * bandwidth clock) while keeping LLC tags and LRU order. Part of
-     * MemorySystem::resetTransientTiming(); see there.
-     */
-    void resetTransientTiming()
-    {
-        llcMshrs_.clear();
-        dramNextFree_ = 0;
-    }
-
-    /**
-     * Mix the uncore's behavioral state into @p h with absolute cycles
-     * rebased to @p base (see MemorySystem::fingerprintState).
-     */
-    void fingerprintState(Fnv1a &h, Cycle base) const;
-
-    /** Append per-structure fingerprints (diagnostic decomposition). */
-    void fingerprintParts(
-        Cycle base,
-        std::vector<std::pair<const char *, std::uint64_t>> &out) const;
 
   private:
     const CoreConfig &cfg_;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <gtest/gtest.h>
 #include <thread>
 #include <vector>
@@ -158,6 +159,35 @@ TEST(ParallelRunner, MoreThreadsThanGroupsIsClamped)
     ExperimentResult serial =
         runBenchmark("exchange2", {teaConfig()}, withThreads(1));
     expectExperimentsIdentical(serial, res);
+}
+
+TEST(RunnerOptionsEnv, MalformedIntegersAreFatal)
+{
+    // A sign, an overflow, an out-of-range value or trailing junk must
+    // exit cleanly instead of wrapping, truncating, saturating or
+    // panicking.
+    const struct
+    {
+        const char *name;
+        const char *value;
+    } cases[] = {
+        {"TEA_AUDIT", "-1"},
+        {"TEA_THREADS", "4294967297"},
+        {"TEA_TRACE_CACHE_MAX_BYTES", "99999999999999999999"},
+        {"TEA_BATCH_FRAMES", "0"},
+        {"TEA_DECODE_THREADS", "+2"},
+        {"TEA_CACHE_LOCK_TIMEOUT_MS", "5ms"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(std::string(c.name) + "=" + c.value);
+        EXPECT_EXIT(
+            {
+                ::setenv(c.name, c.value, 1);
+                RunnerOptions::fromEnv();
+            },
+            ::testing::ExitedWithCode(1),
+            "must be a non-negative integer");
+    }
 }
 
 TEST(ParallelRunner, SuiteMatchesSerialLoop)

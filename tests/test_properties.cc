@@ -51,6 +51,15 @@ struct ConfigCase
     unsigned mem_iq;
 };
 
+// gtest's default printer dumps the raw bytes, including the `name`
+// pointer, which moves with ASLR; the printed value ends up in the
+// discovered ctest names, so print the sizes as they are written below.
+void PrintTo(const ConfigCase &c, std::ostream *os)
+{
+    *os << '{' << c.rob << ", " << c.fetch_buffer << ", " << c.sq << ", "
+        << c.mem_iq << '}';
+}
+
 class ConfigSweep : public ::testing::TestWithParam<ConfigCase>
 {
 };

@@ -436,6 +436,10 @@ TEST(TraceCacheFile, OpenRejectsDamage)
         EXPECT_EQ(MappedTraceFile::open(path, fp, &why), nullptr)
             << "truncation to " << keep << " bytes not detected";
     }
+
+    // A missing file is rejected the same way.
+    ASSERT_EQ(std::remove(path.c_str()), 0);
+    EXPECT_EQ(MappedTraceFile::open(path, fp, &why), nullptr);
 }
 
 TEST(TraceCache, MissThenHitIsBitIdenticalAcrossThreads)

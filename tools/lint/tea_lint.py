@@ -10,10 +10,10 @@ Seven rules, each enforcing an invariant the compiler cannot:
 
   unchecked-io       In src/core/trace_io.cc every stdio/syscall result
                      (fwrite/fflush/fseek/fclose/fsync/rename/remove)
-                     must be consumed: TraceWriter and CompactTraceWriter
-                     error paths fatal-or-propagate, never drop. Suppress
-                     a deliberately ignored result (e.g. cleanup on an
-                     already-failed path) with
+                     must be consumed: CompactTraceWriter and
+                     MappedTraceFile error paths propagate, never drop.
+                     Suppress a deliberately ignored result (e.g. cleanup
+                     on an already-failed path) with
                      `tea_lint: allow(unchecked-io)`.
 
   codec-version-lock src/core/trace_codec.cc must pin its frame layout
