@@ -27,8 +27,8 @@
 #include <dirent.h>
 #include <unistd.h>
 
-#include "analysis/parallel_runner.hh"
 #include "analysis/runner.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "core/cache.hh"
 #include "core/core.hh"
@@ -132,13 +132,6 @@ BM_VarintBulkDecode(benchmark::State &state)
         bytes.push_back(static_cast<std::uint8_t>(v));
         ++n_values;
     }
-    const auto kernel = static_cast<VarintKernel>(state.range(0));
-    if (!varintKernelSupported(kernel)) {
-        state.SkipWithError("kernel unsupported on this host");
-        return;
-    }
-    const VarintKernel before = activeVarintKernel();
-    setVarintKernel(kernel);
     std::vector<std::uint64_t> out(n_values);
     std::uint64_t decoded = 0;
     for (auto _ : state) {
@@ -149,19 +142,13 @@ BM_VarintBulkDecode(benchmark::State &state)
         decoded += count;
         benchmark::DoNotOptimize(out.data());
     }
-    setVarintKernel(before);
-    state.SetLabel(varintKernelName(kernel));
     state.counters["values/s"] = benchmark::Counter(
         static_cast<double>(decoded), benchmark::Counter::kIsRate);
     state.counters["bytes/s"] = benchmark::Counter(
         static_cast<double>(state.iterations() * bytes.size()),
         benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_VarintBulkDecode)
-    ->Arg(static_cast<int>(VarintKernel::Scalar))
-    ->Arg(static_cast<int>(VarintKernel::Sse2))
-    ->Arg(static_cast<int>(VarintKernel::Avx2))
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VarintBulkDecode)->Unit(benchmark::kMillisecond);
 
 void
 BM_TraceChunkDecode(benchmark::State &state)
@@ -197,7 +184,6 @@ BM_TraceChunkDecode(benchmark::State &state)
             benchmark::DoNotOptimize(back.cycleRecords);
         }
     }
-    state.SetLabel(varintKernelName(activeVarintKernel()));
     state.counters["events/s"] = benchmark::Counter(
         static_cast<double>(events), benchmark::Counter::kIsRate);
 }
@@ -237,22 +223,15 @@ BENCHMARK(BM_TraceCodecRoundTrip)->Unit(benchmark::kMillisecond);
 
 /**
  * Best-of-N trial count for the end-to-end measurements, from
- * TEA_PERF_TRIALS (default 4, clamped to [1, 64]). Raising it tightens
- * the minimum on a noisy box at a linear cost in wall clock; CI keeps
- * the default.
+ * TEA_PERF_TRIALS (default 4). The value must lie in [1, 64]; anything
+ * else, trailing junk included, is fatal (common/env.hh). Raising it
+ * tightens the minimum on a noisy box at a linear cost in wall clock;
+ * CI keeps the default.
  */
 int
 perfTrials()
 {
-    const char *env = std::getenv("TEA_PERF_TRIALS");
-    if (!env || !*env)
-        return 4;
-    const long n = std::strtol(env, nullptr, 10);
-    if (n < 1)
-        return 1;
-    if (n > 64)
-        return 64;
-    return static_cast<int>(n);
+    return static_cast<int>(envUnsigned("TEA_PERF_TRIALS", 4, 1, 64));
 }
 
 /** Remove every regular file in @p dir, then the directory itself. */
@@ -360,7 +339,6 @@ measureSimulator()
         fastp.seconds > 0.0
             ? static_cast<double>(fastp.events) / fastp.seconds
             : 0.0;
-    const char *kernel = varintKernelName(activeVarintKernel());
     const unsigned cores = std::thread::hardware_concurrency();
 
     std::printf("simulator: fast path %.3f s (%.1fx vs %.2f s seed cold, "
@@ -394,14 +372,13 @@ measureSimulator()
                  "  \"fastpath_cycles_per_second\": %.0f,\n"
                  "  \"fastpath_events_per_second\": %.0f,\n"
                  "  \"skip_ratio\": %.4f,\n"
-                 "  \"machine_cores\": %u,\n"
-                 "  \"varint_kernel\": \"%s\"\n"
+                 "  \"machine_cores\": %u\n"
                  "}\n",
                  workload, static_cast<unsigned long long>(fastp.cycles),
                  static_cast<unsigned long long>(fastp.events),
                  kSeedColdSeconds, ref.seconds, fastp.seconds, vs_seed,
                  vs_ref, cycles_per_s, events_per_s, fastp.skipRatio,
-                 cores, kernel);
+                 cores);
     std::fclose(f);
     return 0;
 }
@@ -412,10 +389,10 @@ measureSimulator()
  * identical experiment, into BENCH_trace_cache.json.
  *
  * The JSON carries two CI-gated throughputs: decode_events_per_second
- * (events over the time spent strictly inside chunk decode, the SIMD
- * codec in isolation) and warm_replay_events_per_second (events over
- * the observer-side batched replay time), plus the machine context
- * (core count, selected varint kernel) those numbers depend on.
+ * (events over the time spent strictly inside chunk decode, the codec
+ * in isolation) and warm_replay_events_per_second (events over the
+ * observer-side batched replay time), plus the core count those
+ * numbers depend on.
  */
 int
 measureTraceCache()
@@ -492,20 +469,19 @@ measureTraceCache()
         static_cast<double>(warm.replay.eventsCaptured);
     double decode_rate = decode_s > 0.0 ? events / decode_s : 0.0;
     double replay_rate = replay_s > 0.0 ? events / replay_s : 0.0;
-    const char *kernel = varintKernelName(activeVarintKernel());
     const unsigned cores = std::thread::hardware_concurrency();
 
     std::printf("trace cache: cold %.3f s, warm %.3f s (%.1fx), "
                 "%llu events, %.1f Mevents/s decode, "
                 "%.1f Mevents/s replay, %llu bytes on disk "
-                "(%s kernel, %u cores)\n",
+                "(%u cores)\n",
                 cold.replay.totalSeconds, warm.replay.totalSeconds,
                 speedup,
                 static_cast<unsigned long long>(
                     warm.replay.eventsCaptured),
                 decode_rate / 1e6, replay_rate / 1e6,
                 static_cast<unsigned long long>(warm.replay.cacheBytes),
-                kernel, cores);
+                cores);
 
     std::FILE *f = std::fopen("BENCH_trace_cache.json", "w");
     if (!f) {
@@ -524,15 +500,14 @@ measureTraceCache()
                  "  \"speedup\": %.3f,\n"
                  "  \"decode_events_per_second\": %.0f,\n"
                  "  \"warm_replay_events_per_second\": %.0f,\n"
-                 "  \"machine_cores\": %u,\n"
-                 "  \"varint_kernel\": \"%s\"\n"
+                 "  \"machine_cores\": %u\n"
                  "}\n",
                  workload,
                  static_cast<unsigned long long>(
                      warm.replay.eventsCaptured),
                  static_cast<unsigned long long>(warm.replay.cacheBytes),
                  cold.replay.totalSeconds, warm.replay.totalSeconds,
-                 speedup, decode_rate, replay_rate, cores, kernel);
+                 speedup, decode_rate, replay_rate, cores);
     std::fclose(f);
     return 0;
 }

@@ -15,7 +15,6 @@
 #include "common/failpoint.hh"
 #include "common/file_lock.hh"
 #include "common/logging.hh"
-#include "common/sync.hh"
 #include "core/trace_io.hh"
 
 namespace tea {
@@ -41,183 +40,45 @@ secondsSince(Clock::time_point t0)
 }
 
 /**
- * Decode the frames of a mapped trace-cache entry in parallel and hand
- * the chunks to @p deliver in file order.
- *
- * Workers claim frame indices through an atomic cursor and decode them
- * with private ChunkDecoders (frames are self-contained; the mapping is
- * immutable), parking finished chunks in a bounded reorder ring. The
- * calling thread drains the ring strictly in order, so observers see
- * the exact chunk sequence a serial nextChunk() loop would produce —
- * bit-identical results at any thread count. The ring holds at most
- * batch_frames chunks per worker; a worker that runs that far ahead of
- * the in-order handoff blocks until the gap closes.
- *
- * A worker-side failure (decodeFrame panics on anything the open-time
- * validation scan could miss, so this is belt-and-braces for e.g.
- * bad_alloc) is contained: the slot is published empty, every thread is
- * woken, and the first error is rethrown on the calling thread after
- * the join. If @p deliver throws (observer death, an injected queue
- * fault), the workers are unparked and joined before the exception
- * propagates — destroying a joinable thread would terminate the
- * process.
- *
- * @return wall time spent inside decodeFrame, summed across workers
+ * A group of TraceSinks that must observe the trace in order on one
+ * thread (e.g. one technique's sampler, or the golden reference).
+ * Groups are the unit of parallelism: two groups may replay on
+ * different workers, sinks within a group never do.
  */
-double
-pumpFramesParallel(const MappedTraceFile &mapped, unsigned decode_threads,
-                   std::size_t batch_frames,
-                   const std::function<void(TraceChunkPtr)> &deliver)
+struct SinkGroup
 {
-    const std::size_t frames = mapped.frameCount();
-    const unsigned workers = static_cast<unsigned>(std::max<std::size_t>(
-        1, std::min<std::size_t>(decode_threads, frames)));
-    const std::size_t window =
-        std::max<std::size_t>(1, batch_frames) * workers;
+    std::vector<TraceSink *> sinks;
+};
 
-    struct Slot
-    {
-        TraceChunkPtr chunk;
-        bool ready = false;
-    };
-    // Shared pump state lives in a struct (not loose locals) so every
-    // guarded field can carry its TEA_GUARDED_BY annotation and the
-    // thread-safety analysis proves the reorder-ring protocol.
-    struct Shared
-    {
-        explicit Shared(std::size_t slots) : ring(slots) {}
-
-        Mutex mu;
-        CondVar ringFreed;  // consumer advanced `base`
-        CondVar slotFilled; // a worker published a slot
-        std::vector<Slot> ring TEA_GUARDED_BY(mu);
-        /** next frame index to hand to deliver() */
-        std::size_t base TEA_GUARDED_BY(mu) = 0;
-        /** deliver() threw; unpark everything */
-        bool aborted TEA_GUARDED_BY(mu) = false;
-        std::string firstError TEA_GUARDED_BY(mu);
-    };
-    Shared st(std::min(window, std::max<std::size_t>(frames, 1)));
-    std::atomic<std::size_t> next{0};
-    std::vector<double> decodeSeconds(workers, 0.0);
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-            ChunkDecoder decoder;
-            for (;;) {
-                // relaxed: the cursor only partitions frame indices
-                // among workers; each claimed frame is immutable mapped
-                // memory, so no payload rides on this counter.
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= frames)
-                    return;
-                TraceChunkPtr chunk;
-                try {
-                    const auto t0 = Clock::now();
-                    chunk = mapped.decodeFrame(i, decoder);
-                    decodeSeconds[w] += secondsSince(t0);
-                } catch (const std::exception &e) {
-                    MutexLock g(st.mu);
-                    if (st.firstError.empty())
-                        st.firstError = e.what();
-                } catch (...) {
-                    MutexLock g(st.mu);
-                    if (st.firstError.empty())
-                        st.firstError =
-                            "unknown exception in decode worker";
-                }
-                MutexLock lock(st.mu);
-                while (!st.aborted && i - st.base >= st.ring.size())
-                    st.ringFreed.wait(st.mu);
-                if (st.aborted)
-                    return;
-                Slot &s = st.ring[i % st.ring.size()];
-                s.chunk = std::move(chunk); // null on worker failure
-                s.ready = true;
-                st.slotFilled.notify_all();
-            }
-        });
-    }
-
-    auto joinAll = [&] {
-        {
-            MutexLock g(st.mu);
-            st.aborted = true;
-            st.ringFreed.notify_all();
-        }
-        for (std::thread &t : pool)
-            t.join();
-    };
-
-    try {
-        for (std::size_t i = 0; i < frames; ++i) {
-            TraceChunkPtr chunk;
-            {
-                MutexLock lock(st.mu);
-                Slot &s = st.ring[i % st.ring.size()];
-                while (!s.ready)
-                    st.slotFilled.wait(st.mu);
-                chunk = std::move(s.chunk);
-                s.ready = false;
-                ++st.base;
-                st.ringFreed.notify_all();
-                if (!chunk && !st.firstError.empty())
-                    break; // a decode worker died; join and rethrow
-            }
-            if (chunk)
-                deliver(std::move(chunk));
-        }
-    } catch (...) {
-        joinAll();
-        throw;
-    }
-    joinAll();
-    {
-        // Workers are joined; the lock satisfies the static analysis,
-        // which cannot see the join's happens-before edge.
-        MutexLock g(st.mu);
-        if (!st.firstError.empty())
-            throw ExperimentFailure(strprintf(
-                "parallel frame decode: %s", st.firstError.c_str()));
-    }
-
-    double total = 0.0;
-    for (double s : decodeSeconds)
-        total += s;
-    return total;
+/** Every sink of @p groups, in group order: the serial replay order. */
+std::vector<TraceSink *>
+allSinks(const std::vector<SinkGroup> &groups)
+{
+    std::vector<TraceSink *> sinks;
+    for (const SinkGroup &g : groups)
+        sinks.insert(sinks.end(), g.sinks.begin(), g.sinks.end());
+    return sinks;
 }
 
-} // namespace
+/** Callback that hands one finished chunk to the replay pool. */
+using ChunkPush = std::function<void(TraceChunkPtr)>;
 
-RunnerOptions
-RunnerOptions::fromEnv()
-{
-    RunnerOptions opts;
-    constexpr unsigned maxU = std::numeric_limits<unsigned>::max();
-    unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    // Default: one replay worker per hardware thread (results are
-    // identical at any thread count, so this is purely a speed knob).
-    auto threads =
-        static_cast<unsigned>(envUnsigned("TEA_THREADS", hw, 0, maxU));
-    opts.threads = threads == 0 ? hw : threads;
-    opts.audit = static_cast<unsigned>(envUnsigned("TEA_AUDIT", 0, 0, 2));
-    opts.cache = TraceCacheOptions::fromEnv();
-    opts.janitor = JanitorConfig::fromEnv();
-    opts.cacheLockTimeoutMs = static_cast<unsigned>(
-        envUnsigned("TEA_CACHE_LOCK_TIMEOUT_MS", opts.cacheLockTimeoutMs,
-                    0, maxU));
-    auto dthreads = static_cast<unsigned>(
-        envUnsigned("TEA_DECODE_THREADS", opts.decodeThreads, 0, maxU));
-    opts.decodeThreads = dthreads == 0 ? hw : dthreads;
-    opts.batchFrames = static_cast<std::size_t>(
-        envUnsigned("TEA_BATCH_FRAMES", opts.batchFrames, 1,
-                    std::numeric_limits<std::size_t>::max()));
-    return opts;
-}
-
+/**
+ * Core of the replay engine: broadcasts every chunk handed to the push
+ * callback to min(threads, groups) workers, each driving a round-robin
+ * share of @p groups. Blocks until @p pump returns and all workers
+ * drain. The chunk source is abstract so two producers share one
+ * engine: a live simulation (teeing into a trace-cache writer on a
+ * miss), and a memory-mapped cached trace being decoded (no
+ * simulation at all).
+ *
+ * @param groups observer groups (each replayed in-order on one worker)
+ * @param opts thread count / chunking / backpressure knobs
+ * @param pump called once with the push callback; must deliver every
+ *        chunk of the trace through it, in capture order
+ * @return counters describing the run; simulateSeconds holds the time
+ *         spent inside @p pump, replaySeconds the slowest worker
+ */
 ReplayStats
 replayChunksThroughPool(const std::vector<SinkGroup> &groups,
                         const RunnerOptions &opts,
@@ -318,34 +179,36 @@ replayChunksThroughPool(const std::vector<SinkGroup> &groups,
     return stats;
 }
 
-ReplayStats
-replayThroughPool(const std::vector<SinkGroup> &groups,
-                  const RunnerOptions &opts,
-                  const std::function<void(TraceSink &)> &produce)
+} // namespace
+
+RunnerOptions
+RunnerOptions::fromEnv()
 {
-    return replayChunksThroughPool(
-        groups, opts, [&](const ChunkPush &push) {
-            ChunkingSink sink(opts.chunkEvents, [&](TraceChunkPtr c) {
-                push(std::move(c));
-            });
-            produce(sink);
-            sink.finish();
-        });
+    RunnerOptions opts;
+    constexpr unsigned maxU = std::numeric_limits<unsigned>::max();
+    unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    // Default: one replay worker per hardware thread (results are
+    // identical at any thread count, so this is purely a speed knob).
+    auto threads =
+        static_cast<unsigned>(envUnsigned("TEA_THREADS", hw, 0, maxU));
+    opts.threads = threads == 0 ? hw : threads;
+    opts.audit = static_cast<unsigned>(envUnsigned("TEA_AUDIT", 0, 0, 2));
+    opts.cache = TraceCacheOptions::fromEnv();
+    opts.janitor = JanitorConfig::fromEnv();
+    opts.cacheLockTimeoutMs = static_cast<unsigned>(
+        envUnsigned("TEA_CACHE_LOCK_TIMEOUT_MS", opts.cacheLockTimeoutMs,
+                    0, maxU));
+    return opts;
 }
 
 ExperimentResult
 runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
             const RunnerOptions &opts, const CoreConfig &cfg)
 {
+    // Static init is long over: a TEA_FAILPOINTS entry still parked
+    // names no seam in this binary and must not silently test nothing.
     failpoints::checkEnvConsumed();
     TraceCache cache(opts.cache);
-    if (!cache.enabled() && opts.threads <= 1 && opts.audit == 0) {
-        // Serial path without caching or auditing: observers attached
-        // directly to the live core, bit-for-bit the historical
-        // behaviour.
-        return runWorkload(std::move(workload), std::move(techniques),
-                           cfg);
-    }
 
     // TEA_AUDIT >= 2 re-runs multi-threaded experiments serially and
     // demands bit-identical Pics; keep a pristine copy of the workload
@@ -435,53 +298,34 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
         // Hit: no core is built at all; the trace streams out of the
         // mapping and the recorded CoreStats stand in for core.stats().
         if (opts.threads <= 1) {
-            std::vector<TraceSink *> sinks;
-            for (const SinkGroup &g : groups)
-                sinks.insert(sinks.end(), g.sinks.begin(),
-                             g.sinks.end());
-            auto replayOne = [&](TraceChunkPtr chunk) {
+            // Decode one frame, replay it, reuse the same chunk storage
+            // for the next frame. Keeping exactly one chunk in flight
+            // is deliberate — it lets nextChunk() recycle one warm
+            // output buffer, and the assemble stores hitting warm cache
+            // lines outweigh any decode-locality gain from grouping
+            // frames (measured: batching serial decodes cost ~20%).
+            const std::vector<TraceSink *> sinks = allSinks(groups);
+            for (;;) {
+                const auto t0 = Clock::now();
+                TraceChunkPtr chunk = mapped->nextChunk();
+                res.replay.decodeSeconds += secondsSince(t0);
+                if (!chunk)
+                    break;
                 const auto t1 = Clock::now();
                 replayChunk(*chunk, sinks);
                 res.replay.replaySeconds += secondsSince(t1);
                 ++res.replay.chunksProduced;
                 res.replay.eventsCaptured += chunk->events.size();
-            };
-            if (opts.decodeThreads > 1) {
-                res.replay.decodeSeconds = pumpFramesParallel(
-                    *mapped, opts.decodeThreads, opts.batchFrames,
-                    replayOne);
-            } else {
-                // Single decoder: decode one frame, replay it, reuse
-                // the same chunk storage for the next frame. Keeping
-                // exactly one chunk in flight is deliberate — it lets
-                // nextChunk() recycle one warm output buffer, and the
-                // assemble stores hitting warm cache lines outweigh
-                // any decode-locality gain from grouping frames
-                // (measured: batching serial decodes cost ~20%).
-                for (;;) {
-                    const auto t0 = Clock::now();
-                    TraceChunkPtr chunk = mapped->nextChunk();
-                    res.replay.decodeSeconds += secondsSince(t0);
-                    if (!chunk)
-                        break;
-                    replayOne(std::move(chunk));
-                }
             }
         } else {
             // Pure decode time is metered inside the pump — around
-            // each decodeFrame/nextChunk call only — so backpressure
-            // stalls against the replay pool no longer masquerade as
-            // decode work, and simulateSeconds stays 0: nothing was
-            // simulated on a warm hit.
+            // each nextChunk call only — so backpressure stalls against
+            // the replay pool do not masquerade as decode work, and
+            // simulateSeconds stays 0: nothing was simulated on a warm
+            // hit.
             double decode_seconds = 0.0;
             res.replay = replayChunksThroughPool(
                 groups, opts, [&](const ChunkPush &push) {
-                    if (opts.decodeThreads > 1) {
-                        decode_seconds = pumpFramesParallel(
-                            *mapped, opts.decodeThreads,
-                            opts.batchFrames, push);
-                        return;
-                    }
                     for (;;) {
                         const auto t0 = Clock::now();
                         TraceChunkPtr c = mapped->nextChunk();
@@ -513,9 +357,11 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
 
         Core core(cfg, workload.program, std::move(workload.initial));
         if (opts.threads <= 1) {
-            std::vector<TraceSink *> sinks;
-            for (const SinkGroup &g : groups)
-                sinks.insert(sinks.end(), g.sinks.begin(), g.sinks.end());
+            // Observers attach directly to the live core, so the
+            // simulate span includes their (inseparable) replay work; a
+            // cache store adds one more sink that tees the chunk stream
+            // to the writer.
+            std::vector<TraceSink *> sinks = allSinks(groups);
             std::unique_ptr<ChunkingSink> tee;
             if (writer) {
                 tee = std::make_unique<ChunkingSink>(

@@ -1,78 +1,31 @@
 /**
  * @file
- * Parallel out-of-band trace replay engine.
+ * Suite runner: many experiments in flight at once, on top of the
+ * parallel out-of-band trace replay engine behind runWorkload().
  *
- * One simulation produces the cycle trace exactly once; the trace is
- * captured in chunks (core/trace_buffer) and broadcast through a bounded
- * SPMC queue (common/chunk_queue) to a pool of replay workers. Each
- * worker owns a disjoint subset of the observer groups (the golden
- * reference and one group per sampling technique) and replays every
- * chunk through them in capture order, so each observer sees the exact
- * event sequence a live run would have delivered — the determinism that
+ * Within one experiment, runWorkload() with RunnerOptions::threads > 1
+ * produces the cycle trace exactly once; the trace is captured in
+ * chunks (core/trace_buffer) and broadcast through a bounded SPMC
+ * queue (common/chunk_queue) to a pool of replay workers. Each worker
+ * owns a disjoint subset of the observer groups (the golden reference
+ * and one group per sampling technique) and replays every chunk
+ * through them in capture order, so each observer sees the exact event
+ * sequence a live run would have delivered — the determinism that
  * makes single-run, many-technique evaluation sound (TEA §4) — while
- * techniques are scored concurrently.
- *
- * This is the engine behind runWorkload()/runBenchmark() when
- * RunnerOptions::threads > 1; the lower-level entry points here are for
- * callers that bring their own TraceSinks.
+ * techniques are scored concurrently. The engine is private to
+ * parallel_runner.cc; this header exposes the suite API only.
  */
 
 #ifndef TEA_ANALYSIS_PARALLEL_RUNNER_HH
 #define TEA_ANALYSIS_PARALLEL_RUNNER_HH
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "analysis/runner.hh"
-#include "common/stats.hh"
-#include "core/trace_buffer.hh"
 
 namespace tea {
-
-/**
- * A group of TraceSinks that must observe the trace in order on one
- * thread (e.g. one technique's sampler, or the golden reference).
- * Groups are the unit of parallelism: two groups may replay on
- * different workers, sinks within a group never do.
- */
-struct SinkGroup
-{
-    std::vector<TraceSink *> sinks;
-};
-
-/** Callback that hands one finished chunk to the replay pool. */
-using ChunkPush = std::function<void(TraceChunkPtr)>;
-
-/**
- * Core of the replay engine: broadcasts every chunk handed to the push
- * callback to min(threads, groups) workers, each driving a round-robin
- * share of @p groups. Blocks until @p pump returns and all workers
- * drain. The chunk source is abstract so three producers share one
- * engine: a live simulation (replayThroughPool), a simulation teeing
- * into a trace-cache writer, and a memory-mapped cached trace being
- * decoded (no simulation at all).
- *
- * @param groups observer groups (each replayed in-order on one worker)
- * @param opts thread count / chunking / backpressure knobs
- * @param pump called once with the push callback; must deliver every
- *        chunk of the trace through it, in capture order
- * @return counters describing the run; simulateSeconds holds the time
- *         spent inside @p pump, replaySeconds the slowest worker
- */
-ReplayStats replayChunksThroughPool(
-    const std::vector<SinkGroup> &groups, const RunnerOptions &opts,
-    const std::function<void(const ChunkPush &)> &pump);
-
-/**
- * Replay worker pool fed by a live producer: wraps @p produce's sink in
- * a ChunkingSink and pumps the chunks through replayChunksThroughPool.
- *
- * @param produce called with a TraceSink; must generate the full trace
- *        into it (typically by running a Core with the sink attached)
- */
-ReplayStats replayThroughPool(
-    const std::vector<SinkGroup> &groups, const RunnerOptions &opts,
-    const std::function<void(TraceSink &)> &produce);
 
 /**
  * One experiment of a suite run: a workload factory plus the core

@@ -36,11 +36,11 @@ struct TechniqueResult
 /**
  * How an experiment is executed.
  *
- * threads == 1 runs the historical serial path: every observer is
- * attached directly to the live core, which is bit-for-bit today's
- * behaviour. threads > 1 captures the trace once and fans it out to
- * worker threads, each replaying through its own observers; because
- * replay delivers the identical event sequence, results are
+ * threads == 1 runs the serial path: every observer is attached
+ * directly to the live core (or, on a trace-cache hit, replays the
+ * decoded chunks inline). threads > 1 captures the trace once and fans
+ * it out to worker threads, each replaying through its own observers;
+ * because replay delivers the identical event sequence, results are
  * bit-identical to the serial path at any thread count (see DESIGN.md,
  * "Out-of-band replay at scale").
  */
@@ -85,24 +85,8 @@ struct RunnerOptions
      */
     unsigned cacheLockTimeoutMs = 5000;
 
-    /**
-     * Warm-hit frame-decode parallelism: threads decoding chunk frames
-     * out of a mapped trace-cache entry concurrently. Frames are
-     * self-contained (MappedTraceFile::decodeFrame), and the pump
-     * hands chunks to the observers in file order regardless of which
-     * thread decoded them, so results are bit-identical at any
-     * setting. 1 decodes inline in the producer (the default and the
-     * historical behaviour).
-     */
-    unsigned decodeThreads = 1;
-
-    /**
-     * Decode-ahead bound, in frames per decode thread: how far
-     * out-of-order frame decodes may run ahead of the in-order handoff
-     * before backpressure pauses them. Larger windows ride out uneven
-     * frame decode times at the cost of more chunks held in memory.
-     */
-    std::size_t batchFrames = 4;
+    /** Exists only because perfbench reads it; decode is inline. */
+    static constexpr unsigned decodeThreads = 1;
 
     /** Exists only because perfbench reads it; simulation is serial. */
     struct SimOptions
@@ -111,17 +95,14 @@ struct RunnerOptions
     } sim;
 
     /**
-     * Options from the environment: TEA_THREADS (default: one per
-     * hardware thread), TEA_AUDIT (default 0, see audit above),
-     * TEA_CACHE_LOCK_TIMEOUT_MS, TEA_DECODE_THREADS and
-     * TEA_BATCH_FRAMES (see decodeThreads/batchFrames above), the
-     * trace-cache controls TEA_TRACE_CACHE / TEA_TRACE_CACHE_DIR (see
-     * TraceCacheOptions), and the janitor budgets
-     * TEA_TRACE_CACHE_MAX_BYTES etc. (see JanitorConfig::fromEnv).
-     * TEA_THREADS=0 and TEA_DECODE_THREADS=0 mean "one worker per
-     * hardware thread". chunkEvents and queueChunks are set in code
-     * only. Integers go through envUnsigned (common/env.hh): a sign,
-     * an overflow or an out-of-range value is fatal.
+     * Options from the environment: TEA_THREADS (default, and 0: one
+     * per hardware thread), TEA_AUDIT (default 0, see audit above),
+     * TEA_CACHE_LOCK_TIMEOUT_MS, the trace-cache controls
+     * TEA_TRACE_CACHE / TEA_TRACE_CACHE_DIR (see TraceCacheOptions),
+     * and the janitor budgets TEA_TRACE_CACHE_MAX_BYTES etc. (see
+     * JanitorConfig::fromEnv). chunkEvents and queueChunks are set in
+     * code only. Integers go through envUnsigned (common/env.hh): a
+     * sign, an overflow or an out-of-range value is fatal.
      */
     static RunnerOptions fromEnv();
 };
@@ -174,9 +155,10 @@ struct ExperimentResult
 std::vector<SamplerConfig> standardTechniques(Cycle period = 127);
 
 /**
- * Simulate @p workload with @p techniques and the golden reference.
- * Dispatches on opts.threads: 1 = serial in-process observers, > 1 =
- * parallel out-of-band replay (identical results either way).
+ * Simulate @p workload with @p techniques and the golden reference, or
+ * replay its cached trace (opts.cache). Dispatches on opts.threads:
+ * 1 = serial in-process observers, > 1 = parallel out-of-band replay
+ * (identical results either way). Implemented in parallel_runner.cc.
  */
 ExperimentResult runWorkload(Workload workload,
                              std::vector<SamplerConfig> techniques,
@@ -189,7 +171,7 @@ ExperimentResult runBenchmark(const std::string &name,
                               const RunnerOptions &opts = RunnerOptions{},
                               const CoreConfig &cfg = CoreConfig{});
 
-/** Compatibility overloads: custom core config, default run options. */
+/** Compatibility overloads: runWorkload(w, t, RunnerOptions{}, cfg). */
 ExperimentResult runWorkload(Workload workload,
                              std::vector<SamplerConfig> techniques,
                              const CoreConfig &cfg);

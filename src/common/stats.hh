@@ -135,9 +135,8 @@ struct ReplayStats
     bool cacheStored = false;   ///< this run published a new cache entry
     std::uint64_t cacheBytes = 0; ///< on-disk size of the entry used/made
     /**
-     * Wall time spent inside chunk decode on a warm cache hit (summed
-     * across decode threads when TEA_DECODE_THREADS > 1). Metered
-     * around the decode calls only — queue backpressure and observer
+     * Wall time spent inside chunk decode on a warm cache hit.
+     * Metered around the decode calls only — queue backpressure and observer
      * time are excluded, so decode and technique-accumulation cost
      * stay separately attributable.
      */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "isa/memory.hh"
@@ -113,9 +114,14 @@ Core::init()
     wake_.reserve(256);
     traceBuf_.reserve(traceBatchEvents);
 
-    if (const char *v = std::getenv("TEA_CORE_FASTPATH")) {
-        if (v[0] != '\0')
-            fastPath_ = !(v[0] == '0' && v[1] == '\0');
+    if (const char *v = std::getenv("TEA_CORE_FASTPATH");
+        v != nullptr && *v != '\0') {
+        if (std::strcmp(v, "0") == 0)
+            fastPath_ = false;
+        else if (std::strcmp(v, "1") == 0)
+            fastPath_ = true;
+        else
+            tea_fatal("TEA_CORE_FASTPATH must be 0 or 1, got \"%s\"", v);
     }
 }
 

@@ -638,8 +638,8 @@ ChunkDecoder::decode(const std::uint8_t *data, std::size_t avail,
             return fail(why, "trailing bytes after last stream");
     }
 
-    // Stage 1: bulk-decode every varint stream into its lane (the SIMD
-    // kernels behind decodeVarints). Lanes hold the raw zigzag deltas;
+    // Stage 1: bulk-decode every varint stream into its lane
+    // (decodeVarints). Lanes hold the raw zigzag deltas;
     // assemble rebuilds absolute values inline while it consumes each
     // lane in encode order, so the deltas are read exactly once instead
     // of taking a separate serial prefix-sum pass over every lane. A

@@ -80,17 +80,16 @@ bool verifyFrame(const std::uint8_t *data, std::size_t avail,
  * Reusable frame decoder.
  *
  * Decoding runs in two stages: first every varint stream of the frame
- * is bulk-decoded into a per-stream value lane (this is where the SIMD
- * kernels in core/varint run); then kind-grouped assembly loops write
- * each event's fields in place, rebuilding absolute values from the
- * zigzag deltas as each lane is consumed in encode order.
+ * is bulk-decoded into a per-stream value lane (core/varint); then
+ * kind-grouped assembly loops write each event's fields in place,
+ * rebuilding absolute values from the zigzag deltas as each lane is
+ * consumed in encode order.
  * The lanes are owned by the decoder and grow to the largest frame
  * seen, so a decoder held across a replay loop allocates only on the
  * first few frames.
  *
- * Not thread-safe; use one decoder per thread. Results are
- * bit-identical across varint kernels and identical to the original
- * event-at-a-time decoder.
+ * Not thread-safe; use one decoder per thread. Results are identical
+ * to the original event-at-a-time decoder.
  */
 class ChunkDecoder
 {

@@ -435,7 +435,7 @@ MappedTraceFile::nextChunk()
         scratch_.push_back(out);
         scratchNext_ = 0;
     }
-    decodeFrameInto(nextFrame_++, decoder_, *out);
+    decodeFrameInto(nextFrame_++, *out);
     // Software-pipeline the source bytes: start pulling the next
     // frame's encoded streams toward the cache now, so they arrive
     // while the consumer replays this chunk instead of stalling the
@@ -458,18 +458,8 @@ MappedTraceFile::nextChunk()
     return out;
 }
 
-TraceChunkPtr
-MappedTraceFile::decodeFrame(std::size_t index,
-                             ChunkDecoder &decoder) const
-{
-    auto chunk = std::make_shared<TraceChunk>();
-    decodeFrameInto(index, decoder, *chunk);
-    return chunk;
-}
-
 void
-MappedTraceFile::decodeFrameInto(std::size_t index, ChunkDecoder &decoder,
-                                 TraceChunk &out) const
+MappedTraceFile::decodeFrameInto(std::size_t index, TraceChunk &out)
 {
     tea_assert(index < frameOffsets_.size(),
                "frame index %zu out of range (%zu frames)", index,
@@ -477,7 +467,7 @@ MappedTraceFile::decodeFrameInto(std::size_t index, ChunkDecoder &decoder,
     const std::size_t at = frameOffsets_[index];
     std::size_t consumed = 0;
     std::string why;
-    if (!decoder.decode(base_ + at, size_ - at, out, &consumed, &why)) {
+    if (!decoder_.decode(base_ + at, size_ - at, out, &consumed, &why)) {
         // Every frame passed CRC validation at open(); failing to
         // decode now means the codec itself is inconsistent.
         tea_panic("trace cache '%s': CRC-clean frame failed to decode "

@@ -166,34 +166,11 @@ class MappedTraceFile
      */
     TraceChunkPtr nextChunk();
 
-    /**
-     * Random access for parallel decode: frames are self-contained
-     * (all codec delta state resets per frame), so any frame can be
-     * decoded independently of its neighbours. The frame offset table
-     * is built during open()'s validation scan.
-     */
-    std::size_t frameCount() const { return frameOffsets_.size(); }
-
-    /**
-     * Decode frame @p index through the caller's @p decoder. Reads
-     * only immutable mapped bytes, so any number of threads may decode
-     * disjoint frames concurrently, each with its own decoder. Panics
-     * on decode failure, like nextChunk().
-     */
-    TraceChunkPtr decodeFrame(std::size_t index,
-                              ChunkDecoder &decoder) const;
-
-    /**
-     * Same, decoding into caller-owned storage (@p out is replaced).
-     * Callers looping over frames reuse one chunk to keep its event
-     * vector's pages warm instead of paying a fresh allocation (and
-     * the kernel's page zeroing) per frame.
-     */
-    void decodeFrameInto(std::size_t index, ChunkDecoder &decoder,
-                         TraceChunk &out) const;
-
   private:
     MappedTraceFile() = default;
+
+    /** Decode frame @p index into @p out (replaced); panics on failure. */
+    void decodeFrameInto(std::size_t index, TraceChunk &out);
 
     const std::uint8_t *base_ = nullptr;
     std::size_t size_ = 0;

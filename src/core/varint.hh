@@ -1,31 +1,18 @@
 /**
  * @file
- * Bulk LEB128 varint decode kernels for the trace codec.
+ * Bulk LEB128 varint decode for the trace codec.
  *
  * The on-disk codec (core/trace_codec) stores every field stream as a
  * run of LEB128 varints; with delta+zigzag coding the overwhelming
- * majority of values fit in a single byte, which makes the decode loop
- * a branch-per-byte bottleneck. These kernels decode a whole stream in
- * one pass: the vector kernels load 16/32 bytes at a time, derive the
- * continuation-bit mask with a single movemask, and emit the leading
- * run of single-byte values wholesale, falling back to a scalar step
- * only for the (rare) multi-byte varint that interrupts the run.
+ * majority of values fit in a single byte, so the decode loop takes
+ * one- and two-byte values on a fast path and falls back to a generic
+ * per-value reader only for the rare wider varint.
  *
- * All kernels are bit-identical by contract: for any input bytes —
- * including adversarial ones — they produce the same values and the
- * same accept/reject verdict as the reference scalar kernel, which in
- * turn preserves the semantics of the original per-value reader
- * (values wider than 64 bits lose their high bits silently, exactly
- * like `v |= (b & 0x7f) << shift` does; a varint still carrying a
+ * The verdicts are those of the original per-value reader: values
+ * wider than 64 bits lose their high bits silently, exactly like
+ * `v |= (b & 0x7f) << shift` does; a varint still carrying a
  * continuation bit at shift 63, or truncated by the end of the
- * stream, is malformed). The randomized differential suite in
- * tests/test_simd_codec.cc enforces this equivalence.
- *
- * Kernel selection is a process-wide runtime dispatch: the best kernel
- * the host CPU supports is picked once (overridable with TEA_SIMD=
- * scalar|sse2|avx2 or TEA_SIMD=0 for scalar), so plain, sanitizer and
- * Release builds all run the same code paths and produce the same
- * bytes.
+ * stream, is malformed. tests/test_simd_codec.cc pins them by value.
  */
 
 #ifndef TEA_CORE_VARINT_HH
@@ -36,31 +23,17 @@
 
 namespace tea {
 
-/** One bulk-decode implementation. */
+/** Exists only because perfbench prints the decode kernel's name. */
 enum class VarintKernel
 {
-    Scalar, ///< portable reference loop
-    Sse2,   ///< 16-byte movemask runs (x86-64 baseline)
-    Avx2,   ///< 32-byte movemask runs (runtime-detected)
+    Scalar, ///< the one decode loop
 };
 
-/** Short name of a kernel ("scalar", "sse2", "avx2"). */
+/** Exists only because perfbench prints it: "scalar". */
 const char *varintKernelName(VarintKernel k);
 
-/** True when this build/host can execute @p k. */
-bool varintKernelSupported(VarintKernel k);
-
-/**
- * The kernel bulk decodes currently dispatch to: the best supported
- * one, unless TEA_SIMD or setVarintKernel() narrowed the choice.
- */
+/** Exists only because perfbench prints it: always Scalar. */
 VarintKernel activeVarintKernel();
-
-/**
- * Force dispatch to @p k (fatal when unsupported on this host). For
- * tests and benchmarks; normal callers rely on the automatic pick.
- */
-void setVarintKernel(VarintKernel k);
 
 /**
  * Decode every varint in [@p p, @p p + @p len) into @p out, which must
@@ -73,21 +46,6 @@ void setVarintKernel(VarintKernel k);
  */
 bool decodeVarints(const std::uint8_t *p, std::size_t len,
                    std::uint64_t *out, std::size_t *count);
-
-/** The reference kernel, callable directly (differential tests). */
-bool decodeVarintsScalar(const std::uint8_t *p, std::size_t len,
-                         std::uint64_t *out, std::size_t *count);
-
-/** The SSE2 kernel; falls back to scalar off x86-64. */
-bool decodeVarintsSse2(const std::uint8_t *p, std::size_t len,
-                       std::uint64_t *out, std::size_t *count);
-
-/**
- * The AVX2 kernel; only callable when varintKernelSupported(Avx2)
- * (fatal otherwise — the caller owns the runtime check).
- */
-bool decodeVarintsAvx2(const std::uint8_t *p, std::size_t len,
-                       std::uint64_t *out, std::size_t *count);
 
 } // namespace tea
 

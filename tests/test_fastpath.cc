@@ -230,6 +230,27 @@ TEST(FastpathPics, GoldenAndTechniquePicsBitIdenticalAcrossModes)
     }
 }
 
+TEST(FastpathEnv, UnknownModeIsFatal)
+{
+    // Only 0 (the reference loop) and 1 (the fast path) name a mode;
+    // "off" must not silently leave the code under test running where
+    // the oracle was asked for.
+    EXPECT_EXIT(
+        {
+            ::setenv("TEA_CORE_FASTPATH", "off", 1);
+            Workload w = workloads::aluLoop(10);
+            Core core(CoreConfig{}, w.program, std::move(w.initial));
+        },
+        ::testing::ExitedWithCode(1), "TEA_CORE_FASTPATH");
+
+    // Empty means the default, the fast path.
+    ::setenv("TEA_CORE_FASTPATH", "", 1);
+    Workload w = workloads::aluLoop(10);
+    Core core(CoreConfig{}, w.program, std::move(w.initial));
+    ::unsetenv("TEA_CORE_FASTPATH");
+    EXPECT_TRUE(core.fastPath());
+}
+
 // --- property: randomized stall/drain schedules ------------------------
 
 /** A config with randomly shrunk queues and stretched latencies: the

@@ -172,10 +172,10 @@ TEST(RunnerOptionsEnv, MalformedIntegersAreFatal)
         const char *value;
     } cases[] = {
         {"TEA_AUDIT", "-1"},
+        {"TEA_AUDIT", "3"},
         {"TEA_THREADS", "4294967297"},
+        {"TEA_THREADS", "+2"},
         {"TEA_TRACE_CACHE_MAX_BYTES", "99999999999999999999"},
-        {"TEA_BATCH_FRAMES", "0"},
-        {"TEA_DECODE_THREADS", "+2"},
         {"TEA_CACHE_LOCK_TIMEOUT_MS", "5ms"},
     };
     for (const auto &c : cases) {

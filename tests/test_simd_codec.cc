@@ -1,112 +1,57 @@
 /**
  * @file
- * Differential tests of the SIMD varint kernels and the batched decode
- * path. The codec contract (core/varint.hh) is that every kernel is
- * bit-identical to the reference scalar loop on *any* input bytes —
- * including adversarial ones — so these tests fuzz randomized streams
- * (continuation-bit runs, max-width varints, truncated tails,
- * misaligned buffers, block-boundary straddles) through every kernel
- * the host supports and require identical verdicts and values. On top
- * of the raw kernels, whole chunk frames with extreme delta patterns
- * must round-trip identically under every kernel, and a warm
- * trace-cache replay must produce bit-identical Pics at any
- * TEA_DECODE_THREADS / TEA_BATCH_FRAMES setting.
+ * Value tests of the varint decoder and of the chunk codec built on it.
+ * decodeVarints (core/varint.hh) keeps the verdicts of the original
+ * per-value reader on any input bytes. These cases pin them by value:
+ * the widest accepted encoding, bits past 63 dropped, continuation past
+ * 64 bits and truncated tails rejected, and randomized canonical
+ * encodings round-tripping at misaligned heap offsets. Whole chunk
+ * frames with extreme delta patterns must round-trip too, alone and
+ * concatenated at misaligned offsets.
  *
- * Runs under the asan-ubsan preset (label: sanitize), which is what
- * turns the SIMD kernels' speculative-store bounds into hard failures.
+ * The suite names (SimdVarint, SimdCodec) date from when the decoder
+ * had vector kernels; they are kept so the test ids stay stable.
+ *
+ * Runs under the asan-ubsan preset (label: sanitize): every stream sits
+ * in a heap buffer of exactly its size, so a read past its end is a
+ * hard failure.
  */
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include <dirent.h>
-#include <unistd.h>
-
-#include "analysis/runner.hh"
 #include "common/rng.hh"
 #include "core/trace_buffer.hh"
 #include "core/trace_codec.hh"
 #include "core/varint.hh"
-#include "profilers/golden.hh"
-#include "profilers/pics.hh"
-#include "workloads/workload.hh"
 
 using namespace tea;
 
 namespace {
 
-/** Restore the process-wide varint kernel on scope exit. */
-struct KernelGuard
-{
-    VarintKernel prev;
-    KernelGuard() : prev(activeVarintKernel()) {}
-    ~KernelGuard() { setVarintKernel(prev); }
-};
-
-/** Every kernel this host can execute, scalar first. */
-std::vector<VarintKernel>
-supportedKernels()
-{
-    std::vector<VarintKernel> ks{VarintKernel::Scalar};
-    if (varintKernelSupported(VarintKernel::Sse2))
-        ks.push_back(VarintKernel::Sse2);
-    if (varintKernelSupported(VarintKernel::Avx2))
-        ks.push_back(VarintKernel::Avx2);
-    return ks;
-}
-
-bool
-runKernel(VarintKernel k, const std::uint8_t *p, std::size_t len,
-          std::uint64_t *out, std::size_t *count)
-{
-    switch (k) {
-      case VarintKernel::Scalar:
-        return decodeVarintsScalar(p, len, out, count);
-      case VarintKernel::Sse2:
-        return decodeVarintsSse2(p, len, out, count);
-      case VarintKernel::Avx2:
-        return decodeVarintsAvx2(p, len, out, count);
-    }
-    return false;
-}
+using Values = std::vector<std::uint64_t>;
 
 /**
- * Decode @p bytes with every supported kernel and require the same
- * verdict as the scalar reference — and, on acceptance, the same count
- * and the same values. The poison fill makes a kernel that reports n
- * values but wrote fewer fail the comparison.
+ * decodeVarints over @p bytes: the decoded values, or nullopt when the
+ * stream is rejected. The output is poisoned first, so a count that
+ * claims more values than were written shows up as a wrong value.
  */
-void
-expectKernelsAgree(const std::vector<std::uint8_t> &bytes)
+std::optional<Values>
+decoded(const std::vector<std::uint8_t> &bytes)
 {
-    const std::size_t room = bytes.size() + 1; // len values max; +1 for n=0
-    std::vector<std::uint64_t> ref(room, 0xabad1deacafeull);
-    std::size_t refCount = 0;
-    const bool refOk =
-        decodeVarintsScalar(bytes.data(), bytes.size(), ref.data(),
-                            &refCount);
-
-    for (VarintKernel k : supportedKernels()) {
-        if (k == VarintKernel::Scalar)
-            continue;
-        SCOPED_TRACE(varintKernelName(k));
-        std::vector<std::uint64_t> out(room, 0xabad1deacafeull);
-        std::size_t count = 0;
-        const bool ok =
-            runKernel(k, bytes.data(), bytes.size(), out.data(), &count);
-        ASSERT_EQ(ok, refOk);
-        if (!refOk)
-            continue; // rejected streams leave out/count unspecified
-        ASSERT_EQ(count, refCount);
-        for (std::size_t i = 0; i < count; ++i)
-            ASSERT_EQ(out[i], ref[i]) << "value " << i;
-    }
+    // Exact-size heap copy: the caller's vector may have spare capacity
+    // that would hide an overread from ASan.
+    const std::vector<std::uint8_t> exact(bytes.begin(), bytes.end());
+    Values out(exact.size() + 1, 0xabad1deacafeull);
+    std::size_t count = 0;
+    if (!decodeVarints(exact.data(), exact.size(), out.data(), &count))
+        return std::nullopt;
+    out.resize(count);
+    return out;
 }
 
 /** Canonical LEB128 append of @p v. */
@@ -120,176 +65,85 @@ appendVarint(std::vector<std::uint8_t> &bytes, std::uint64_t v)
     bytes.push_back(static_cast<std::uint8_t>(v));
 }
 
-/** Remove every regular file in @p dir, then the directory itself. */
-void
-removeTree(const std::string &dir)
-{
-    if (DIR *d = ::opendir(dir.c_str())) {
-        while (struct dirent *e = ::readdir(d)) {
-            std::string name = e->d_name;
-            if (name != "." && name != "..")
-                std::remove((dir + "/" + name).c_str());
-        }
-        ::closedir(d);
-    }
-    ::rmdir(dir.c_str());
-}
-
-struct TempCacheDir
-{
-    std::string path;
-    TempCacheDir()
-    {
-        char tmpl[] = "/tmp/tea-simd-codec-test-XXXXXX";
-        const char *d = ::mkdtemp(tmpl);
-        EXPECT_NE(d, nullptr);
-        path = d ? d : "";
-    }
-    ~TempCacheDir()
-    {
-        if (!path.empty())
-            removeTree(path);
-    }
-};
-
-/** Assert two Pics are bit-identical (exact doubles, same cells). */
-void
-expectPicsIdentical(const Pics &a, const Pics &b)
-{
-    EXPECT_EQ(a.total(), b.total());
-    auto sorted = [](const Pics &p) {
-        std::vector<PicsComponent> cs = p.components();
-        std::sort(cs.begin(), cs.end(),
-                  [](const PicsComponent &x, const PicsComponent &y) {
-                      return x.unit != y.unit ? x.unit < y.unit
-                                              : x.signature < y.signature;
-                  });
-        return cs;
-    };
-    std::vector<PicsComponent> ca = sorted(a);
-    std::vector<PicsComponent> cb = sorted(b);
-    ASSERT_EQ(ca.size(), cb.size());
-    for (std::size_t i = 0; i < ca.size(); ++i) {
-        EXPECT_EQ(ca[i].unit, cb[i].unit);
-        EXPECT_EQ(ca[i].signature, cb[i].signature);
-        EXPECT_EQ(ca[i].cycles, cb[i].cycles);
-    }
-}
-
-void
-expectExperimentsIdentical(const ExperimentResult &ref,
-                           const ExperimentResult &got)
-{
-    EXPECT_EQ(ref.stats.cycles, got.stats.cycles);
-    expectPicsIdentical(ref.golden->pics(), got.golden->pics());
-    ASSERT_EQ(ref.techniques.size(), got.techniques.size());
-    for (std::size_t i = 0; i < ref.techniques.size(); ++i) {
-        SCOPED_TRACE(ref.techniques[i].config.name);
-        EXPECT_EQ(ref.techniques[i].samplesTaken,
-                  got.techniques[i].samplesTaken);
-        expectPicsIdentical(ref.techniques[i].pics,
-                            got.techniques[i].pics);
-    }
-}
-
 } // namespace
 
-TEST(SimdVarint, RandomBytesAgreeAcrossKernels)
+TEST(SimdVarint, MaxWidthValues)
 {
-    // Purely random bytes: mostly malformed streams (truncation inside
-    // a varint, continuation past 64 bits); every kernel must reach the
-    // same verdict, and the same values when a stream happens to parse.
-    Rng rng(0x51);
-    for (unsigned round = 0; round < 200; ++round) {
-        std::vector<std::uint8_t> bytes(rng.below(200));
-        for (std::uint8_t &b : bytes)
-            b = static_cast<std::uint8_t>(rng.next());
-        expectKernelsAgree(bytes);
-    }
+    // The widest accepted varint: ten bytes, the last holding bit 63.
+    std::vector<std::uint8_t> widest(9, 0xff);
+    widest.push_back(0x01);
+    EXPECT_EQ(decoded(widest), (Values{~0ull}));
+
+    // Bits past 63 are dropped, as `v |= (b & 0x7f) << 63` drops them:
+    // the tenth byte's 0x02 shifts out entirely.
+    std::vector<std::uint8_t> overflow(9, 0x80);
+    overflow.push_back(0x02);
+    EXPECT_EQ(decoded(overflow), (Values{0}));
 }
 
 TEST(SimdVarint, ContinuationRunsAndTruncatedTails)
 {
-    // Runs of 0x80 continuation bytes of every interesting length
-    // (crossing 7-bit group boundaries, the 64-bit overflow point, and
-    // the SIMD block widths), terminated or truncated at the end.
-    Rng rng(0x52);
-    for (unsigned round = 0; round < 400; ++round) {
-        std::vector<std::uint8_t> bytes;
-        const unsigned pieces = 1 + rng.below(20);
-        for (unsigned p = 0; p < pieces; ++p) {
-            const unsigned contRun = rng.below(13); // up to 12 > max valid
-            for (unsigned i = 0; i < contRun; ++i)
-                bytes.push_back(0x80u |
-                                static_cast<std::uint8_t>(rng.below(128)));
-            bytes.push_back(static_cast<std::uint8_t>(rng.below(128)));
-        }
-        if (rng.chance(0.3) && !bytes.empty())
-            bytes.pop_back(); // truncate inside the final varint
-        expectKernelsAgree(bytes);
-    }
-}
+    // A continuation bit still set on the tenth byte runs past 64 bits.
+    std::vector<std::uint8_t> tooLong(10, 0xff);
+    tooLong.push_back(0x01);
+    EXPECT_EQ(decoded(tooLong), std::nullopt);
 
-TEST(SimdVarint, MaxWidthValues)
-{
-    // Canonical encodings of the widest values (10 bytes for ~0ull),
-    // mixed with single-byte values so wide varints land at arbitrary
-    // positions inside the 16/32-byte SIMD blocks.
-    Rng rng(0x53);
-    for (unsigned round = 0; round < 200; ++round) {
-        std::vector<std::uint8_t> bytes;
-        const unsigned n = 1 + rng.below(100);
-        for (unsigned i = 0; i < n; ++i) {
-            switch (rng.below(4)) {
-              case 0:
-                appendVarint(bytes, ~0ull - rng.below(3));
-                break;
-              case 1:
-                appendVarint(bytes, 1ull << (rng.below(64)));
-                break;
-              case 2:
-                appendVarint(bytes, rng.below(1u << 21));
-                break;
-              default:
-                appendVarint(bytes, rng.below(128));
-                break;
-            }
-        }
-        expectKernelsAgree(bytes);
+    // The stream ends inside its second varint.
+    EXPECT_EQ(decoded({0x05, 0x80}), std::nullopt);
+
+    // Every proper prefix of a ten-byte varint is truncated.
+    std::vector<std::uint8_t> widest(9, 0xff);
+    widest.push_back(0x01);
+    for (std::size_t len = 1; len < widest.size(); ++len) {
+        SCOPED_TRACE(len);
+        EXPECT_EQ(decoded({widest.begin(), widest.begin() + len}),
+                  std::nullopt);
     }
+
+    // An empty stream is a valid stream of no values.
+    EXPECT_EQ(decoded({}), Values{});
 }
 
 TEST(SimdVarint, BlockBoundaryStraddles)
 {
-    // A multi-byte varint placed at every offset in [0, 40): straddles
-    // every position relative to the 16-byte (SSE2) and 32-byte (AVX2)
-    // block loads, including the block's last byte.
+    // The smallest value of every width from 2 to 10 bytes, at every
+    // offset in [0, 40) of a run of single-byte values, with the stream
+    // ending right after it or 40 values later: the one- and two-byte
+    // fast paths and the generic reader hand over cleanly at any
+    // position, including the stream's last bytes.
     for (unsigned width = 2; width <= 10; ++width) {
+        const std::uint64_t wide = 1ull << (7 * (width - 1));
         for (unsigned off = 0; off < 40; ++off) {
-            std::vector<std::uint8_t> bytes(off, 0x01);
-            for (unsigned i = 0; i + 1 < width; ++i)
-                bytes.push_back(0x80u | static_cast<std::uint8_t>(i + 1));
-            bytes.push_back(0x03);
-            for (unsigned i = 0; i < 40; ++i)
-                bytes.push_back(0x02);
-            expectKernelsAgree(bytes);
+            for (unsigned tail : {0u, 40u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << width << " bytes at " << off << ", "
+                             << tail << " after");
+                std::vector<std::uint8_t> bytes(off, 0x01);
+                appendVarint(bytes, wide);
+                ASSERT_EQ(bytes.size(), off + width);
+                bytes.insert(bytes.end(), tail, 0x02);
+                Values want(off, 1);
+                want.push_back(wide);
+                want.insert(want.end(), tail, 2);
+                EXPECT_EQ(decoded(bytes), want);
+            }
         }
     }
 }
 
 TEST(SimdVarint, MisalignedBuffers)
 {
-    // The mmap path hands the kernels pointers at arbitrary alignment
-    // (frame payloads start wherever the previous frame ended). Shift
-    // the same stream to different (mis)alignments and require
-    // identical results at each.
+    // The mmap path hands the decoder pointers at arbitrary alignment
+    // (frame payloads start wherever the previous frame ended). Canonical
+    // encodings 1 to 10 bytes wide, ~0ull among them, decode to exactly
+    // the encoded values at every misaligned offset.
     Rng rng(0x54);
+    Values want;
     std::vector<std::uint8_t> stream;
     for (unsigned i = 0; i < 500; ++i) {
-        if (rng.chance(0.15))
-            appendVarint(stream, rng.next());
-        else
-            appendVarint(stream, rng.below(128));
+        const auto bits = static_cast<unsigned>(1 + rng.below(64));
+        want.push_back(i % 50 == 0 ? ~0ull : rng.next() >> (64 - bits));
+        appendVarint(stream, want.back());
     }
     for (std::size_t off : {std::size_t{1}, std::size_t{3}, std::size_t{5},
                             std::size_t{13}}) {
@@ -297,21 +151,12 @@ TEST(SimdVarint, MisalignedBuffers)
         // Heap-allocate so ASan guards the edges of the shifted copy.
         std::vector<std::uint8_t> shifted(off + stream.size());
         std::memcpy(shifted.data() + off, stream.data(), stream.size());
-        std::size_t refCount = 0;
-        std::vector<std::uint64_t> ref(stream.size() + 1);
-        ASSERT_TRUE(decodeVarintsScalar(shifted.data() + off,
-                                        stream.size(), ref.data(),
-                                        &refCount));
-        for (VarintKernel k : supportedKernels()) {
-            SCOPED_TRACE(varintKernelName(k));
-            std::vector<std::uint64_t> out(stream.size() + 1);
-            std::size_t count = 0;
-            ASSERT_TRUE(runKernel(k, shifted.data() + off, stream.size(),
+        Values out(stream.size() + 1);
+        std::size_t count = 0;
+        ASSERT_TRUE(decodeVarints(shifted.data() + off, stream.size(),
                                   out.data(), &count));
-            ASSERT_EQ(count, refCount);
-            for (std::size_t i = 0; i < count; ++i)
-                ASSERT_EQ(out[i], ref[i]);
-        }
+        out.resize(count);
+        EXPECT_EQ(out, want);
     }
 }
 
@@ -400,31 +245,25 @@ extremeChunk(Rng &rng, std::size_t count)
 
 TEST(SimdCodec, ExtremeDeltaChunksRoundTripUnderEveryKernel)
 {
-    KernelGuard guard;
     Rng rng(0xdec0de);
     for (unsigned round = 0; round < 10; ++round) {
         TraceChunk chunk = extremeChunk(rng, 64 + rng.below(512));
         std::vector<std::uint8_t> frame;
         encodeChunk(chunk, frame);
 
-        for (VarintKernel k : supportedKernels()) {
-            SCOPED_TRACE(varintKernelName(k));
-            setVarintKernel(k);
-            ChunkDecoder decoder;
-            TraceChunk back;
-            std::size_t consumed = 0;
-            std::string why;
-            ASSERT_TRUE(decoder.decode(frame.data(), frame.size(), back,
-                                       &consumed, &why))
-                << why;
-            EXPECT_EQ(consumed, frame.size());
-            EXPECT_EQ(back.cycleRecords, chunk.cycleRecords);
-            ASSERT_EQ(back.events.size(), chunk.events.size());
-            for (std::size_t i = 0; i < chunk.events.size(); ++i)
-                ASSERT_TRUE(
-                    eventsEquivalent(chunk.events[i], back.events[i]))
-                    << "event " << i;
-        }
+        ChunkDecoder decoder;
+        TraceChunk back;
+        std::size_t consumed = 0;
+        std::string why;
+        ASSERT_TRUE(decoder.decode(frame.data(), frame.size(), back,
+                                   &consumed, &why))
+            << why;
+        EXPECT_EQ(consumed, frame.size());
+        EXPECT_EQ(back.cycleRecords, chunk.cycleRecords);
+        ASSERT_EQ(back.events.size(), chunk.events.size());
+        for (std::size_t i = 0; i < chunk.events.size(); ++i)
+            ASSERT_TRUE(eventsEquivalent(chunk.events[i], back.events[i]))
+                << "event " << i;
     }
 }
 
@@ -433,7 +272,6 @@ TEST(SimdCodec, MultiFrameStreamsDecodeIdenticallyAtAnyOffset)
     // Several frames concatenated (delta state must reset per frame),
     // the whole stream then shifted to misaligned offsets like an
     // arbitrary position inside an mmap'd cache file.
-    KernelGuard guard;
     Rng rng(0xf8a);
     std::vector<TraceChunk> chunks;
     std::vector<std::uint8_t> stream;
@@ -444,89 +282,26 @@ TEST(SimdCodec, MultiFrameStreamsDecodeIdenticallyAtAnyOffset)
 
     for (std::size_t off : {std::size_t{0}, std::size_t{1}, std::size_t{3},
                             std::size_t{5}}) {
+        SCOPED_TRACE(off);
         std::vector<std::uint8_t> shifted(off + stream.size());
         std::memcpy(shifted.data() + off, stream.data(), stream.size());
-        for (VarintKernel k : supportedKernels()) {
-            SCOPED_TRACE(varintKernelName(k));
-            setVarintKernel(k);
-            ChunkDecoder decoder;
-            std::size_t at = off;
-            for (const TraceChunk &want : chunks) {
-                TraceChunk back;
-                std::size_t consumed = 0;
-                std::string why;
-                ASSERT_TRUE(decoder.decode(shifted.data() + at,
-                                           shifted.size() - at, back,
-                                           &consumed, &why))
-                    << why;
-                at += consumed;
-                ASSERT_EQ(back.events.size(), want.events.size());
-                for (std::size_t i = 0; i < want.events.size(); ++i)
-                    ASSERT_TRUE(eventsEquivalent(want.events[i],
-                                                 back.events[i]))
-                        << "event " << i;
-            }
-            EXPECT_EQ(at, off + stream.size());
+        ChunkDecoder decoder;
+        std::size_t at = off;
+        for (const TraceChunk &want : chunks) {
+            TraceChunk back;
+            std::size_t consumed = 0;
+            std::string why;
+            ASSERT_TRUE(decoder.decode(shifted.data() + at,
+                                       shifted.size() - at, back,
+                                       &consumed, &why))
+                << why;
+            at += consumed;
+            ASSERT_EQ(back.events.size(), want.events.size());
+            for (std::size_t i = 0; i < want.events.size(); ++i)
+                ASSERT_TRUE(eventsEquivalent(want.events[i],
+                                             back.events[i]))
+                    << "event " << i;
         }
+        EXPECT_EQ(at, off + stream.size());
     }
-}
-
-TEST(SimdReplay, WarmReplayBitIdenticalAcrossDecodeThreads)
-{
-    // The parallel frame pump must hand chunks to the observers in file
-    // order regardless of decode-thread count or decode-ahead window,
-    // so every warm configuration reproduces the cold run exactly.
-    TempCacheDir dir;
-    RunnerOptions opts;
-    opts.threads = 1;
-    opts.chunkEvents = 256; // many small frames: real pump contention
-    opts.cache.enabled = true;
-    opts.cache.dir = dir.path;
-
-    auto run = [&](unsigned decode_threads, std::size_t batch_frames) {
-        RunnerOptions o = opts;
-        o.decodeThreads = decode_threads;
-        o.batchFrames = batch_frames;
-        return runWorkload(workloads::aluLoop(3000), standardTechniques(),
-                           o);
-    };
-
-    ExperimentResult cold = run(1, 4);
-    ASSERT_FALSE(cold.replay.cacheHit);
-
-    ExperimentResult serial = run(1, 4);
-    ASSERT_TRUE(serial.replay.cacheHit);
-    expectExperimentsIdentical(cold, serial);
-
-    for (const auto &[threads, frames] :
-         {std::pair<unsigned, std::size_t>{1, 1},
-          std::pair<unsigned, std::size_t>{1, 8},
-          std::pair<unsigned, std::size_t>{2, 1},
-          std::pair<unsigned, std::size_t>{3, 2},
-          std::pair<unsigned, std::size_t>{4, 8}}) {
-        SCOPED_TRACE(::testing::Message()
-                     << threads << " threads, " << frames << " frames");
-        ExperimentResult warm = run(threads, frames);
-        ASSERT_TRUE(warm.replay.cacheHit);
-        // The split-seconds contract: a warm hit spends no simulate
-        // time, and decode time is accounted separately from replay.
-        EXPECT_EQ(warm.replay.simulateSeconds, 0.0);
-        EXPECT_GT(warm.replay.decodeSeconds, 0.0);
-        expectExperimentsIdentical(cold, warm);
-    }
-}
-
-TEST(SimdReplay, DecodeKnobsComeFromEnvironment)
-{
-    ::setenv("TEA_DECODE_THREADS", "3", 1);
-    ::setenv("TEA_BATCH_FRAMES", "7", 1);
-    RunnerOptions opts = RunnerOptions::fromEnv();
-    ::unsetenv("TEA_DECODE_THREADS");
-    ::unsetenv("TEA_BATCH_FRAMES");
-    EXPECT_EQ(opts.decodeThreads, 3u);
-    EXPECT_EQ(opts.batchFrames, 7u);
-
-    RunnerOptions defaults = RunnerOptions::fromEnv();
-    EXPECT_EQ(defaults.decodeThreads, 1u);
-    EXPECT_EQ(defaults.batchFrames, 4u);
 }

@@ -467,6 +467,10 @@ TEST(TraceCache, MissThenHitIsBitIdenticalAcrossThreads)
         ExperimentResult warm = runBenchmark(
             name, standardTechniques(), cachedOptions(dir, threads));
         EXPECT_TRUE(warm.replay.cacheHit);
+        // The split-seconds contract: a warm hit spends no simulate
+        // time, and decode time is accounted separately from replay.
+        EXPECT_EQ(warm.replay.simulateSeconds, 0.0);
+        EXPECT_GT(warm.replay.decodeSeconds, 0.0);
         EXPECT_EQ(direct.stats.cycles, warm.stats.cycles);
         EXPECT_EQ(direct.stats.committedUops, warm.stats.committedUops);
         EXPECT_EQ(direct.stats.branchMispredicts,
