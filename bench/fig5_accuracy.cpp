@@ -10,11 +10,11 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "analysis/parallel_runner.hh"
 #include "analysis/runner.hh"
+#include "common/env.hh"
 #include "common/table.hh"
 
 using namespace tea;
@@ -27,7 +27,7 @@ main()
     // trace out-of-band. Results are bit-identical to a serial loop.
     // Set TEA_RUNNER_STATS=1 to print per-benchmark wall times.
     RunnerOptions opts = RunnerOptions::fromEnv();
-    const bool show_stats = std::getenv("TEA_RUNNER_STATS") != nullptr;
+    const bool show_stats = envUnsigned("TEA_RUNNER_STATS", 0, 0, 1) != 0;
 
     std::vector<SamplerConfig> techs = standardTechniques();
     std::vector<std::string> names = workloads::suiteNames();
@@ -77,7 +77,7 @@ main()
     t.print();
     std::puts("Paper: IBS 55.6% / SPE 55.5% / RIS 56.0% / NCI-TEA 11.3% / "
               "TEA 2.1% average.");
-    std::printf("[%u replay thread(s), %.2f s total]\n", opts.threads,
-                total_seconds);
+    std::printf("[%u experiment(s) in flight, %.2f s total]\n",
+                opts.threads, total_seconds);
     return suiteExitCode(all);
 }

@@ -404,12 +404,11 @@ measureTraceCache()
         return 1;
     }
 
-    // Same options for both runs (a fair comparison); serial keeps the
-    // measured gap at simulate-vs-decode, which is what the cache
-    // eliminates. fotonik3d is memory-bound: lots of core-model work
-    // per cycle, so the cached warm run shows the win clearly.
+    // Same options for both runs (a fair comparison), so the measured
+    // gap is simulate-vs-decode, which is what the cache eliminates.
+    // fotonik3d is memory-bound: lots of core-model work per cycle, so
+    // the cached warm run shows the win clearly.
     RunnerOptions opts;
-    opts.threads = 1;
     opts.cache.enabled = true;
     opts.cache.dir = dir;
 

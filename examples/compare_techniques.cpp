@@ -5,15 +5,14 @@
  * they explain the same execution (the paper's central experiment, on a
  * single benchmark of your choosing).
  *
- * Usage: compare_techniques [benchmark] [threads]
+ * Usage: compare_techniques [benchmark]
  *
- * All techniques replay the same captured trace out-of-band; pass a
- * thread count (or set TEA_THREADS) to score them in parallel — the
- * results are bit-identical at any thread count.
+ * All techniques observe the one simulated (or cached) trace on the
+ * calling thread; the runner knobs (TEA_AUDIT, TEA_TRACE_CACHE, ...)
+ * apply.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "analysis/report.hh"
@@ -25,17 +24,18 @@ using namespace tea;
 int
 main(int argc, char **argv)
 {
+    if (argc > 2) {
+        std::fputs("usage: compare_techniques [benchmark]\n", stderr);
+        return 2;
+    }
     std::string name = argc > 1 ? argv[1] : "omnetpp";
     RunnerOptions opts = RunnerOptions::fromEnv();
-    if (argc > 2)
-        opts.threads = static_cast<unsigned>(std::atoi(argv[2]));
     ExperimentResult res;
     try {
         res = runBenchmark(name, standardTechniques(), opts);
     } catch (const std::exception &e) {
-        // A contained experiment failure (e.g. replay workers dying
-        // under injected faults) must end as a clean nonzero exit, not
-        // std::terminate.
+        // An experiment failure (an observer exception, an injected
+        // fault) must end as a clean nonzero exit, not std::terminate.
         std::fprintf(stderr, "compare_techniques: %s\n", e.what());
         return 1;
     }

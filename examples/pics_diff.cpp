@@ -11,9 +11,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "analysis/runner.hh"
+#include "common/env.hh"
 #include "common/table.hh"
 #include "isa/disasm.hh"
 
@@ -22,9 +24,11 @@ using namespace tea;
 int
 main(int argc, char **argv)
 {
-    unsigned distance = argc > 1
-                            ? static_cast<unsigned>(std::atoi(argv[1]))
-                            : 3;
+    const unsigned distance =
+        argc > 1 ? static_cast<unsigned>(parseUnsigned(
+                       "prefetch-distance", argv[1], 0,
+                       std::numeric_limits<unsigned>::max()))
+                 : 3;
 
     workloads::LbmParams before_params;
     workloads::LbmParams after_params;

@@ -28,9 +28,10 @@
  *    delivered.
  *
  * Cycle conservation at the PICS level (attributed cycles + dropped
- * tail == simulated cycles, exactly) and bit-identical Pics across
- * replay thread counts are verified by the free helpers below; the
- * runner invokes them after every audited experiment.
+ * tail == simulated cycles, exactly) is verified by a free helper
+ * below, which the runner invokes after every audited experiment;
+ * auditPicsIdentical is the bit-identity check the differential tests
+ * use.
  */
 
 #ifndef TEA_ANALYSIS_AUDIT_HH
@@ -127,8 +128,8 @@ std::string auditCycleConservation(const GoldenReference &golden,
 
 /**
  * Bit-identity of two Pics (same components, same cycle counts, with
- * no floating-point tolerance): the determinism contract of the replay
- * engine across thread counts and across the trace-cache codec.
+ * no floating-point tolerance): the determinism contract across core
+ * modes, suite thread counts and the trace-cache codec.
  * @return empty string when identical, else a diagnostic naming the
  *         first differing (unit, signature) cell
  */

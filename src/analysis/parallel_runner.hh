@@ -1,19 +1,11 @@
 /**
  * @file
- * Suite runner: many experiments in flight at once, on top of the
- * parallel out-of-band trace replay engine behind runWorkload().
- *
- * Within one experiment, runWorkload() with RunnerOptions::threads > 1
- * produces the cycle trace exactly once; the trace is captured in
- * chunks (core/trace_buffer) and broadcast through a bounded SPMC
- * queue (common/chunk_queue) to a pool of replay workers. Each worker
- * owns a disjoint subset of the observer groups (the golden reference
- * and one group per sampling technique) and replays every chunk
- * through them in capture order, so each observer sees the exact event
- * sequence a live run would have delivered — the determinism that
- * makes single-run, many-technique evaluation sound (TEA §4) — while
- * techniques are scored concurrently. The engine is private to
- * parallel_runner.cc; this header exposes the suite API only.
+ * Suite runner: many experiments in flight at once. Every technique is
+ * a pure observer of the one trace its experiment produces (TEA §4), so
+ * experiments are independent and the suite is the parallel axis: each
+ * experiment runs runWorkload() on one worker thread, with all of its
+ * observers replaying the trace in capture order, and every result is
+ * bit-identical to a serial loop.
  */
 
 #ifndef TEA_ANALYSIS_PARALLEL_RUNNER_HH
@@ -45,12 +37,9 @@ struct SuiteExperiment
 /**
  * Run many experiments concurrently: the fig 5/8/9 and sweep shape
  * (many (workload, config) pairs × a fixed technique set). Up to
- * opts.threads experiments are in flight at a time; each experiment
- * runs its observers serially in-process (the threads=1 path), so every
- * result is bit-identical to a serial loop — experiments are fully
- * independent simulations, which makes this the better-scaling axis
- * whenever there are more experiments than observer groups per
- * experiment.
+ * opts.threads experiments are in flight at a time; each runs
+ * runWorkload() on one thread, so every result is bit-identical to a
+ * serial loop.
  *
  * @return results in the order of @p experiments
  */

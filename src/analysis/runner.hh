@@ -10,8 +10,8 @@
 
 #include <cstddef>
 #include <memory>
-#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/cache_janitor.hh"
@@ -34,29 +34,22 @@ struct TechniqueResult
 };
 
 /**
- * How an experiment is executed.
- *
- * threads == 1 runs the serial path: every observer is attached
- * directly to the live core (or, on a trace-cache hit, replays the
- * decoded chunks inline). threads > 1 captures the trace once and fans
- * it out to worker threads, each replaying through its own observers;
- * because replay delivers the identical event sequence, results are
- * bit-identical to the serial path at any thread count (see DESIGN.md,
- * "Out-of-band replay at scale").
+ * How experiments are executed. runWorkload() runs one experiment on
+ * the calling thread: every observer is attached directly to the live
+ * core or, on a trace-cache hit, replays the decoded chunks inline.
+ * runExperimentSuite() keeps up to `threads` experiments in flight.
  */
 struct RunnerOptions
 {
-    unsigned threads = 1;          ///< replay worker threads
-    std::size_t chunkEvents = 4096; ///< trace events per chunk
-    std::size_t queueChunks = 16;   ///< chunks in flight before backpressure
+    /** Experiments in flight in a suite run; runWorkload does not read it. */
+    unsigned threads = 1;
+    std::size_t chunkEvents = 4096; ///< trace events per cache frame
 
     /**
-     * Invariant audit level (analysis/audit). 0 disables auditing; 1
-     * threads an InvariantAuditor through the replay (fatal, naming
-     * the offending cycle/sequence, on the first broken trace
-     * invariant) and verifies golden cycle conservation; 2 additionally
-     * re-runs multi-threaded experiments serially and fails unless
-     * every Pics is bit-identical across the two thread counts.
+     * Invariant audit level (analysis/audit): 0 or 1. 1 threads an
+     * InvariantAuditor through the replay (fatal, naming the offending
+     * cycle/sequence, on the first broken trace invariant) and
+     * verifies golden cycle conservation.
      */
     unsigned audit = 0;
 
@@ -100,24 +93,18 @@ struct RunnerOptions
      * TEA_CACHE_LOCK_TIMEOUT_MS, the trace-cache controls
      * TEA_TRACE_CACHE / TEA_TRACE_CACHE_DIR (see TraceCacheOptions),
      * and the janitor budgets TEA_TRACE_CACHE_MAX_BYTES etc. (see
-     * JanitorConfig::fromEnv). chunkEvents and queueChunks are set in
-     * code only. Integers go through envUnsigned (common/env.hh): a
-     * sign, an overflow or an out-of-range value is fatal.
+     * JanitorConfig::fromEnv). chunkEvents is set in code only.
+     * Integers go through envUnsigned (common/env.hh): a sign, an
+     * overflow or an out-of-range value is fatal.
      */
     static RunnerOptions fromEnv();
-};
 
-/**
- * Thrown when an experiment fails in a *contained* way — a replay
- * worker's observers died (ReplayWorkerStats::error) or an injected
- * fault fired — as opposed to a programming error (tea_panic) or an
- * unusable environment (tea_fatal). runBenchmarkSuite catches it per
- * experiment and records it in ExperimentResult::error so one bad
- * experiment cannot take the suite down.
- */
-struct ExperimentFailure : std::runtime_error
-{
-    using std::runtime_error::runtime_error;
+    /**
+     * A thread count typed for @p what (TEA_THREADS, --threads): digits
+     * in [0, UINT_MAX] (anything else is fatal), 0 meaning one per
+     * hardware thread.
+     */
+    static unsigned parseThreads(const char *what, std::string_view text);
 };
 
 /** Outcome of simulating one workload with all observers attached. */
@@ -131,8 +118,8 @@ struct ExperimentResult
     std::vector<TechniqueResult> techniques;
 
     /**
-     * Non-empty when this experiment failed and the failure was
-     * contained to it (suite runs only; see ExperimentFailure). A
+     * Non-empty when this experiment threw and the failure was
+     * contained to it (suite runs only; see runExperimentSuite). A
      * failed result carries no usable Pics.
      */
     std::string error;
@@ -155,10 +142,9 @@ struct ExperimentResult
 std::vector<SamplerConfig> standardTechniques(Cycle period = 127);
 
 /**
- * Simulate @p workload with @p techniques and the golden reference, or
- * replay its cached trace (opts.cache). Dispatches on opts.threads:
- * 1 = serial in-process observers, > 1 = parallel out-of-band replay
- * (identical results either way). Implemented in parallel_runner.cc.
+ * Simulate @p workload with @p techniques and the golden reference
+ * attached, or replay its cached trace (opts.cache) through them, on
+ * the calling thread. Implemented in parallel_runner.cc.
  */
 ExperimentResult runWorkload(Workload workload,
                              std::vector<SamplerConfig> techniques,

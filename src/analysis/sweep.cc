@@ -6,9 +6,10 @@
 #include "analysis/sweep.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 #include <map>
 
+#include "common/env.hh"
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -20,15 +21,15 @@ namespace {
 using workloads::KernelSpec;
 using workloads::MemLevel;
 
+constexpr std::uint64_t maxU = std::numeric_limits<unsigned>::max();
+constexpr std::uint64_t max64 = std::numeric_limits<std::uint64_t>::max();
+
 std::uint64_t
-parseU64(const std::string &param, const std::string &value)
+parseParam(const std::string &param, const std::string &value,
+           std::uint64_t max)
 {
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || !end || *end != '\0')
-        tea_fatal("sweep: bad value '%s' for kernel parameter '%s'",
-                  value.c_str(), param.c_str());
-    return v;
+    const std::string what = "sweep: kernel parameter '" + param + "'";
+    return parseUnsigned(what.c_str(), value, 0, max);
 }
 
 } // namespace
@@ -38,31 +39,35 @@ applyKernelParam(KernelSpec &spec, const std::string &param,
                  const std::string &value)
 {
     if (param == "seed")
-        spec.seed = parseU64(param, value);
+        spec.seed = parseParam(param, value, max64);
     else if (param == "iterations")
-        spec.iterations = static_cast<unsigned>(parseU64(param, value));
+        spec.iterations =
+            static_cast<unsigned>(parseParam(param, value, maxU));
     else if (param == "level")
         spec.level = workloads::memLevelByName(value);
     else if (param == "footprint")
-        spec.footprintBytes = parseU64(param, value);
+        spec.footprintBytes = parseParam(param, value, max64);
     else if (param == "stride")
-        spec.strideBytes = parseU64(param, value);
+        spec.strideBytes = parseParam(param, value, max64);
     else if (param == "dependent")
-        spec.dependent = parseU64(param, value) != 0;
+        spec.dependent = parseParam(param, value, 1) != 0;
     else if (param == "loads")
         spec.loadsPerIteration =
-            static_cast<unsigned>(parseU64(param, value));
+            static_cast<unsigned>(parseParam(param, value, maxU));
     else if (param == "branches")
         spec.branchesPerIteration =
-            static_cast<unsigned>(parseU64(param, value));
+            static_cast<unsigned>(parseParam(param, value, maxU));
     else if (param == "taken")
-        spec.takenPermille = static_cast<unsigned>(parseU64(param, value));
+        spec.takenPermille =
+            static_cast<unsigned>(parseParam(param, value, maxU));
     else if (param == "chain")
-        spec.chainLength = static_cast<unsigned>(parseU64(param, value));
+        spec.chainLength =
+            static_cast<unsigned>(parseParam(param, value, maxU));
     else if (param == "chains")
-        spec.chains = static_cast<unsigned>(parseU64(param, value));
+        spec.chains = static_cast<unsigned>(parseParam(param, value, maxU));
     else if (param == "targets")
-        spec.targetPool = static_cast<unsigned>(parseU64(param, value));
+        spec.targetPool =
+            static_cast<unsigned>(parseParam(param, value, maxU));
     else
         tea_fatal("sweep: unknown kernel parameter '%s' (knobs: seed, "
                   "iterations, level, footprint, stride, dependent, "

@@ -135,25 +135,10 @@ ReplayStats::render() const
 {
     std::string out;
     const char *source = cacheHit ? "trace cache" : "simulation";
-    if (!parallel()) {
-        out += strprintf("replay: serial in-process path from %s "
-                         "(%.3f s total)\n",
-                         source, totalSeconds);
-        out += strprintf("  simulate %.3f s, decode %.3f s, replay %.3f s\n",
-                         simulateSeconds, decodeSeconds, replaySeconds);
-    } else {
-        out += strprintf(
-            "replay: %u worker(s) from %s, %llu chunk(s), %llu event(s), "
-            "%llu producer queue-full stall(s)\n",
-            threads, source,
-            static_cast<unsigned long long>(chunksProduced),
-            static_cast<unsigned long long>(eventsCaptured),
-            static_cast<unsigned long long>(queueFullStalls));
-        out += strprintf(
-            "  simulate %.3f s, decode %.3f s, replay %.3f s, "
-            "total %.3f s\n",
-            simulateSeconds, decodeSeconds, replaySeconds, totalSeconds);
-    }
+    out += strprintf("replay: trace from %s (%.3f s total)\n", source,
+                     totalSeconds);
+    out += strprintf("  simulate %.3f s, decode %.3f s, replay %.3f s\n",
+                     simulateSeconds, decodeSeconds, replaySeconds);
     if (simCycles > 0 && simulateSeconds > 0.0) {
         out += strprintf(
             "  simulate throughput: %.2f Mcycles/s, %.2f Mevents/s\n",
@@ -163,16 +148,14 @@ ReplayStats::render() const
         out += strprintf("  cache: %s, %llu byte(s) on disk\n",
                          cacheHit ? "hit" : "miss (entry stored)",
                          static_cast<unsigned long long>(cacheBytes));
-    if (ioRetries || ioRecoveries || quarantined || workerFailures ||
-        degradedExperiments) {
+    if (ioRetries || ioRecoveries || quarantined || degradedExperiments) {
         out += strprintf(
             "  fault: %llu retry(s), %llu recovery(s), %llu "
-            "quarantined, %u worker failure(s), %u degraded "
-            "experiment(s)\n",
+            "quarantined, %u degraded experiment(s)\n",
             static_cast<unsigned long long>(ioRetries),
             static_cast<unsigned long long>(ioRecoveries),
             static_cast<unsigned long long>(quarantined),
-            workerFailures, degradedExperiments);
+            degradedExperiments);
     }
     if (cacheEvictions || janitorRemovals || lockDegrades ||
         cacheAdmissionDenied) {
@@ -184,22 +167,6 @@ ReplayStats::render() const
             static_cast<unsigned long long>(janitorRemovals),
             lockDegrades,
             cacheAdmissionDenied ? ", admission denied" : "");
-    }
-    if (!parallel())
-        return out;
-    for (const ReplayWorkerStats &w : workers) {
-        out += strprintf(
-            "  worker %u: %u group(s), %llu chunk(s), %llu event(s), "
-            "%llu cycle(s), %llu empty-wait(s), %.2f Mcycles/s\n",
-            w.workerId, w.sinkGroups,
-            static_cast<unsigned long long>(w.chunksConsumed),
-            static_cast<unsigned long long>(w.eventsReplayed),
-            static_cast<unsigned long long>(w.cyclesReplayed),
-            static_cast<unsigned long long>(w.queueEmptyWaits),
-            w.cyclesPerSecond() / 1e6);
-        if (!w.error.empty())
-            out += strprintf("  worker %u: FAILED: %s\n", w.workerId,
-                             w.error.c_str());
     }
     return out;
 }

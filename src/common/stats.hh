@@ -2,8 +2,8 @@
  * @file
  * Statistics helpers used by the analysis layer and the benches:
  * summary moments, percentiles, Pearson correlation, five-number boxplot
- * summaries, fixed-bin histograms, and the replay-engine counters that
- * make the parallel runner's behaviour observable.
+ * summaries, fixed-bin histograms, and the per-experiment counters that
+ * make the runner's behaviour observable.
  */
 
 #ifndef TEA_COMMON_STATS_HH
@@ -87,48 +87,17 @@ class Histogram
     unsigned __int128 sum_ = 0;
 };
 
-/** Per-worker counters of one parallel replay (see analysis/parallel_runner). */
-struct ReplayWorkerStats
-{
-    unsigned workerId = 0;
-    unsigned sinkGroups = 0;          ///< observer groups this worker drives
-    std::uint64_t chunksConsumed = 0;
-    std::uint64_t eventsReplayed = 0;
-    std::uint64_t cyclesReplayed = 0;
-    std::uint64_t queueEmptyWaits = 0; ///< times blocked on an empty queue
-    double replaySeconds = 0.0;        ///< wall time inside the replay loop
-
-    /**
-     * Non-empty when this worker's observers died mid-replay: the
-     * exception was contained (the worker kept draining the queue so
-     * the producer never deadlocks) and the experiment as a whole is
-     * failed with this message (see DESIGN.md, "Failure model and
-     * recovery").
-     */
-    std::string error;
-
-    /** Replay throughput in cycles per second (0 if unmeasured). */
-    double cyclesPerSecond() const
-    {
-        return replaySeconds > 0.0
-                   ? static_cast<double>(cyclesReplayed) / replaySeconds
-                   : 0.0;
-    }
-};
-
-/** Aggregate counters of one parallel replay run. */
+/** Counters of one experiment's simulate/decode/replay run. */
 struct ReplayStats
 {
-    unsigned threads = 0;              ///< worker threads (0 = serial path)
-    std::uint64_t chunksProduced = 0;
-    std::uint64_t eventsCaptured = 0;
-    std::uint64_t queueFullStalls = 0; ///< producer-side backpressure hits
+    unsigned threads = 0; ///< always 0; exists only for perfbench
+    std::uint64_t chunksProduced = 0; ///< cache frames written or decoded
+    std::uint64_t eventsCaptured = 0; ///< events in those frames
     double simulateSeconds = 0.0;      ///< core-model simulation wall time
     double totalSeconds = 0.0;         ///< whole-experiment wall time
     std::uint64_t simCycles = 0;  ///< cycles simulated (0 on a cache hit)
     std::uint64_t simEvents = 0;  ///< trace events the simulation emitted
     bool simParallel = false; ///< always false; exists only for perfbench
-    std::vector<ReplayWorkerStats> workers;
 
     // Trace-cache counters (see analysis/trace_cache).
     bool cacheHit = false;      ///< trace came from the persistent cache
@@ -136,19 +105,19 @@ struct ReplayStats
     std::uint64_t cacheBytes = 0; ///< on-disk size of the entry used/made
     /**
      * Wall time spent inside chunk decode on a warm cache hit.
-     * Metered around the decode calls only — queue backpressure and observer
-     * time are excluded, so decode and technique-accumulation cost
-     * stay separately attributable.
+     * Metered around the decode calls only — observer time is
+     * excluded, so decode and technique-accumulation cost stay
+     * separately attributable.
      */
     double decodeSeconds = 0.0;
-    double replaySeconds = 0.0; ///< observer wall time (max across workers)
+    /** Observer wall time on a cache hit (a miss folds it into simulate). */
+    double replaySeconds = 0.0;
 
     // Self-healing counters (common/retry, analysis/trace_cache
-    // quarantine, and the contained-failure path in the runner).
+    // quarantine).
     std::uint64_t ioRetries = 0;    ///< transient cache-I/O retry attempts
     std::uint64_t ioRecoveries = 0; ///< cache-I/O ops that recovered on retry
     std::uint64_t quarantined = 0;  ///< damaged cache entries quarantined
-    unsigned workerFailures = 0;    ///< replay workers that died (contained)
 
     // Cache-lifecycle counters (see analysis/cache_janitor).
     std::uint64_t cacheEvictions = 0; ///< entries evicted for the budget
@@ -164,9 +133,6 @@ struct ReplayStats
      * every result of the suite by runBenchmarkSuite.
      */
     unsigned degradedExperiments = 0;
-
-    /** True when this run went through the threaded replay path. */
-    bool parallel() const { return threads > 0; }
 
     /** Simulate-phase throughput in cycles/second (0 if unmeasured). */
     double simCyclesPerSecond() const

@@ -11,8 +11,8 @@
  * when (see DESIGN.md, "Out-of-band replay at scale").
  *
  * Two sinks are provided:
- *  - ChunkingSink: streams completed chunks to a callback (the parallel
- *    runner pushes them into a BroadcastQueue while the core is still
+ *  - ChunkingSink: streams completed chunks to a callback (the runner
+ *    tees them into a trace-cache writer while the core is still
  *    simulating).
  *  - TraceBuffer: retains all chunks for repeated in-process replay.
  */

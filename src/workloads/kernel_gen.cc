@@ -11,9 +11,11 @@
 
 #include "workloads/kernel_gen.hh"
 
-#include <cstdlib>
+#include <algorithm>
+#include <limits>
 #include <numeric>
 
+#include "common/env.hh"
 #include "common/fingerprint.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -68,23 +70,31 @@ roundUpPow2(std::uint64_t v)
     return p;
 }
 
+/**
+ * Specs come from users (kgen names, sweep parameters), so a bad one
+ * is fatal, not a panic.
+ */
 void
 validate(const KernelSpec &s)
 {
-    tea_assert(s.iterations >= 1, "kernel spec: iterations must be >= 1");
-    tea_assert(s.takenPermille <= 1000,
-               "kernel spec: takenPermille must be <= 1000");
+    auto require = [&](bool ok, const char *rule) {
+        if (!ok)
+            tea_fatal("kernel spec %s: %s",
+                      canonicalKernelName(s).c_str(), rule);
+    };
+    require(s.iterations >= 1, "iterations must be >= 1");
+    require(s.takenPermille <= 1000, "takenPermille must be <= 1000");
     if (s.level != MemLevel::None) {
-        tea_assert(s.strideBytes >= 8 && s.strideBytes % 8 == 0,
-                   "kernel spec: stride must be a multiple of 8");
-        tea_assert(s.loadsPerIteration >= 1,
-                   "kernel spec: loadsPerIteration must be >= 1");
+        require(s.strideBytes >= 8 && s.strideBytes % 8 == 0,
+                "stride must be a multiple of 8");
+        require(s.loadsPerIteration >= 1, "loadsPerIteration must be >= 1");
+        require(s.footprintBytes <= phaseRegionBytes / 2,
+                "footprint must fit half the 128 MiB phase region");
     }
     if (s.chainLength > 0)
-        tea_assert(s.chains >= 1 && s.chains <= maxChains,
-                   "kernel spec: chains must be in [1, %u]", maxChains);
-    tea_assert(s.targetPool <= 4096,
-               "kernel spec: targetPool must be <= 4096");
+        require(s.chains >= 1 && s.chains <= maxChains,
+                strprintf("chains must be in [1, %u]", maxChains).c_str());
+    require(s.targetPool <= 4096, "targetPool must be <= 4096");
 }
 
 /** Build the permuted chase ring; returns the head address. */
@@ -307,8 +317,9 @@ resolvedSpec(const KernelSpec &spec, const CoreConfig &cfg)
             s.footprintBytes =
                 defaultFootprintFor(s.level, s.strideBytes, cfg);
         s.footprintBytes = roundUpPow2(s.footprintBytes);
-        tea_assert(s.footprintBytes >= 2 * s.strideBytes,
-                   "kernel spec: footprint must cover >= 2 strides");
+        if (s.footprintBytes < 2 * s.strideBytes)
+            tea_fatal("kernel spec %s: footprint must cover >= 2 strides",
+                      canonicalKernelName(s).c_str());
     }
     return s;
 }
@@ -344,39 +355,40 @@ parseKernelName(const std::string &name)
                   name.c_str(), prefix.c_str());
     KernelSpec s;
     std::size_t pos = prefix.size();
-    auto nextField = [&](const char *key) -> std::uint64_t {
-        std::size_t eq = name.find('=', pos);
-        tea_assert(eq != std::string::npos &&
-                       name.compare(pos, eq - pos, key) == 0,
-                   "kernel name '%s': expected field '%s'", name.c_str(),
-                   key);
+    // The value of the next ':'-separated field, which must be @p key.
+    auto nextField = [&](const char *key) -> std::string {
+        const std::size_t eq = name.find('=', pos);
+        if (eq == std::string::npos ||
+            name.compare(pos, eq - pos, key) != 0)
+            tea_fatal("kernel name '%s': expected field '%s'",
+                      name.c_str(), key);
         std::size_t end = name.find(':', eq + 1);
-        std::string val = name.substr(
-            eq + 1, end == std::string::npos ? end : end - (eq + 1));
-        pos = end == std::string::npos ? name.size() : end + 1;
-        if (std::string(key) == "lv")
-            return static_cast<std::uint64_t>(memLevelByName(val));
-        char *e = nullptr;
-        std::uint64_t v = std::strtoull(val.c_str(), &e, 10);
-        tea_assert(e && *e == '\0' && !val.empty(),
-                   "kernel name '%s': bad value '%s' for '%s'",
-                   name.c_str(), val.c_str(), key);
-        return v;
+        if (end == std::string::npos)
+            end = name.size();
+        pos = std::min(end + 1, name.size());
+        return name.substr(eq + 1, end - (eq + 1));
     };
-    s.seed = nextField("s");
-    s.iterations = static_cast<unsigned>(nextField("it"));
-    s.level = static_cast<MemLevel>(nextField("lv"));
-    s.footprintBytes = nextField("fp");
-    s.strideBytes = nextField("st");
-    s.dependent = nextField("dep") != 0;
-    s.loadsPerIteration = static_cast<unsigned>(nextField("lpi"));
-    s.branchesPerIteration = static_cast<unsigned>(nextField("br"));
-    s.takenPermille = static_cast<unsigned>(nextField("tk"));
-    s.chainLength = static_cast<unsigned>(nextField("cl"));
-    s.chains = static_cast<unsigned>(nextField("ch"));
-    s.targetPool = static_cast<unsigned>(nextField("tp"));
-    tea_assert(pos >= name.size(),
-               "kernel name '%s': trailing garbage", name.c_str());
+    auto number = [&](const char *key, std::uint64_t max) {
+        const std::string what =
+            strprintf("kernel name '%s': field '%s'", name.c_str(), key);
+        return parseUnsigned(what.c_str(), nextField(key), 0, max);
+    };
+    constexpr std::uint64_t maxU = std::numeric_limits<unsigned>::max();
+    constexpr std::uint64_t max64 = std::numeric_limits<std::uint64_t>::max();
+    s.seed = number("s", max64);
+    s.iterations = static_cast<unsigned>(number("it", maxU));
+    s.level = memLevelByName(nextField("lv"));
+    s.footprintBytes = number("fp", max64);
+    s.strideBytes = number("st", max64);
+    s.dependent = number("dep", 1) != 0;
+    s.loadsPerIteration = static_cast<unsigned>(number("lpi", maxU));
+    s.branchesPerIteration = static_cast<unsigned>(number("br", maxU));
+    s.takenPermille = static_cast<unsigned>(number("tk", maxU));
+    s.chainLength = static_cast<unsigned>(number("cl", maxU));
+    s.chains = static_cast<unsigned>(number("ch", maxU));
+    s.targetPool = static_cast<unsigned>(number("tp", maxU));
+    if (pos < name.size())
+        tea_fatal("kernel name '%s': trailing garbage", name.c_str());
     validate(s);
     return s;
 }

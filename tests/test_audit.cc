@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analysis/audit.hh"
+#include "analysis/parallel_runner.hh"
 #include "analysis/runner.hh"
 #include "profilers/golden.hh"
 #include "test_util.hh"
@@ -286,37 +287,35 @@ TEST(Audit, PicsIdentityHelper)
 TEST(Audit, AuditedRunnerPassesSerial)
 {
     RunnerOptions opts;
-    opts.threads = 1;
     opts.audit = 1; // FailFast: a violation aborts the test binary
-    ExperimentResult res = runWorkload(workloads::branchNoise(2000),
-                                       standardTechniques(), opts);
-    EXPECT_GT(res.stats.cycles, 0u);
-    ASSERT_NE(res.golden, nullptr);
-    EXPECT_EQ(auditCycleConservation(*res.golden, res.stats.cycles),
-              std::string());
+    for (Workload w : {workloads::branchNoise(2000), workloads::mcf()}) {
+        SCOPED_TRACE(w.program.name());
+        ExperimentResult res =
+            runWorkload(std::move(w), standardTechniques(), opts);
+        EXPECT_GT(res.stats.cycles, 0u);
+        ASSERT_NE(res.golden, nullptr);
+        EXPECT_EQ(auditCycleConservation(*res.golden, res.stats.cycles),
+                  std::string());
+    }
 }
 
 TEST(Audit, AuditedRunnerPassesParallel)
 {
+    // Audited experiments in flight together: each worker runs its own
+    // auditor over its own experiment's trace.
     RunnerOptions opts;
     opts.threads = 3;
     opts.audit = 1;
-    ExperimentResult res = runWorkload(workloads::mcf(),
-                                       standardTechniques(), opts);
-    EXPECT_GT(res.stats.cycles, 0u);
-    EXPECT_EQ(auditCycleConservation(*res.golden, res.stats.cycles),
-              std::string());
-}
-
-TEST(Audit, CrossThreadDeterminismCheckPasses)
-{
-    // Level 2 re-runs the experiment serially and fatals unless every
-    // Pics is bit-identical across the two thread counts; returning at
-    // all means the determinism contract held.
-    RunnerOptions opts;
-    opts.threads = 2;
-    opts.audit = 2;
-    ExperimentResult res = runWorkload(workloads::xz(),
-                                       standardTechniques(), opts);
-    EXPECT_GT(res.stats.cycles, 0u);
+    const std::vector<std::string> names{"xz", "nab", "cam4"};
+    std::vector<ExperimentResult> results =
+        runBenchmarkSuite(names, standardTechniques(), opts);
+    ASSERT_EQ(results.size(), names.size());
+    for (const ExperimentResult &res : results) {
+        SCOPED_TRACE(res.name);
+        EXPECT_EQ(res.error, std::string());
+        EXPECT_GT(res.stats.cycles, 0u);
+        ASSERT_NE(res.golden, nullptr);
+        EXPECT_EQ(auditCycleConservation(*res.golden, res.stats.cycles),
+                  std::string());
+    }
 }

@@ -147,10 +147,9 @@ class TempCacheDir
 };
 
 RunnerOptions
-cachedOptions(const TempCacheDir &dir, unsigned threads = 1)
+cachedOptions(const TempCacheDir &dir)
 {
     RunnerOptions o;
-    o.threads = threads;
     o.cache.enabled = true;
     o.cache.dir = dir.path();
     o.cacheLockTimeoutMs = 50;
@@ -420,7 +419,7 @@ TEST_F(CacheJanitorTest, StoreEnforcesBudgetAndCountsEvictions)
     // Budget = what is resident now: the third store is admitted (it
     // is smaller than the budget) but pushes the total over it, so the
     // post-store janitor pass must evict back under.
-    RunnerOptions opts = cachedOptions(dir, 1);
+    RunnerOptions opts = cachedOptions(dir);
     opts.janitor.maxBytes = resident;
     const ExperimentResult third = runOnce(opts, 400);
     EXPECT_TRUE(third.replay.cacheStored);

@@ -159,10 +159,9 @@ class TempCacheDir
 };
 
 RunnerOptions
-cachedOptions(const TempCacheDir &dir, unsigned threads = 1)
+cachedOptions(const TempCacheDir &dir)
 {
     RunnerOptions o;
-    o.threads = threads;
     o.cache.enabled = true;
     o.cache.dir = dir.path();
     o.cacheLockTimeoutMs = 50;
@@ -262,8 +261,8 @@ TEST_F(CrashMatrix, EveryCacheSeamCrashLeavesRecoverableState)
 
     // Every seam in the cache pipeline: the trace-cache format and
     // publish path, the cache/janitor bookkeeping, and the advisory
-    // lock. (runner.* concurrency seams are exception-based and
-    // covered by the fault matrix.)
+    // lock. (runner.experiment is exception-based and covered by the
+    // fault matrix.)
     std::vector<std::string> seams;
     for (Failpoint *fp : failpoints::all()) {
         const std::string &n = fp->name();
@@ -278,7 +277,7 @@ TEST_F(CrashMatrix, EveryCacheSeamCrashLeavesRecoverableState)
         for (bool warm : {false, true}) {
             SCOPED_TRACE(seam + (warm ? " [load]" : " [store]"));
             TempCacheDir dir;
-            RunnerOptions opts = cachedOptions(dir, 2);
+            RunnerOptions opts = cachedOptions(dir);
             if (warm) {
                 const ExperimentResult populate = runOnce(opts);
                 ASSERT_FALSE(populate.failed());

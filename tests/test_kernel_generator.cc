@@ -114,6 +114,30 @@ TEST(KernelGen, CanonicalNameRoundTripsRandomizedSpecs)
     }
 }
 
+TEST(KernelGen, MalformedNamesAreFatal)
+{
+    // A user-typed name must exit cleanly: no abort on bad syntax, no
+    // wrap of a sign to 2^64-1, no truncation to 32 bits.
+    const std::string name = canonicalKernelName(richSpec());
+    auto with = [&](const std::string &field, const std::string &value) {
+        const std::size_t at = name.find(":" + field + "=") + 1;
+        const std::size_t end = name.find(':', at);
+        return name.substr(0, at) + field + "=" + value +
+               name.substr(end);
+    };
+    EXPECT_EXIT(parseKernelName(with("it", "8x0")),
+                ::testing::ExitedWithCode(1),
+                "field 'it' must be a non-negative integer");
+    EXPECT_EXIT(parseKernelName(with("it", "4294967297")),
+                ::testing::ExitedWithCode(1),
+                "field 'it' must be a non-negative integer");
+    EXPECT_EXIT(parseKernelName(with("s", "-1")),
+                ::testing::ExitedWithCode(1),
+                "field 's' must be a non-negative integer");
+    EXPECT_EXIT(parseKernelName("kgen/v1:s=11:it=800"),
+                ::testing::ExitedWithCode(1), "expected field 'lv'");
+}
+
 TEST(KernelGen, ByNameResolvesGeneratedNames)
 {
     const KernelSpec spec = richSpec();

@@ -1,22 +1,27 @@
 /**
  * @file
- * Golden-equivalence tests for the parallel replay engine: because every
- * observer replays the exact event sequence the simulation produced,
- * results must be *bit-identical* at any thread count — the core
- * determinism claim of out-of-band replay (TEA §4). Also unit-tests the
- * BroadcastQueue and the in-memory TraceBuffer the engine is built on.
+ * Determinism tests for the experiment runner: every observer sees the
+ * exact event sequence the simulation produced, so results are
+ * *bit-identical* whatever the trace-cache chunk geometry and however
+ * many experiments a suite keeps in flight — the core determinism
+ * claim of out-of-band replay (TEA §4). Also checks the replay-stat
+ * accounting and the suite pool's clamp, and unit-tests the in-memory
+ * TraceBuffer and the env parsing of the runner knobs.
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <gtest/gtest.h>
+#include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
+#include "analysis/audit.hh"
 #include "analysis/parallel_runner.hh"
 #include "analysis/runner.hh"
-#include "common/chunk_queue.hh"
 #include "core/trace_buffer.hh"
 #include "profilers/golden.hh"
 #include "test_util.hh"
@@ -78,87 +83,106 @@ expectExperimentsIdentical(const ExperimentResult &serial,
     }
 }
 
-RunnerOptions
-withThreads(unsigned threads)
-{
-    RunnerOptions o;
-    o.threads = threads;
-    return o;
-}
-
 } // namespace
-
-class ParallelGoldenEquivalence
-    : public ::testing::TestWithParam<const char *>
-{
-};
-
-TEST_P(ParallelGoldenEquivalence, BitIdenticalAcrossThreadCounts)
-{
-    const std::string name = GetParam();
-    ExperimentResult serial =
-        runBenchmark(name, standardTechniques(), withThreads(1));
-    EXPECT_FALSE(serial.replay.parallel());
-
-    for (unsigned threads : {2u, 8u}) {
-        SCOPED_TRACE(threads);
-        ExperimentResult par =
-            runBenchmark(name, standardTechniques(), withThreads(threads));
-        EXPECT_TRUE(par.replay.parallel());
-        EXPECT_EQ(serial.stats.cycles, par.stats.cycles);
-        EXPECT_EQ(serial.stats.committedUops, par.stats.committedUops);
-        expectExperimentsIdentical(serial, par);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Workloads, ParallelGoldenEquivalence,
-                         ::testing::Values("exchange2", "mcf", "nab"));
 
 TEST(ParallelRunner, ChunkingGeometryDoesNotChangeResults)
 {
-    ExperimentResult serial =
-        runBenchmark("fotonik3d", standardTechniques(), withThreads(1));
+    ExperimentResult direct =
+        runBenchmark("fotonik3d", standardTechniques(), RunnerOptions{});
 
-    // Pathological geometry: 7-event chunks through a 2-deep queue.
+    // Pathological geometry: 7-event cache frames, stored on the miss
+    // and decoded one by one on the hit.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("tea-test-chunking-" + std::to_string(::getpid()));
+    fs::remove_all(dir);
     RunnerOptions tiny;
-    tiny.threads = 3;
     tiny.chunkEvents = 7;
-    tiny.queueChunks = 2;
-    ExperimentResult par =
+    tiny.cache.enabled = true;
+    tiny.cache.dir = dir.string();
+    ExperimentResult miss =
         runBenchmark("fotonik3d", standardTechniques(), tiny);
-    expectExperimentsIdentical(serial, par);
-    EXPECT_GT(par.replay.chunksProduced, 100u);
+    ExperimentResult hit =
+        runBenchmark("fotonik3d", standardTechniques(), tiny);
+    fs::remove_all(dir);
+
+    ASSERT_TRUE(miss.replay.cacheStored);
+    ASSERT_TRUE(hit.replay.cacheHit);
+    expectExperimentsIdentical(direct, miss);
+    expectExperimentsIdentical(direct, hit);
+    // Every frame the miss wrote is decoded on the hit, event for event.
+    EXPECT_GT(miss.replay.chunksProduced, 100u);
+    EXPECT_EQ(hit.replay.chunksProduced, miss.replay.chunksProduced);
+    EXPECT_EQ(hit.replay.eventsCaptured, miss.replay.eventsCaptured);
+    EXPECT_GT(miss.replay.eventsCaptured, direct.stats.cycles);
 }
 
 TEST(ParallelRunner, ReplayStatsAccountForEveryChunkAndCycle)
 {
-    RunnerOptions opts = withThreads(4);
-    ExperimentResult res =
-        runBenchmark("exchange2", standardTechniques(), opts);
-    const ReplayStats &rs = res.replay;
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("tea-test-stats-" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    RunnerOptions opts;
+    opts.cache.enabled = true;
+    opts.cache.dir = dir.string();
+    ExperimentResult direct =
+        runBenchmark("nab", standardTechniques(), RunnerOptions{});
+    ExperimentResult miss = runBenchmark("nab", standardTechniques(), opts);
+    ExperimentResult hit = runBenchmark("nab", standardTechniques(), opts);
+    fs::remove_all(dir);
 
-    ASSERT_EQ(rs.workers.size(), 4u); // 6 groups, 4 workers
-    std::uint64_t groups = 0;
-    for (const ReplayWorkerStats &w : rs.workers) {
-        // Broadcast queue: every worker consumes every chunk.
-        EXPECT_EQ(w.chunksConsumed, rs.chunksProduced);
-        EXPECT_EQ(w.eventsReplayed, rs.eventsCaptured);
-        EXPECT_EQ(w.cyclesReplayed, res.stats.cycles);
-        groups += w.sinkGroups;
-    }
-    EXPECT_EQ(groups, standardTechniques().size() + 1);
-    EXPECT_GT(rs.chunksProduced, 0u);
-    EXPECT_GT(rs.eventsCaptured, res.stats.cycles);
+    // Uncached: the simulation is the whole trace; nothing is framed.
+    EXPECT_EQ(direct.replay.simCycles, direct.stats.cycles);
+    EXPECT_GT(direct.replay.simEvents, direct.stats.cycles);
+    EXPECT_EQ(direct.replay.chunksProduced, 0u);
+    EXPECT_EQ(direct.replay.eventsCaptured, 0u);
+
+    // Miss: the cache tee frames every event the simulation emitted,
+    // into full frames plus one tail frame.
+    ASSERT_TRUE(miss.replay.cacheStored);
+    EXPECT_EQ(miss.replay.simCycles, direct.stats.cycles);
+    EXPECT_EQ(miss.replay.simEvents, direct.replay.simEvents);
+    EXPECT_EQ(miss.replay.eventsCaptured, miss.replay.simEvents);
+    EXPECT_EQ(miss.replay.chunksProduced,
+              (miss.replay.eventsCaptured + opts.chunkEvents - 1) /
+                  opts.chunkEvents);
+
+    // Hit: nothing simulated; every frame and event is decoded, and the
+    // golden observer attributes every recorded cycle.
+    ASSERT_TRUE(hit.replay.cacheHit);
+    EXPECT_EQ(hit.replay.simCycles, 0u);
+    EXPECT_EQ(hit.replay.simEvents, 0u);
+    EXPECT_EQ(hit.replay.chunksProduced, miss.replay.chunksProduced);
+    EXPECT_EQ(hit.replay.eventsCaptured, miss.replay.eventsCaptured);
+    EXPECT_EQ(hit.stats.cycles, direct.stats.cycles);
+    EXPECT_EQ(auditCycleConservation(*hit.golden, hit.stats.cycles),
+              std::string());
+    for (const ExperimentResult *res : {&direct, &miss, &hit})
+        EXPECT_EQ(res->replay.threads, 0u);
 }
 
 TEST(ParallelRunner, MoreThreadsThanGroupsIsClamped)
 {
-    ExperimentResult res =
-        runBenchmark("exchange2", {teaConfig()}, withThreads(64));
-    EXPECT_EQ(res.replay.threads, 2u); // golden + 1 technique
-    ExperimentResult serial =
-        runBenchmark("exchange2", {teaConfig()}, withThreads(1));
-    expectExperimentsIdentical(serial, res);
+    // The suite pool starts no more workers than experiments: a single
+    // experiment at 64 threads runs on the calling thread itself.
+    RunnerOptions opts;
+    opts.threads = 64;
+    std::thread::id ranOn;
+    const std::vector<SuiteExperiment> one{
+        {"nab",
+         [&] {
+             ranOn = std::this_thread::get_id();
+             return workloads::byName("nab");
+         },
+         CoreConfig{}}};
+    std::vector<ExperimentResult> res =
+        runExperimentSuite(one, {teaConfig()}, opts);
+    ASSERT_EQ(res.size(), 1u);
+    EXPECT_EQ(ranOn, std::this_thread::get_id());
+    expectExperimentsIdentical(runBenchmark("nab", {teaConfig()}), res[0]);
+
+    EXPECT_TRUE(runExperimentSuite({}, {teaConfig()}, opts).empty());
 }
 
 TEST(RunnerOptionsEnv, MalformedIntegersAreFatal)
@@ -172,6 +196,7 @@ TEST(RunnerOptionsEnv, MalformedIntegersAreFatal)
         const char *value;
     } cases[] = {
         {"TEA_AUDIT", "-1"},
+        {"TEA_AUDIT", "2"},
         {"TEA_AUDIT", "3"},
         {"TEA_THREADS", "4294967297"},
         {"TEA_THREADS", "+2"},
@@ -192,16 +217,24 @@ TEST(RunnerOptionsEnv, MalformedIntegersAreFatal)
 
 TEST(ParallelRunner, SuiteMatchesSerialLoop)
 {
-    const std::vector<std::string> names{"exchange2", "mcf"};
-    std::vector<ExperimentResult> par =
-        runBenchmarkSuite(names, standardTechniques(), withThreads(4));
-    ASSERT_EQ(par.size(), names.size());
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        SCOPED_TRACE(names[i]);
-        EXPECT_EQ(par[i].name, names[i]);
-        ExperimentResult serial =
-            runBenchmark(names[i], standardTechniques(), withThreads(1));
-        expectExperimentsIdentical(serial, par[i]);
+    const std::vector<std::string> names{"exchange2", "mcf", "nab"};
+    std::vector<ExperimentResult> serial;
+    for (const std::string &name : names)
+        serial.push_back(runBenchmark(name, standardTechniques()));
+
+    // 16 threads is more than the experiments: the pool is clamped.
+    for (unsigned threads : {2u, 16u}) {
+        SCOPED_TRACE(threads);
+        RunnerOptions opts;
+        opts.threads = threads;
+        std::vector<ExperimentResult> par =
+            runBenchmarkSuite(names, standardTechniques(), opts);
+        ASSERT_EQ(par.size(), names.size());
+        for (std::size_t i = 0; i < names.size(); ++i) {
+            SCOPED_TRACE(names[i]);
+            EXPECT_EQ(par[i].name, names[i]);
+            expectExperimentsIdentical(serial[i], par[i]);
+        }
     }
 }
 
@@ -226,71 +259,4 @@ TEST(TraceBufferTest, ReplayMatchesLiveGolden)
     GoldenReference again;
     EXPECT_EQ(buffer.replay({&again}), cycles);
     expectPicsIdentical(replayed.pics(), again.pics());
-}
-
-TEST(BroadcastQueueTest, EveryConsumerSeesEveryItemInOrder)
-{
-    constexpr unsigned consumers = 3;
-    constexpr int items = 1000;
-    BroadcastQueue<int> q(4, consumers);
-
-    std::vector<std::vector<int>> seen(consumers);
-    std::vector<std::thread> threads;
-    for (unsigned c = 0; c < consumers; ++c) {
-        threads.emplace_back([&, c] {
-            int v;
-            while (q.pop(c, v))
-                seen[c].push_back(v);
-        });
-    }
-    for (int i = 0; i < items; ++i)
-        q.push(i);
-    q.close();
-    for (std::thread &t : threads)
-        t.join();
-
-    for (unsigned c = 0; c < consumers; ++c) {
-        ASSERT_EQ(seen[c].size(), static_cast<std::size_t>(items));
-        for (int i = 0; i < items; ++i)
-            EXPECT_EQ(seen[c][i], i);
-    }
-    EXPECT_EQ(q.pushed(), static_cast<std::uint64_t>(items));
-}
-
-TEST(BroadcastQueueTest, ProducerBlocksOnSlowConsumer)
-{
-    BroadcastQueue<int> q(2, 1);
-    q.push(1);
-    q.push(2);
-    // Window full: the next push must wait until the consumer drains.
-    std::thread producer([&] {
-        q.push(3);
-        q.close();
-    });
-    int v = 0;
-    ASSERT_TRUE(q.pop(0, v));
-    EXPECT_EQ(v, 1);
-    ASSERT_TRUE(q.pop(0, v));
-    EXPECT_EQ(v, 2);
-    ASSERT_TRUE(q.pop(0, v));
-    EXPECT_EQ(v, 3);
-    EXPECT_FALSE(q.pop(0, v));
-    producer.join();
-    EXPECT_GE(q.fullWaits(), 0u);
-}
-
-TEST(BroadcastQueueTest, CloseWakesIdleConsumers)
-{
-    BroadcastQueue<int> q(4, 2);
-    std::thread c0([&] {
-        int v;
-        EXPECT_FALSE(q.pop(0, v));
-    });
-    std::thread c1([&] {
-        int v;
-        EXPECT_FALSE(q.pop(1, v));
-    });
-    q.close();
-    c0.join();
-    c1.join();
 }

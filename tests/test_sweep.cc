@@ -6,7 +6,8 @@
  *    expansion cannot drift without a deliberate sweepSpecVersion bump;
  *  - randomized acceptance — seeded random KernelSpec x preset
  *    experiments run with the invariant auditor at level 1 and produce
- *    bit-identical golden and technique Pics at 1 and 8 replay threads;
+ *    bit-identical golden and technique Pics one by one and as a suite
+ *    with 8 experiments in flight;
  *  - legacy-name compatibility — the generator-backed registry resolves
  *    every historical suite name to the same workload (same trace-cache
  *    fingerprint) as the direct factory;
@@ -60,6 +61,19 @@ TEST(SweepParams, ApplyKernelParamSetsEveryKnob)
     EXPECT_EQ(s.chainLength, 5u);
     EXPECT_EQ(s.chains, 4u);
     EXPECT_EQ(s.targetPool, 32u);
+}
+
+TEST(SweepParams, MalformedValuesAreFatal)
+{
+    // A sign or a value past the field's width must exit cleanly, not
+    // wrap to 2^64-1 or truncate to 1.
+    KernelSpec s;
+    EXPECT_EXIT(applyKernelParam(s, "seed", "-1"),
+                ::testing::ExitedWithCode(1),
+                "kernel parameter 'seed' must be a non-negative integer");
+    EXPECT_EXIT(applyKernelParam(s, "iterations", "4294967297"),
+                ::testing::ExitedWithCode(1),
+                "kernel parameter 'iterations' must be a non-negative");
 }
 
 // --- expansion ---------------------------------------------------------
@@ -191,27 +205,31 @@ TEST(SweepAcceptance, RandomSpecsAuditCleanAndThreadInvariant)
 {
     Rng rng(777);
     const std::vector<std::string> presetNames = presets::names();
+    std::vector<SuiteExperiment> experiments;
     for (int i = 0; i < 6; ++i) {
         const KernelSpec spec = randomSpec(rng);
-        const CoreConfig cfg =
-            presets::byName(presetNames[rng.below(presetNames.size())]);
-        SCOPED_TRACE(workloads::canonicalKernelName(spec));
+        experiments.push_back(SuiteExperiment{
+            workloads::canonicalKernelName(spec),
+            [spec] { return workloads::generateKernel(spec); },
+            presets::byName(presetNames[rng.below(presetNames.size())])});
+    }
 
-        // audit=1 threads an InvariantAuditor through the replay (fatal
-        // on any trace/PSV-legality violation) and verifies golden
-        // cycle conservation.
-        RunnerOptions serial;
-        serial.threads = 1;
-        serial.audit = 1;
-        RunnerOptions parallel = serial;
-        parallel.threads = 8;
+    // audit=1 threads an InvariantAuditor through the replay (fatal on
+    // any trace/PSV-legality violation) and verifies golden cycle
+    // conservation.
+    RunnerOptions opts;
+    opts.audit = 1;
+    opts.threads = 8;
+    const std::vector<ExperimentResult> suite =
+        runExperimentSuite(experiments, standardTechniques(), opts);
+    ASSERT_EQ(suite.size(), experiments.size());
 
-        ExperimentResult a = runWorkload(workloads::generateKernel(spec),
-                                         standardTechniques(), serial,
-                                         cfg);
-        ExperimentResult b = runWorkload(workloads::generateKernel(spec),
-                                         standardTechniques(), parallel,
-                                         cfg);
+    for (std::size_t i = 0; i < experiments.size(); ++i) {
+        const SuiteExperiment &e = experiments[i];
+        SCOPED_TRACE(e.name);
+        ExperimentResult a =
+            runWorkload(e.make(), standardTechniques(), opts, e.cfg);
+        const ExperimentResult &b = suite[i];
 
         ASSERT_FALSE(a.failed()) << a.error;
         ASSERT_FALSE(b.failed()) << b.error;

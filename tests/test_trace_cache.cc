@@ -4,7 +4,7 @@
  * validation (corruption, truncation, stale fingerprints must never
  * crash or poison a run — they fall back to simulation), and the
  * headline guarantee that a cache-hit replay is bit-identical to a
- * direct simulation at any thread count.
+ * direct simulation, standalone and in a suite.
  */
 
 #include <algorithm>
@@ -158,10 +158,9 @@ class TempCacheDir
 };
 
 RunnerOptions
-cachedOptions(const TempCacheDir &dir, unsigned threads = 1)
+cachedOptions(const TempCacheDir &dir)
 {
     RunnerOptions o;
-    o.threads = threads;
     o.cache.enabled = true;
     o.cache.dir = dir.path();
     return o;
@@ -442,12 +441,12 @@ TEST(TraceCacheFile, OpenRejectsDamage)
     EXPECT_EQ(MappedTraceFile::open(path, fp, &why), nullptr);
 }
 
-TEST(TraceCache, MissThenHitIsBitIdenticalAcrossThreads)
+TEST(TraceCache, MissThenHitIsBitIdentical)
 {
     TempCacheDir dir;
     const std::string name = "exchange2";
 
-    // Reference: the historical serial path, cache off.
+    // Reference: cache off.
     ExperimentResult direct =
         runBenchmark(name, standardTechniques(), RunnerOptions{});
     EXPECT_FALSE(direct.replay.cacheHit);
@@ -461,22 +460,19 @@ TEST(TraceCache, MissThenHitIsBitIdenticalAcrossThreads)
     EXPECT_EQ(direct.stats.cycles, cold.stats.cycles);
     expectExperimentsIdentical(direct, cold);
 
-    // Warm runs replay from disk — serial and parallel.
-    for (unsigned threads : {1u, 8u}) {
-        SCOPED_TRACE(threads);
-        ExperimentResult warm = runBenchmark(
-            name, standardTechniques(), cachedOptions(dir, threads));
-        EXPECT_TRUE(warm.replay.cacheHit);
-        // The split-seconds contract: a warm hit spends no simulate
-        // time, and decode time is accounted separately from replay.
-        EXPECT_EQ(warm.replay.simulateSeconds, 0.0);
-        EXPECT_GT(warm.replay.decodeSeconds, 0.0);
-        EXPECT_EQ(direct.stats.cycles, warm.stats.cycles);
-        EXPECT_EQ(direct.stats.committedUops, warm.stats.committedUops);
-        EXPECT_EQ(direct.stats.branchMispredicts,
-                  warm.stats.branchMispredicts);
-        expectExperimentsIdentical(direct, warm);
-    }
+    // The warm run replays from disk.
+    ExperimentResult warm =
+        runBenchmark(name, standardTechniques(), cachedOptions(dir));
+    EXPECT_TRUE(warm.replay.cacheHit);
+    // The split-seconds contract: a warm hit spends no simulate time,
+    // and decode time is accounted separately from replay.
+    EXPECT_EQ(warm.replay.simulateSeconds, 0.0);
+    EXPECT_GT(warm.replay.decodeSeconds, 0.0);
+    EXPECT_EQ(direct.stats.cycles, warm.stats.cycles);
+    EXPECT_EQ(direct.stats.committedUops, warm.stats.committedUops);
+    EXPECT_EQ(direct.stats.branchMispredicts,
+              warm.stats.branchMispredicts);
+    expectExperimentsIdentical(direct, warm);
 }
 
 TEST(TraceCache, DifferentConfigsKeepDistinctEntries)
@@ -549,7 +545,8 @@ TEST(TraceCache, SuiteRunnerSharesTheCache)
 {
     TempCacheDir dir;
     std::vector<std::string> names = {"exchange2", "mcf"};
-    RunnerOptions opts = cachedOptions(dir, 4);
+    RunnerOptions opts = cachedOptions(dir);
+    opts.threads = 4;
 
     std::vector<ExperimentResult> cold =
         runBenchmarkSuite(names, {teaConfig()}, opts);

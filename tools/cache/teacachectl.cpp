@@ -24,11 +24,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "analysis/cache_janitor.hh"
 #include "analysis/trace_cache.hh"
+#include "common/env.hh"
 #include "common/logging.hh"
 
 using namespace tea;
@@ -175,11 +177,9 @@ main(int argc, char **argv)
         } else if (arg == "--max-bytes") {
             if (++i >= argc)
                 tea_fatal("--max-bytes needs a value");
-            char *end = nullptr;
-            evict_max = std::strtoull(argv[i], &end, 10);
-            if (*argv[i] == '\0' || *end != '\0')
-                tea_fatal("--max-bytes wants an integer, got \"%s\"",
-                          argv[i]);
+            evict_max = parseUnsigned(
+                "--max-bytes", argv[i], 0,
+                std::numeric_limits<std::uint64_t>::max());
             have_evict_max = true;
         } else if (arg == "--quarantine") {
             quarantine = true;

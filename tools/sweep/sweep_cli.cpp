@@ -14,7 +14,8 @@
  *             [--preset NAME]...         replace the preset list
  *             [--axis PARAM=V1,V2,...]...  replace/add an axis
  *             [--base PARAM=VALUE]...    set a base KernelSpec parameter
- *             [--threads N]              override TEA_THREADS
+ *             [--threads N]              override TEA_THREADS (0: one
+ *                                        per hardware thread)
  *             [--report FILE]            also write the report to FILE
  *             [--list]                   print the expansion, don't run
  *
@@ -24,8 +25,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -125,8 +124,8 @@ main(int argc, char **argv)
             auto [param, value] = splitEq(next(i, "--base"), "--base");
             applyKernelParam(spec.base, param, value);
         } else if (arg == "--threads") {
-            opts.threads = static_cast<unsigned>(
-                std::strtoul(next(i, "--threads").c_str(), nullptr, 10));
+            opts.threads = RunnerOptions::parseThreads(
+                "--threads", next(i, "--threads"));
         } else if (arg == "--report") {
             reportPath = next(i, "--report");
         } else if (arg == "--list") {
