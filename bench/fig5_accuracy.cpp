@@ -25,7 +25,8 @@ main()
     // Up to TEA_THREADS benchmarks simulate concurrently (default: all
     // hardware threads); within each, every technique observes the one
     // trace out-of-band. Results are bit-identical to a serial loop.
-    // Set TEA_RUNNER_STATS=1 to print per-benchmark wall times.
+    // Set TEA_RUNNER_STATS=1 to print per-benchmark wall times. Timing
+    // goes to stderr so stdout is the same on every run.
     RunnerOptions opts = RunnerOptions::fromEnv();
     const bool show_stats = envUnsigned("TEA_RUNNER_STATS", 0, 0, 1) != 0;
 
@@ -48,8 +49,8 @@ main()
     for (std::size_t n = 0; n < names.size(); ++n) {
         const ExperimentResult &res = all[n];
         if (show_stats) {
-            std::printf("%s: %s\n", names[n].c_str(),
-                        res.replay.renderLine().c_str());
+            std::fprintf(stderr, "%s: %s\n", names[n].c_str(),
+                         res.replay.renderLine().c_str());
         }
         std::vector<std::string> row{names[n]};
         for (std::size_t i = 0; i < res.techniques.size(); ++i) {
@@ -77,7 +78,7 @@ main()
     t.print();
     std::puts("Paper: IBS 55.6% / SPE 55.5% / RIS 56.0% / NCI-TEA 11.3% / "
               "TEA 2.1% average.");
-    std::printf("[%u experiment(s) in flight, %.2f s total]\n",
-                opts.threads, total_seconds);
+    std::fprintf(stderr, "[%u experiment(s) in flight, %.2f s total]\n",
+                 opts.threads, total_seconds);
     return suiteExitCode(all);
 }

@@ -251,7 +251,7 @@ removeTree(const std::string &dir)
 
 /**
  * Simulate-phase measurement: the reference cycle-stepped loop vs the
- * event-driven fast path (TEA_CORE_FASTPATH) on the same workload, each
+ * event-driven fast path (Core::setFastPath) on the same workload, each
  * driving a chunk-discarding ChunkingSink so only the core model plus
  * trace emission is on the clock. Both runs must agree on final cycle
  * count and event count (the bit-identical contract); the result goes to

@@ -11,12 +11,13 @@
  *   pics_tool demo                (record + report via a temp file)
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "analysis/report.hh"
+#include "common/env.hh"
 #include "core/core.hh"
 #include "profilers/sample_record.hh"
 #include "profilers/sampler.hh"
@@ -80,7 +81,7 @@ main(int argc, char **argv)
                      argv[0], argv[0]);
         return argc == 1 ? 0 : 2; // bare invocation prints usage, ok
     }
-    Cycle period = argc > 4 ? static_cast<Cycle>(std::atoll(argv[4]))
+    Cycle period = argc > 4 ? parseUnsigned("period", argv[4], 1, UINT64_MAX)
                             : 127;
     if (std::strcmp(argv[1], "record") == 0)
         return record(argv[2], argv[3], period);

@@ -7,12 +7,13 @@
  * Defaults: lbm at one sample per 127 cycles.
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "analysis/report.hh"
 #include "analysis/runner.hh"
+#include "common/env.hh"
 #include "common/table.hh"
 
 using namespace tea;
@@ -21,7 +22,7 @@ int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "lbm";
-    Cycle period = argc > 2 ? static_cast<Cycle>(std::atoll(argv[2]))
+    Cycle period = argc > 2 ? parseUnsigned("period", argv[2], 1, UINT64_MAX)
                             : 127;
 
     ExperimentResult res = runBenchmark(name, {teaConfig(period)});

@@ -49,7 +49,7 @@ removeFile(const std::string &path)
 {
     // Removal *is* the janitor's recovery action — there is no retry
     // layer to route through, the next pass simply tries again.
-    // tea_check: allow(raw-io)
+    // tea_lint: allow(raw-io)
     int rc = ::unlink(path.c_str());
     if (rc == 0 && TEA_FAILPOINT(fpJanitorUnlink)) {
         errno = fpJanitorUnlink.failErrno();
@@ -70,7 +70,7 @@ statFile(const std::string &path, CacheFileInfo *out)
     struct ::stat st{};
     // Scan probe; an unstatable (e.g. concurrently removed) file is
     // simply not part of this pass.
-    // tea_check: allow(raw-io)
+    // tea_lint: allow(raw-io)
     if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode))
         return false;
     out->path = path;
@@ -291,27 +291,27 @@ CacheJanitor::gc() const
         const std::string entry = f.path.substr(0, f.path.size() - 5);
         struct ::stat st{};
         // Existence probe: a live entry keeps its lock file.
-        // tea_check: allow(raw-io)
+        // tea_lint: allow(raw-io)
         if (::stat(entry.c_str(), &st) == 0)
             continue;
         if (ageOf(f, now) <=
             static_cast<std::int64_t>(cfg_.orphanMaxAgeS))
             continue;
-        // tea_check: allow(raw-io)
+        // tea_lint: allow(raw-io)
         int fd = ::open(f.path.c_str(), O_RDWR | O_CLOEXEC);
         if (fd < 0)
             continue; // already gone (or unreadable): not ours
-        // tea_check: allow(raw-io)
+        // tea_lint: allow(raw-io)
         if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
             // Held: a live writer is using it after all.
-            // tea_check: allow(raw-io)
-            ::close(fd); // tea_lint: allow(unchecked-io)
+            // tea_lint: allow(raw-io)
+            ::close(fd);
             continue;
         }
         if (removeFile(f.path))
             ++stats.removedLocks;
-        // tea_check: allow(raw-io)
-        ::close(fd); // tea_lint: allow(unchecked-io)
+        // tea_lint: allow(raw-io)
+        ::close(fd);
     }
 
     // --- quarantine aging and capping --------------------------------
@@ -328,7 +328,7 @@ CacheJanitor::gc() const
         const std::string payload =
             f.path.substr(0, f.path.size() - 7);
         struct ::stat st{};
-        // tea_check: allow(raw-io)
+        // tea_lint: allow(raw-io)
         const bool orphan = ::stat(payload.c_str(), &st) != 0;
         const bool aged =
             ageOf(f, now) >

@@ -327,11 +327,12 @@ runExperimentSuite(const std::vector<SuiteExperiment> &experiments,
         for (unsigned w = 0; w < workers; ++w) {
             // Cannot throw: runOne catches everything internally and
             // fetch_add/size are noexcept.
-            // relaxed: the cursor only partitions experiment indices;
-            // results[i] is touched by exactly one worker and the
-            // thread join orders it before the suite reads it.
             // tea_lint: allow(unguarded-worker)
             pool.emplace_back([&] {
+                // The cursor only partitions experiment indices: each
+                // results[i] is touched by exactly one worker, and the
+                // thread join orders it before the suite reads it. So
+                // both claims below are relaxed.
                 for (std::size_t i =
                          next.fetch_add(1, std::memory_order_relaxed);
                      i < experiments.size();
@@ -390,7 +391,7 @@ suiteExitCode(const std::vector<ExperimentResult> &results)
     if (errors.empty())
         return 0;
     // Terminal output, not file I/O: no seams apply.
-    // tea_check: allow(raw-io)
+    // tea_lint: allow(raw-io)
     std::fputs(errors.c_str(), stderr);
     return 1;
 }

@@ -59,7 +59,7 @@ makeDirs(const std::string &dir)
             continue;
         // Cache-setup primitive; every caller degrades (warns and
         // disables caching) instead of retrying.
-        // tea_check: allow(raw-io)
+        // tea_lint: allow(raw-io)
         if (::mkdir(path.c_str(), 0777) != 0 && errno != EEXIST)
             return false;
     }
@@ -185,7 +185,7 @@ TraceCache::openEntry(const std::string &path, std::uint64_t fp,
         return nullptr;
     struct ::stat st{};
     // Existence probe only; any failure degrades to a cache miss.
-    // tea_check: allow(raw-io)
+    // tea_lint: allow(raw-io)
     int stat_rc = ::stat(path.c_str(), &st);
     if (stat_rc == 0 && TEA_FAILPOINT(fpCacheStat)) {
         errno = fpCacheStat.failErrno();
@@ -215,7 +215,7 @@ TraceCache::openEntry(const std::string &path, std::uint64_t fp,
         // mtime order, and a hot entry that never gets rewritten must
         // not look like the coldest one. Best effort — a cache hit is
         // already in hand and a failed touch only skews eviction order.
-        // tea_check: allow(raw-io)
+        // tea_lint: allow(raw-io)
         int touch_rc = ::utimensat(AT_FDCWD, path.c_str(), nullptr, 0);
         if (touch_rc == 0 && TEA_FAILPOINT(fpCacheTouch)) {
             errno = fpCacheTouch.failErrno();
@@ -276,15 +276,14 @@ TraceCache::quarantineEntry(const std::string &path,
     // explanation. Diagnostic convenience, best effort, no seams.
     const std::string reason_path = dest + ".reason";
     if (moved) {
-        // tea_check: allow(raw-io)
+        // tea_lint: allow(raw-io)
         if (std::FILE *f = std::fopen(reason_path.c_str(), "w");
             f != nullptr) {
-            // tea_check: allow(raw-io)
-            std::fputs(reason.c_str(),
-                       f); // tea_lint: allow(unchecked-io)
-            // tea_check: allow(raw-io)
-            std::fputc('\n', f); // tea_lint: allow(unchecked-io)
-            // tea_lint: allow(unchecked-io) tea_check: allow(raw-io)
+            // tea_lint: allow(raw-io)
+            std::fputs(reason.c_str(), f);
+            // tea_lint: allow(raw-io)
+            std::fputc('\n', f);
+            // tea_lint: allow(raw-io)
             std::fclose(f);
         }
     }
@@ -295,7 +294,7 @@ TraceCache::quarantineEntry(const std::string &path,
     }
     // Quarantine is already the failure path: a rename that fails
     // falls through to the unlink below, nothing to retry.
-    // tea_check: allow(raw-io)
+    // tea_lint: allow(raw-io)
     moved = moved && std::rename(path.c_str(), dest.c_str()) == 0;
     if (!moved) {
         tea_warn("trace cache: cannot quarantine %s (%s); unlinking it "
@@ -305,10 +304,10 @@ TraceCache::quarantineEntry(const std::string &path,
         // were healthy. Failure here means it is already gone. The
         // freshly written reason note describes nothing now — take it
         // with us rather than leave an orphan.
-        // tea_check: allow(raw-io)
-        std::remove(path.c_str()); // tea_lint: allow(unchecked-io)
-        // tea_check: allow(raw-io)
-        std::remove(reason_path.c_str()); // tea_lint: allow(unchecked-io)
+        // tea_lint: allow(raw-io)
+        std::remove(path.c_str());
+        // tea_lint: allow(raw-io)
+        std::remove(reason_path.c_str());
         return false;
     }
     return true;

@@ -8,16 +8,22 @@
 
 namespace tea {
 
-std::uint64_t
-parseUnsigned(const char *what, std::string_view text, std::uint64_t min,
-              std::uint64_t max)
+bool
+parseDigits(std::string_view text, std::uint64_t *out)
 {
     // from_chars into an unsigned type takes neither a sign nor
     // leading whitespace, and reports overflow instead of saturating.
     const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+}
+
+std::uint64_t
+parseUnsigned(const char *what, std::string_view text, std::uint64_t min,
+              std::uint64_t max)
+{
     std::uint64_t n = 0;
-    const auto [ptr, ec] = std::from_chars(text.data(), end, n);
-    if (ec != std::errc() || ptr != end || n < min || n > max)
+    if (!parseDigits(text, &n) || n < min || n > max)
         tea_fatal("%s must be a non-negative integer in [%llu, %llu], "
                   "got '%s'",
                   what, static_cast<unsigned long long>(min),

@@ -1,9 +1,10 @@
 /**
  * @file
  * Unsigned integers typed by a user — environment knobs, command-line
- * arguments, kernel and sweep parameters — with one rule for bad input:
- * a sign, a non-digit, an overflow or a value outside the field's range
- * is fatal.
+ * arguments, kernel and sweep parameters, failpoint specs — with one
+ * rule for bad input: a sign, a non-digit, an overflow or a value
+ * outside the field's range is rejected (fatal, except where the caller
+ * reports it through parseDigits).
  */
 
 #ifndef TEA_COMMON_ENV_HH
@@ -13,6 +14,13 @@
 #include <string_view>
 
 namespace tea {
+
+/**
+ * Parse @p text as plain decimal digits into @p out. False on a sign,
+ * a non-digit, empty text or an overflow; for callers that report bad
+ * input themselves.
+ */
+bool parseDigits(std::string_view text, std::uint64_t *out);
 
 /**
  * Parse @p text as a decimal integer in [@p min, @p max]. Anything that

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 
 namespace tea {
@@ -255,9 +256,7 @@ Failpoint::configure(const std::string &spec, std::string *err)
         mode = Trigger::Always;
     } else if (trigger.rfind("nth:", 0) == 0) {
         const std::string arg = trigger.substr(4);
-        char *end = nullptr;
-        nth = std::strtoull(arg.c_str(), &end, 10);
-        if (arg.empty() || *end != '\0' || nth == 0)
+        if (!parseDigits(arg, &nth) || nth == 0)
             return fail("nth wants a positive integer, got '" + arg +
                         "'");
         mode = Trigger::Nth;
@@ -273,8 +272,7 @@ Failpoint::configure(const std::string &spec, std::string *err)
             return fail("prob wants P in [0,1], got '" +
                         rest.substr(0, colon) + "'");
         const std::string seed_s = rest.substr(colon + 1);
-        seed = std::strtoull(seed_s.c_str(), &end, 10);
-        if (seed_s.empty() || *end != '\0')
+        if (!parseDigits(seed_s, &seed))
             return fail("prob wants an integer seed, got '" + seed_s +
                         "'");
         mode = Trigger::Prob;

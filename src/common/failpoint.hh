@@ -7,12 +7,10 @@
  * worker thread dying mid-replay. Each seam defines one static
  * Failpoint and asks it on every pass whether to fire; production
  * builds leave every failpoint off, so the cost per pass is one relaxed
- * atomic load. Configuring `-DTEA_FAILPOINTS_ENABLED=OFF` compiles the
- * injection sites out entirely (TEA_FAILPOINT() becomes the constant
- * `false`); the registry still links so tooling can enumerate seams.
+ * atomic load.
  *
  * Triggers are deterministic by construction — `nth:N` fires on exactly
- * the Nth hit, `prob:P:S` draws from a seeded xoshiro stream — so a
+ * the Nth hit, `prob:P:S` draws from a seeded splitmix64 stream — so a
  * failing fault-injection run replays bit-identically from its
  * configuration, the same property the replay engine itself guarantees
  * (DESIGN.md, "Failure model and recovery").
@@ -65,7 +63,7 @@ class FailpointError : public std::runtime_error
  * One named injection seam. Define at namespace scope in the .cc that
  * owns the seam; construction registers it with the global registry.
  * All methods are thread-safe: fire() may be called concurrently from
- * replay workers.
+ * the experiments a suite runs in parallel.
  */
 class Failpoint
 {
@@ -84,8 +82,8 @@ class Failpoint
 
     /**
      * Count this hit and decide whether the failure fires. Off (the
-     * default) is one relaxed atomic load. Prefer the TEA_FAILPOINT()
-     * macro, which compiles to `false` when injection is disabled.
+     * default) is one relaxed atomic load. Call it through the
+     * TEA_FAILPOINT() macro.
      * A seam armed with the `crash` kind does not return when it
      * fires: the process _exits at the seam (see the file comment).
      */
@@ -186,29 +184,11 @@ void configureFromEnv();
  */
 void checkEnvConsumed();
 
-/** True when injection sites are compiled in (TEA_FAILPOINTS_ENABLED). */
-constexpr bool
-compiledIn()
-{
-#ifdef TEA_FAILPOINTS_DISABLED
-    return false;
-#else
-    return true;
-#endif
-}
-
 } // namespace failpoints
 
 } // namespace tea
 
-/**
- * Ask @p fp whether to inject a failure at this seam. Compiles to the
- * constant false (dead injection branch) when -DTEA_FAILPOINTS_ENABLED=OFF.
- */
-#ifdef TEA_FAILPOINTS_DISABLED
-#define TEA_FAILPOINT(fp) (false)
-#else
+/** Ask @p fp whether to inject a failure at this seam. */
 #define TEA_FAILPOINT(fp) ((fp).fire())
-#endif
 
 #endif // TEA_COMMON_FAILPOINT_HH

@@ -46,11 +46,11 @@ FileLock::acquire(const std::string &path, unsigned timeout_ms)
         if (errno != EWOULDBLOCK && errno != EINTR) {
             tea_warn("file lock: flock('%s') failed (%s)", path.c_str(),
                      errnoString(errno).c_str());
-            ::close(fd); // tea_lint: allow(unchecked-io)
+            ::close(fd);
             return false;
         }
         if (Clock::now() >= deadline) {
-            ::close(fd); // tea_lint: allow(unchecked-io)
+            ::close(fd);
             return false; // contended: caller degrades
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -64,7 +64,7 @@ FileLock::acquire(const std::string &path, unsigned timeout_ms)
                           static_cast<long>(::getpid()));
     if (n > 0) {
         // Best effort: an unwritable pid note must not fail the lock.
-        ::ftruncate(fd, 0);                 // tea_lint: allow(unchecked-io)
+        ::ftruncate(fd, 0);
         [[maybe_unused]] ssize_t w =
             ::write(fd, pid, static_cast<std::size_t>(n));
     }
@@ -80,7 +80,7 @@ FileLock::release()
     if (fd_ < 0)
         return;
     // Closing the descriptor drops the flock; nothing to check.
-    ::close(fd_); // tea_lint: allow(unchecked-io)
+    ::close(fd_);
     fd_ = -1;
     path_.clear();
 }

@@ -2,39 +2,33 @@
  * @file
  * Capability-annotated synchronization primitives.
  *
- * Every lock in the tree is a `tea::Mutex`, every guarded member is
- * annotated `TEA_GUARDED_BY(itslock)`, and every function that assumes
- * a lock is held says so with `TEA_REQUIRES(itslock)`. Under Clang the
- * annotations expand to thread-safety-analysis attributes, turning the
- * locking discipline into a compile-time capability system: a member
- * read without its lock, a lock released twice, a function called with
- * the wrong lock held — each is a -Wthread-safety error on every build
- * (enable with -DTEA_THREAD_SAFETY=ON or the `clang-tsa` preset; see
- * DESIGN.md, "Compile-time concurrency analysis"). Under any other
- * compiler the macros expand to nothing and the classes are thin,
- * zero-overhead wrappers over the std primitives.
+ * Every lock in the tree is a `tea::Mutex`, and every member it guards
+ * is annotated `TEA_GUARDED_BY(itslock)`. Under Clang the annotations
+ * expand to thread-safety-analysis attributes, turning the locking
+ * discipline into a compile-time capability system: a guarded member
+ * touched without its lock, or a lock released twice, is a
+ * -Wthread-safety error (enable with -DTEA_THREAD_SAFETY=ON or the
+ * `clang-tsa` preset; see DESIGN.md, "Compile-time concurrency
+ * analysis"). Under any other compiler the macros expand to nothing and
+ * the classes are thin, zero-overhead wrappers over std::mutex.
  *
  * Unlike TSan — which verifies the interleavings one run happens to
  * execute — the static analysis covers every path in every build, and
  * the annotations double as checked documentation of which lock guards
  * what. The two layers are complementary and both gate CI.
  *
- * Conventions (enforced by tea_lint's raw-sync rule and tea_check's
- * guard-missing rule):
+ * Conventions (enforced by tea_lint's raw-sync and guard-missing
+ * rules):
  *  - no raw std::mutex / std::condition_variable / std::lock_guard
- *    outside this header; use Mutex / CondVar / MutexLock;
+ *    outside this header; use Mutex / MutexLock;
  *  - every mutable member of a class that owns a Mutex carries
  *    TEA_GUARDED_BY (std::atomic members are the documented exception:
- *    they synchronize themselves and spell their memory orders);
- *  - condition-variable waits are explicit `while (!pred) cv.wait(mu)`
- *    loops, not predicate lambdas — the analysis cannot see through a
- *    lambda body, a plain loop it checks completely.
+ *    they synchronize themselves and spell their memory orders).
  */
 
 #ifndef TEA_COMMON_SYNC_HH
 #define TEA_COMMON_SYNC_HH
 
-#include <condition_variable>
 #include <mutex>
 
 // ---------------------------------------------------------------------
@@ -61,12 +55,6 @@
 /** Member may only be read/written while holding @p x. */
 #define TEA_GUARDED_BY(x) TEA_TSA_ATTR(guarded_by(x))
 
-/** Pointee may only be dereferenced while holding @p x. */
-#define TEA_PT_GUARDED_BY(x) TEA_TSA_ATTR(pt_guarded_by(x))
-
-/** Function must be called with the listed capabilities held. */
-#define TEA_REQUIRES(...) TEA_TSA_ATTR(requires_capability(__VA_ARGS__))
-
 /** Function acquires the listed capabilities (its own when empty). */
 #define TEA_ACQUIRE(...) TEA_TSA_ATTR(acquire_capability(__VA_ARGS__))
 
@@ -77,24 +65,7 @@
 #define TEA_TRY_ACQUIRE(...) \
     TEA_TSA_ATTR(try_acquire_capability(__VA_ARGS__))
 
-/** Function must be called with the listed capabilities NOT held
- *  (self-deadlock guard on public methods that lock internally). */
-#define TEA_EXCLUDES(...) TEA_TSA_ATTR(locks_excluded(__VA_ARGS__))
-
-/** Assert (runtime-checked elsewhere) that @p x is held here. */
-#define TEA_ASSERT_CAPABILITY(x) TEA_TSA_ATTR(assert_capability(x))
-
-/** Function returns a reference to the capability @p x. */
-#define TEA_RETURN_CAPABILITY(x) TEA_TSA_ATTR(lock_returned(x))
-
-/** Escape hatch: function is exempt from the analysis. Every use must
- *  carry a comment explaining why the analysis cannot see the truth. */
-#define TEA_NO_THREAD_SAFETY_ANALYSIS \
-    TEA_TSA_ATTR(no_thread_safety_analysis)
-
 namespace tea {
-
-class CondVar;
 
 /**
  * Mutual-exclusion capability: std::mutex with acquire/release
@@ -113,7 +84,6 @@ class TEA_CAPABILITY("mutex") Mutex
     bool try_lock() TEA_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
   private:
-    friend class CondVar; // wait() needs the native handle
     std::mutex m_;
 };
 
@@ -136,40 +106,6 @@ class TEA_SCOPED_CAPABILITY MutexLock
 
   private:
     Mutex &mu_;
-};
-
-/**
- * Condition variable bound to tea::Mutex. wait() is annotated
- * TEA_REQUIRES(mu): from the analysis's point of view the capability
- * is held across the wait (the internal unlock/relock is invisible,
- * exactly as with absl::CondVar), so guarded members may be re-read in
- * the surrounding `while (!pred)` loop without warnings — and the loop
- * itself is the spurious-wakeup guard.
- */
-class CondVar
-{
-  public:
-    CondVar() = default;
-    CondVar(const CondVar &) = delete;
-    CondVar &operator=(const CondVar &) = delete;
-
-    /** Atomically release @p mu, sleep, and re-acquire before return.
-     *  Call in a `while (!pred)` loop under MutexLock. */
-    void wait(Mutex &mu) TEA_REQUIRES(mu)
-    {
-        // Adopt the already-held native mutex for the wait protocol,
-        // then release the unique_lock wrapper without unlocking: the
-        // caller's MutexLock still owns the hold.
-        std::unique_lock<std::mutex> native(mu.m_, std::adopt_lock);
-        cv_.wait(native);
-        native.release();
-    }
-
-    void notify_one() { cv_.notify_one(); }
-    void notify_all() { cv_.notify_all(); }
-
-  private:
-    std::condition_variable cv_;
 };
 
 } // namespace tea

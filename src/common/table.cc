@@ -77,7 +77,7 @@ void
 Table::print() const
 {
     // Terminal output, not file I/O: no seams apply.
-    // tea_check: allow(raw-io)
+    // tea_lint: allow(raw-io)
     std::fputs(render().c_str(), stdout);
 }
 

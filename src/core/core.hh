@@ -23,7 +23,7 @@
  *
  * Two execution modes share the stage implementations (DESIGN.md,
  * "Simulator fast path"):
- *  - the reference loop (step()/TEA_CORE_FASTPATH=0) ticks every cycle;
+ *  - the reference loop (step(), or setFastPath(false)) ticks every cycle;
  *  - the fast path (run() by default) executes stages only on cycles a
  *    conservative wake calendar proves can have activity, bulk-emitting
  *    the constant idle commit frames for every skipped cycle so the
@@ -135,8 +135,8 @@ class Core
 
     /**
      * Select the execution mode used by run(): the event-driven fast
-     * path (default; overridable via TEA_CORE_FASTPATH=0) or the
-     * per-cycle reference loop. Not part of CoreConfig on purpose — the
+     * path (default) or the per-cycle reference loop, the oracle of
+     * the differential tests. Not part of CoreConfig on purpose — the
      * mode must not perturb trace-cache fingerprints, because both
      * modes produce bit-identical traces.
      */

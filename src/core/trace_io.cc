@@ -124,8 +124,9 @@ CompactTraceWriter::CompactTraceWriter(std::string final_path,
     retryTransient(retryPolicy_, retryStats_, [&] {
         file_ = std::fopen(tmpPath_.c_str(), "wb");
         if (file_ && TEA_FAILPOINT(fpTmpOpen)) {
-            std::fclose(file_); // tea_lint: allow(unchecked-io)
-            std::remove(tmpPath_.c_str()); // tea_lint: allow(unchecked-io)
+            // tea_lint: allow(unchecked-io)
+            std::fclose(file_);
+            std::remove(tmpPath_.c_str());
             file_ = nullptr;
             errno = fpTmpOpen.failErrno();
         }
@@ -158,9 +159,10 @@ CompactTraceWriter::abandon()
     if (!file_)
         return;
     // The entry is being dropped: close/unlink failures change nothing.
-    std::fclose(file_); // tea_lint: allow(unchecked-io)
+    // tea_lint: allow(unchecked-io)
+    std::fclose(file_);
+    std::remove(tmpPath_.c_str());
     file_ = nullptr;
-    std::remove(tmpPath_.c_str()); // tea_lint: allow(unchecked-io)
 }
 
 void

@@ -1,4 +1,4 @@
-// Seeded violations for tea_check's raw-io rule: direct syscalls and
+// Seeded violations for tea_lint's raw-io rule: direct syscalls and
 // stdio outside the trace_io/file_lock wrappers bypass the failpoint
 // and retry seams. Never compiled into the project.
 #include <cstdio>

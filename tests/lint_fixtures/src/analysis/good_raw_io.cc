@@ -1,6 +1,6 @@
-// Clean counterpart for tea_check's raw-io rule: the allow()
+// Clean counterpart for tea_lint's raw-io rule: the allow()
 // annotation (same line or up to two lines above) suppresses a
-// deliberate direct call. The checker must report nothing here.
+// deliberate direct call. The linter must report nothing here.
 #include <cstdio>
 
 namespace fixture {
@@ -10,11 +10,11 @@ allowedProbe(const char *path)
 {
     // Probing for an optional sidecar file; failure is benign and
     // needs no retry seam.
-    // tea_check: allow(raw-io)
+    // tea_lint: allow(raw-io)
     std::FILE *f = std::fopen(path, "rb");
     if (f == nullptr)
         return false;
-    std::fclose(f); // tea_check: allow(raw-io)
+    std::fclose(f); // tea_lint: allow(raw-io)
     return true;
 }
 

@@ -1,4 +1,4 @@
-// Seeded violations for tea_check's guard-missing rule: a class that
+// Seeded violations for tea_lint's guard-missing rule: a class that
 // owns a tea::Mutex with mutable members carrying no TEA_GUARDED_BY.
 // Never compiled into the project.
 #include <string>

@@ -1,6 +1,6 @@
-// Clean counterpart for tea_check's guard-missing rule: every member
+// Clean counterpart for tea_lint's guard-missing rule: every member
 // of the lock-owning class is annotated, const, atomic (with spelled
-// orders), a sync primitive, or explicitly allow()'d. The checker must
+// orders), a sync primitive, or explicitly allow()'d. The linter must
 // report nothing here.
 #include <atomic>
 #include <string>
@@ -16,13 +16,12 @@ class Annotated
 
   private:
     tea::Mutex mu_;
-    tea::CondVar changed_;
     const unsigned capacity_ = 16;
     std::atomic<bool> armed_{false};
     unsigned long count_ TEA_GUARDED_BY(mu_) = 0;
     std::string lastUser_ TEA_GUARDED_BY(mu_);
     // Scratch buffer owned by the single writer thread.
-    // tea_check: allow(guard-missing)
+    // tea_lint: allow(guard-missing)
     std::string scratch_;
 };
 
@@ -31,7 +30,6 @@ Annotated::bump()
 {
     tea::MutexLock lk(mu_);
     ++count_;
-    changed_.notify_all();
     // relaxed: advisory gate only; real state is handed over by mu_.
     armed_.store(true, std::memory_order_relaxed);
 }

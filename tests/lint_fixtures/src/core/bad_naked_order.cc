@@ -1,6 +1,6 @@
-// Seeded violations for tea_check's naked-order rule. Every line
-// tagged EXPECT(<rule>) must be reported by the checker with exactly
-// that rule id; test_tea_check.py asserts the full set. This file is
+// Seeded violations for tea_lint's naked-order rule. Every line
+// tagged EXPECT(<rule>) must be reported by the linter with exactly
+// that rule id; test_tea_lint.py asserts the full set. This file is
 // never compiled into the project.
 #include <atomic>
 

@@ -1,5 +1,5 @@
-// Clean counterpart for tea_check's naked-order rule: spelled orders,
-// a commented downgrade, and an allow()'d implicit op. The checker
+// Clean counterpart for tea_lint's naked-order rule: spelled orders,
+// a commented downgrade, and an allow()'d implicit op. The linter
 // must report nothing here.
 #include <atomic>
 
@@ -32,7 +32,7 @@ commentedDowngrade()
 int
 allowedImplicit()
 {
-    // tea_check: allow(naked-order)
+    // tea_lint: allow(naked-order)
     return counter.load();
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Differential tests of the simulator fast path (DESIGN.md, "Simulator
  * fast path"): the event-driven run() and the per-cycle reference loop
- * (TEA_CORE_FASTPATH=0) must produce bit-identical traces, statistics
+ * (Core::setFastPath(false)) must produce bit-identical traces, statistics
  * and Pics on every workload, and the skip clock must never jump past a
  * scheduled event under randomized stall/drain schedules — if it did,
  * the traces would diverge, which is exactly what these tests detect.
@@ -17,7 +17,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -205,50 +205,50 @@ TEST(FastpathAudit, SkippedFramesSatisfyInvariantAuditor)
     EXPECT_EQ(audit.cyclesAudited(), core.stats().cycles);
 }
 
-// --- Pics identity end to end (env knob, all standard techniques) -----
+// --- Pics identity end to end (all standard techniques) ---------------
+
+/** The golden reference and the five standard samplers, observing one
+ *  simulation of @p w in the chosen execution mode. */
+struct ModePics
+{
+    Cycle cycles = 0;
+    GoldenReference golden;
+    std::vector<std::unique_ptr<TechniqueSampler>> samplers;
+};
+
+std::unique_ptr<ModePics>
+runModePics(Workload w, bool fast)
+{
+    auto r = std::make_unique<ModePics>();
+    const CoreConfig cfg; // Core keeps a reference: must outlive run()
+    Core core(cfg, w.program, std::move(w.initial));
+    core.setFastPath(fast);
+    core.addSink(&r->golden);
+    for (const SamplerConfig &tc : standardTechniques()) {
+        r->samplers.push_back(std::make_unique<TechniqueSampler>(tc));
+        core.addSink(r->samplers.back().get());
+    }
+    r->cycles = core.run();
+    return r;
+}
 
 TEST(FastpathPics, GoldenAndTechniquePicsBitIdenticalAcrossModes)
 {
-    ::setenv("TEA_CORE_FASTPATH", "0", 1);
-    ExperimentResult ref =
-        runWorkload(workloads::streamSum(512, 3), standardTechniques());
-    ::setenv("TEA_CORE_FASTPATH", "1", 1);
-    ExperimentResult fast =
-        runWorkload(workloads::streamSum(512, 3), standardTechniques());
-    ::unsetenv("TEA_CORE_FASTPATH");
+    const auto ref = runModePics(workloads::streamSum(512, 3), false);
+    const auto fast = runModePics(workloads::streamSum(512, 3), true);
 
-    EXPECT_EQ(ref.stats.cycles, fast.stats.cycles);
-    EXPECT_EQ(auditPicsIdentical(ref.golden->pics(),
-                                 fast.golden->pics()),
+    EXPECT_EQ(ref->cycles, fast->cycles);
+    EXPECT_GT(ref->golden.pics().total(), 0.0);
+    EXPECT_EQ(auditPicsIdentical(ref->golden.pics(), fast->golden.pics()),
               "");
-    ASSERT_EQ(ref.techniques.size(), fast.techniques.size());
-    for (std::size_t i = 0; i < ref.techniques.size(); ++i) {
-        SCOPED_TRACE(ref.techniques[i].config.name);
-        EXPECT_EQ(auditPicsIdentical(ref.techniques[i].pics,
-                                     fast.techniques[i].pics),
+    ASSERT_EQ(ref->samplers.size(), 5u);
+    ASSERT_EQ(ref->samplers.size(), fast->samplers.size());
+    for (std::size_t i = 0; i < ref->samplers.size(); ++i) {
+        SCOPED_TRACE(ref->samplers[i]->config().name);
+        EXPECT_EQ(auditPicsIdentical(ref->samplers[i]->pics(),
+                                     fast->samplers[i]->pics()),
                   "");
     }
-}
-
-TEST(FastpathEnv, UnknownModeIsFatal)
-{
-    // Only 0 (the reference loop) and 1 (the fast path) name a mode;
-    // "off" must not silently leave the code under test running where
-    // the oracle was asked for.
-    EXPECT_EXIT(
-        {
-            ::setenv("TEA_CORE_FASTPATH", "off", 1);
-            Workload w = workloads::aluLoop(10);
-            Core core(CoreConfig{}, w.program, std::move(w.initial));
-        },
-        ::testing::ExitedWithCode(1), "TEA_CORE_FASTPATH");
-
-    // Empty means the default, the fast path.
-    ::setenv("TEA_CORE_FASTPATH", "", 1);
-    Workload w = workloads::aluLoop(10);
-    Core core(CoreConfig{}, w.program, std::move(w.initial));
-    ::unsetenv("TEA_CORE_FASTPATH");
-    EXPECT_TRUE(core.fastPath());
 }
 
 // --- property: randomized stall/drain schedules ------------------------

@@ -1,9 +1,9 @@
 """Shared file discovery for the TEA lint tools.
 
-One place decides which files the linters see, so tea_lint, tea_check
-and run_clang_tidy cannot drift apart: the same suffixes, the same
-excluded directories (build trees, third_party), and the same tests
-opt-in. Tools import:
+One place decides which files the linters see, so tea_lint and
+run_clang_tidy cannot drift apart: the same suffixes, the same excluded
+directories (build trees, third_party), and the same tests opt-in.
+Tools import:
 
   iter_source_files(root, include_tests=...)  -> sorted list of Paths
   is_excluded(path)                           -> True for build trees

@@ -4,7 +4,7 @@ root using the build tree's compile_commands.json, in parallel, failing
 (exit 1) when any file produces diagnostics. Kept dependency-free so the
 `lint` CMake target works with a bare clang-tidy install.
 
-File discovery defers to lint_common (shared with tea_lint/tea_check):
+File discovery defers to lint_common (shared with tea_lint):
 compile_commands entries are intersected with the lintable file set, so
 build-tree TUs and anything excluded there never get tidied here.
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """tea_lint: project-specific static rules for the TEA tree.
 
-Seven rules, each enforcing an invariant the compiler cannot:
+Ten rules, each enforcing an invariant the compiler cannot:
 
   naked-new          No naked `new` / `malloc`-family allocation in src/
                      outside allocator shims: ownership must be typed
@@ -42,11 +42,10 @@ Seven rules, each enforcing an invariant the compiler cannot:
   raw-sync           No raw `std::mutex` / `std::condition_variable` /
                      `std::lock_guard` / `std::unique_lock` /
                      `std::scoped_lock` in src/ outside
-                     common/sync.hh: use tea::Mutex / tea::CondVar /
-                     tea::MutexLock so Clang's thread-safety analysis
-                     sees every lock (see DESIGN.md, "Compile-time
-                     concurrency analysis"). Suppress with
-                     `tea_lint: allow(raw-sync)`.
+                     common/sync.hh: use tea::Mutex / tea::MutexLock so
+                     Clang's thread-safety analysis sees every lock (see
+                     DESIGN.md, "Compile-time concurrency analysis").
+                     Suppress with `tea_lint: allow(raw-sync)`.
 
   hot-alloc          Inside functions annotated `// tea_lint: hot` in
                      src/core/ and src/profilers/, no heap allocation
@@ -58,6 +57,44 @@ Seven rules, each enforcing an invariant the compiler cannot:
                      runs entirely in pre-sized storage). Suppress a
                      deliberate cold-path allocation with
                      `tea_lint: allow(hot-alloc)`.
+
+  raw-io             A call to a POSIX fd or stdio function (RAW_IO_
+                     FUNCTIONS) anywhere in src/ outside the checked
+                     wrappers (core/trace_io.cc, common/file_lock.cc)
+                     bypasses the failpoint and retry seams those
+                     wrappers exist to provide. Only free functions at
+                     global or std scope match (`::open(`, `std::fopen(`,
+                     or an unqualified call the file does not itself
+                     declare): declarations, `Class::open(` and
+                     `obj.read(` never do. Suppress a deliberate direct
+                     call with `tea_lint: allow(raw-io)` and say why.
+
+  naked-order        std::atomic operations in src/core/ and
+                     src/analysis/ must spell their memory order — an
+                     implicit seq_cst is indistinguishable from an
+                     unconsidered one. Atomic operators (++, +=, plain
+                     assignment, implicit conversion) cannot spell an
+                     order and are always flagged. A relaxed, acquire,
+                     release or acq_rel order needs a `//` comment naming
+                     that order within the 4 lines above the call or on
+                     its lines. The atomics are the ones the file (or
+                     its same-stem header) declares. Suppress with
+                     `tea_lint: allow(naked-order)`.
+
+  guard-missing      Every data member of a class that owns a tea::Mutex
+                     must be annotated TEA_GUARDED_BY — an unannotated
+                     member is invisible to Clang's thread-safety
+                     analysis, which silently accepts unlocked access to
+                     it. Exemptions: const members, std::atomic members
+                     (they synchronize themselves; naked-order makes
+                     them spell their orders), Mutex/MutexLock members,
+                     and `tea_lint: allow(guard-missing)`. Methods are
+                     never checked.
+
+An allow() annotation covers its own line and, except for naked-new,
+the 2 lines below it. tools/lint/test_tea_lint.py proves on
+tests/lint_fixtures that every per-file rule fires and that its
+allow() suppresses it.
 
 Exit status 0 when clean; 1 with `file:line: [rule] message` diagnostics
 otherwise.
@@ -81,6 +118,41 @@ ENUMS = {
     "CommitState": Path("src/events/event.hh"),
     "TraceEventKind": Path("src/core/trace_buffer.hh"),
 }
+
+#: Files allowed to make raw I/O calls: the wrappers that put the
+#: failpoint/retry seams around every syscall.
+RAW_IO_WRAPPERS = {
+    Path("src/core/trace_io.cc"),
+    Path("src/common/file_lock.cc"),
+}
+
+#: Free functions the raw-io rule watches for.
+RAW_IO_FUNCTIONS = {
+    # POSIX fd layer
+    "open", "openat", "creat", "close", "read", "write", "pread",
+    "pwrite", "lseek", "fsync", "fdatasync", "ftruncate", "truncate",
+    "rename", "renameat", "unlink", "unlinkat", "remove", "mkdir",
+    "mkdirat", "rmdir", "stat", "lstat", "fstat", "statx", "mmap",
+    "munmap", "msync", "flock", "fcntl", "utimensat",
+    # stdio layer
+    "fopen", "freopen", "fclose", "fread", "fwrite", "fflush", "fseek",
+    "fputs", "fputc", "fgets", "fgetc",
+}
+
+#: Words after which an unqualified `name(` is a call, not the
+#: declaration of a function `name`.
+CALL_KEYWORDS = {"return", "throw", "else", "do", "case", "co_return",
+                 "co_await"}
+
+#: Atomic member functions that take a trailing std::memory_order.
+ATOMIC_ORDERED_METHODS = {
+    "load", "store", "exchange", "fetch_add", "fetch_sub", "fetch_and",
+    "fetch_or", "fetch_xor", "compare_exchange_weak",
+    "compare_exchange_strong", "wait", "test_and_set", "clear", "test",
+}
+
+#: Directories naked-order applies to.
+NAKED_ORDER_DIRS = ("src/core/", "src/analysis/")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -154,14 +226,38 @@ def allows(raw_lines: list[str], lineno: int, tag: str,
     return any(needle in raw_lines[k] for k in range(lo, lineno))
 
 
+def block_end(text: str, start: int) -> int:
+    """Offset of the bracket that closes the `(`, `{` or `[` at
+    `start`, or -1 when `start` is -1 or the bracket never closes."""
+    if start < 0:
+        return -1
+    opener = text[start]
+    closer = {"(": ")", "{": "}", "[": "]"}[opener]
+    depth = 0
+    for i in range(start, len(text)):
+        if text[i] == opener:
+            depth += 1
+        elif text[i] == closer:
+            depth -= 1
+            if depth == 0:
+                return i
+    return -1
+
+
 class Linter:
-    def __init__(self, root: Path):
+    def __init__(self, root: Path, tree: Path | None = None):
+        """Lint the source files under `root`. The enums enum-switch
+        checks and the codec codec-version-lock pins are read from
+        `tree` (default: `root`), so a fixture tree is linted against
+        the real tree's definitions."""
         self.root = root
+        self.tree = tree or root
         self.violations: list[str] = []
         self.files_checked = 0
 
     def violate(self, path: Path, lineno: int, rule: str, msg: str):
-        rel = path.relative_to(self.root)
+        base = self.root if path.is_relative_to(self.root) else self.tree
+        rel = path.relative_to(base)
         self.violations.append(f"{rel}:{lineno}: [{rule}] {msg}")
 
     # --- rule: naked-new ------------------------------------------------
@@ -257,18 +353,10 @@ class Linter:
         """Yield (lineno, body) for each switch block."""
         for m in re.finditer(r"\bswitch\s*\(", stripped):
             start = stripped.find("{", m.end())
-            if start < 0:
-                continue
-            depth = 0
-            for i in range(start, len(stripped)):
-                if stripped[i] == "{":
-                    depth += 1
-                elif stripped[i] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        lineno = stripped.count("\n", 0, m.start()) + 1
-                        yield lineno, stripped[start:i + 1]
-                        break
+            end = block_end(stripped, start)
+            if end >= 0:
+                lineno = stripped.count("\n", 0, m.start()) + 1
+                yield lineno, stripped[start:end + 1]
 
     def check_enum_switches(self, path: Path, stripped: str,
                             raw_lines: list[str],
@@ -326,17 +414,8 @@ class Linter:
         """Body of the lambda whose `[` is at `capture_open`, or None
         when no balanced `{...}` follows (e.g. a parse oddity)."""
         start = stripped.find("{", capture_open)
-        if start < 0:
-            return None
-        depth = 0
-        for i in range(start, len(stripped)):
-            if stripped[i] == "{":
-                depth += 1
-            elif stripped[i] == "}":
-                depth -= 1
-                if depth == 0:
-                    return stripped[start:i + 1]
-        return None
+        end = block_end(stripped, start)
+        return stripped[start:end + 1] if end >= 0 else None
 
     # --- rule: raw-sync ---------------------------------------------------
 
@@ -354,7 +433,7 @@ class Linter:
                 continue
             self.violate(path, lineno, "raw-sync",
                          f"raw `std::{m.group(1)}`: use tea::Mutex/"
-                         "CondVar/MutexLock from common/sync.hh so the "
+                         "MutexLock from common/sync.hh so the "
                          "thread-safety analysis sees the lock "
                          "(annotate `tea_lint: allow(raw-sync)` when "
                          "the std type is genuinely required)")
@@ -376,24 +455,16 @@ class Linter:
         for line in stripped.splitlines():
             offsets.append(offsets[-1] + len(line) + 1)
         for idx, raw in enumerate(raw_lines):
-            if "tea_lint: hot" not in raw or "allow(" in raw:
+            if raw.strip() != "// tea_lint: hot":
                 continue
             pos = offsets[idx + 1] if idx + 1 < len(offsets) else None
             if pos is None:
                 continue
             start = stripped.find("{", pos)
-            if start < 0:
-                continue
-            depth = 0
-            for i in range(start, len(stripped)):
-                if stripped[i] == "{":
-                    depth += 1
-                elif stripped[i] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        yield (stripped.count("\n", 0, start) + 1,
-                               stripped.count("\n", 0, i) + 1)
-                        break
+            end = block_end(stripped, start)
+            if end >= 0:
+                yield (stripped.count("\n", 0, start) + 1,
+                       stripped.count("\n", 0, end) + 1)
 
     def check_hot_alloc(self, path: Path, stripped: str,
                         raw_lines: list[str]):
@@ -424,26 +495,224 @@ class Linter:
                         "this file: pre-size it or annotate "
                         "`tea_lint: allow(hot-alloc)`")
 
+    # --- rule: raw-io ----------------------------------------------------
+
+    RAW_IO_RE = re.compile(
+        r"\b(" + "|".join(sorted(RAW_IO_FUNCTIONS)) + r")\s*\(")
+
+    def raw_io_sites(self, stripped: str):
+        """Yield (offset, name, kind) for each listed `name(`: kind is
+        "free" for `::name(` and `std::name(`, "unqualified" for a bare
+        call, and "own" for a declaration or a `Scope::name(` the code
+        itself defines. Member calls (`obj.name(`) are skipped."""
+        for m in self.RAW_IO_RE.finditer(stripped):
+            before = stripped[max(0, m.start() - 80):m.start()].rstrip()
+            if before.endswith("::"):
+                scope = before[:-2].rstrip()
+                word = re.search(r"(\w+)$", scope)
+                own = scope.endswith(">") or (
+                    word and word[1] != "std"
+                    and word[1] not in CALL_KEYWORDS)
+                kind = "own" if own else "free"
+            elif before.endswith((".", "->")):
+                continue
+            else:
+                word = re.search(r"(\w+)$", before)
+                decl = (word and word[1] not in CALL_KEYWORDS) or (
+                    before.endswith(("*", "&", ">", "~"))
+                    and not before.endswith("&&"))
+                kind = "own" if decl else "unqualified"
+            yield m.start(), m[1], kind
+
+    def check_raw_io(self, path: Path, stripped: str,
+                     raw_lines: list[str], header: str):
+        # A name this file or its header declares is a member or
+        # project function: unqualified calls resolve to it first.
+        own = {name for _, name, kind in
+               self.raw_io_sites(header + "\n" + stripped)
+               if kind == "own"}
+        for off, name, kind in self.raw_io_sites(stripped):
+            if kind == "own" or (kind == "unqualified" and name in own):
+                continue
+            lineno = stripped.count("\n", 0, off) + 1
+            if allows(raw_lines, lineno, "raw-io"):
+                continue
+            self.violate(
+                path, lineno, "raw-io",
+                f"direct {name}() bypasses the failpoint/retry "
+                "seams in core/trace_io.cc / common/file_lock.cc; "
+                "route through a wrapper or annotate "
+                "`tea_lint: allow(raw-io)` with a reason")
+
+    # --- rule: naked-order -----------------------------------------------
+
+    ATOMIC_DECL_RE = re.compile(
+        r"\bstd::atomic(?:_flag\b|\s*<(?:[^<>;]|<[^<>;]*>)*>)\s*(\w+)")
+    MEMORY_ORDER_RE = re.compile(r"\bmemory_order_(\w+)|memory_order::(\w+)")
+
+    def check_naked_order(self, path: Path, stripped: str,
+                          raw_lines: list[str], header: str):
+        names = set(self.ATOMIC_DECL_RE.findall(header + "\n" + stripped))
+        if not names:
+            return
+        decls = {m.start(1) for m in self.ATOMIC_DECL_RE.finditer(stripped)}
+        use_re = re.compile(
+            r"(?<![\w.>:])(" + "|".join(sorted(names)) + r")\b")
+        for m in use_re.finditer(stripped):
+            if m.start() in decls:
+                continue
+            lineno = stripped.count("\n", 0, m.start()) + 1
+            if allows(raw_lines, lineno, "naked-order"):
+                continue
+            call = re.match(r"\s*\.\s*(\w+)\s*\(",
+                            stripped[m.end():m.end() + 200])
+            if call is None:
+                self.violate(
+                    path, lineno, "naked-order",
+                    f"atomic `{m[1]}` used through an operator or an "
+                    "implicit conversion, which cannot spell a memory "
+                    "order (it is always seq_cst): use explicit "
+                    "load/store/fetch_* with an order")
+                continue
+            if call[1] not in ATOMIC_ORDERED_METHODS:
+                continue
+            open_at = m.end() + call.end() - 1
+            close_at = block_end(stripped, open_at)
+            order = self.MEMORY_ORDER_RE.search(stripped, open_at, close_at)
+            if order is None:
+                self.violate(
+                    path, lineno, "naked-order",
+                    f"atomic {call[1]}() with implicit seq_cst: spell "
+                    "the memory order (std::memory_order_seq_cst when "
+                    "sequential consistency is really required)")
+                continue
+            weak = order[1] or order[2]
+            if weak not in ("relaxed", "acquire", "release", "acq_rel"):
+                continue
+            # A downgrade needs a justification comment nearby. Only
+            # text after "//" counts: the call's own memory_order_<x>
+            # token must not satisfy the check.
+            last = stripped.count("\n", 0, close_at) + 1
+            span = raw_lines[max(0, lineno - 5):last]
+            if not any("//" in l and weak in l.split("//", 1)[1]
+                       for l in span):
+                self.violate(
+                    path, lineno, "naked-order",
+                    f"memory_order_{weak} without a nearby "
+                    f"justification comment mentioning \"{weak}\": "
+                    "say why the weaker order is safe")
+
+    # --- rule: guard-missing ---------------------------------------------
+
+    CLASS_RE = re.compile(
+        r"\b(?:class|struct)\s+(\w+)\s*(?:final\s*)?(?::[^;{]*)?\{")
+    ACCESS_RE = re.compile(r"\b(?:public|private|protected)\s*:(?!:)")
+    NOT_FIELD = {"static", "using", "typedef", "friend", "enum", "class",
+                 "struct", "union", "template"}
+
+    @staticmethod
+    def class_members(stripped: str, open_at: int, close_at: int):
+        """Yield (offset, text) of each declaration directly inside the
+        class body between the braces at `open_at` and `close_at`. A
+        declaration ends at a top-level `;` or, for an inline method,
+        at the `}` closing its body."""
+        depth, start = 0, open_at + 1
+        for i in range(open_at + 1, close_at):
+            c = stripped[i]
+            if c in "({[":
+                depth += 1
+            elif c in ")}]":
+                depth -= 1
+            if depth == 0 and (c == ";" or (
+                    c == "}" and "(" in stripped[start:i])):
+                yield start, stripped[start:i + 1]
+                start = i + 1
+
+    def class_fields(self, stripped: str, open_at: int, close_at: int):
+        """Yield (offset of the name, name, type, guarded) for each
+        data member of the class; methods, nested types and static
+        members are not fields."""
+        for start, decl in self.class_members(stripped, open_at, close_at):
+            decl = self.ACCESS_RE.sub(lambda a: " " * len(a[0]), decl)
+            guarded = "TEA_GUARDED_BY" in decl
+            head = re.split(r"[={;]|\bTEA_GUARDED_BY\b", decl, maxsplit=1)[0]
+            tail = head.rsplit(">", 1)[-1]  # past any template arguments
+            name = re.search(r"(\w+)\s*(?:\[[^\]]*\]\s*)*$", head)
+            if (name is None or head.split()[0] in self.NOT_FIELD
+                    or "(" in tail or ")" in tail
+                    or re.search(r"\boperator\b", head)):
+                continue
+            yield start + name.start(1), name[1], head[:name.start(1)], \
+                guarded
+
+    @staticmethod
+    def is_self_synchronizing(type_: str) -> bool:
+        if "atomic" in type_:
+            return True
+        base = re.sub(r"\b(?:const|mutable)\b", "", type_.split("<")[0])
+        return base.strip().rsplit("::", 1)[-1] in ("Mutex", "MutexLock")
+
+    @staticmethod
+    def is_const(type_: str) -> bool:
+        t = " ".join(re.sub(r"\bmutable\b", "", type_).split())
+        return (t.startswith("const ") and not re.search(r"[*&]", t)) \
+            or t.endswith("const")
+
+    def check_guard_missing(self, path: Path, stripped: str,
+                            raw_lines: list[str]):
+        for cls in self.CLASS_RE.finditer(stripped):
+            if re.search(r"\benum\s*$",
+                         stripped[max(0, cls.start() - 12):cls.start()]):
+                continue
+            open_at = cls.end() - 1
+            fields = list(self.class_fields(stripped, open_at,
+                                            block_end(stripped, open_at)))
+            owns_mutex = any(
+                re.sub(r"\b(?:const|mutable)\b", "", t).strip()
+                in ("Mutex", "tea::Mutex") for _, _, t, _ in fields)
+            if not owns_mutex:
+                continue
+            for off, name, type_, guarded in fields:
+                if guarded or self.is_self_synchronizing(type_) or \
+                        self.is_const(type_):
+                    continue
+                lineno = stripped.count("\n", 0, off) + 1
+                if allows(raw_lines, lineno, "guard-missing"):
+                    continue
+                self.violate(
+                    path, lineno, "guard-missing",
+                    f"member `{name}` of lock-owning class `{cls[1]}` "
+                    "has no TEA_GUARDED_BY: the thread-safety analysis "
+                    "cannot protect an unannotated member (mark it "
+                    "const, make it atomic with spelled orders, or "
+                    "annotate `tea_lint: allow(guard-missing)` with a "
+                    "reason)")
+
     # --- driver ----------------------------------------------------------
 
     def run(self) -> int:
-        members = {e: self.parse_enum_members(self.root / h, e)
+        members = {e: self.parse_enum_members(self.tree / h, e)
                    for e, h in ENUMS.items()}
         for enum, names in members.items():
             if not names:
-                self.violate(self.root / ENUMS[enum], 1, "enum-switch",
+                self.violate(self.tree / ENUMS[enum], 1, "enum-switch",
                              f"could not parse members of enum {enum}")
-        codec_cc = self.root / "src" / "core" / "trace_codec.cc"
+        codec_cc = self.tree / "src" / "core" / "trace_codec.cc"
         if codec_cc.exists():
             self.check_codec_lock(codec_cc)
         else:
-            self.violate(self.root, 1, "codec-version-lock",
+            self.violate(self.tree, 1, "codec-version-lock",
                          "src/core/trace_codec.cc is missing")
         for path in iter_source_files(self.root):
             self.files_checked += 1
+            rel = path.relative_to(self.root)
             raw = path.read_text()
             raw_lines = raw.splitlines()
             stripped = strip_comments_and_strings(raw)
+            # A .cc's own header declares the members its code calls.
+            header = path.with_suffix(".hh")
+            header = strip_comments_and_strings(header.read_text()) \
+                if path.suffix == ".cc" and header.exists() else ""
             self.check_allocations(path, stripped, raw_lines)
             if path.name == "trace_io.cc":
                 self.check_unchecked_io(path, stripped, raw_lines)
@@ -453,6 +722,11 @@ class Linter:
                 self.check_raw_sync(path, stripped, raw_lines)
             if path.parent.name in ("core", "profilers"):
                 self.check_hot_alloc(path, stripped, raw_lines)
+            if rel not in RAW_IO_WRAPPERS:
+                self.check_raw_io(path, stripped, raw_lines, header)
+            if rel.as_posix().startswith(NAKED_ORDER_DIRS):
+                self.check_naked_order(path, stripped, raw_lines, header)
+            self.check_guard_missing(path, stripped, raw_lines)
 
         if self.violations:
             for v in self.violations:
@@ -460,7 +734,7 @@ class Linter:
             print(f"tea_lint: FAIL ({len(self.violations)} violation(s) "
                   f"in {self.files_checked} files)")
             return 1
-        print(f"tea_lint: PASS ({self.files_checked} files, 7 rules)")
+        print(f"tea_lint: PASS ({self.files_checked} files, 10 rules)")
         return 0
 
 
