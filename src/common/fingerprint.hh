@@ -62,7 +62,9 @@ class Fnv1a
 
 /**
  * CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of a byte range, seeded so
- * that crc32(crc32(a), b) == crc32 of the concatenation.
+ * that crc32(crc32(a), b) == crc32 of the concatenation. Computed
+ * slice-by-8 in portable scalar code; the values are those of the
+ * classic bytewise loop on any host.
  *
  * @param crc running checksum (0 to start a fresh one)
  */
