@@ -39,9 +39,9 @@ main()
 
         // Stall-length distribution of instructions with an empty PSV.
         std::uint64_t p99 = 0;
-        auto it = res.golden->stallHistograms().find(0);
-        if (it != res.golden->stallHistograms().end())
-            p99 = it->second.quantile(0.99);
+        const auto &eventFree = res.golden->stallHistograms()[0];
+        if (eventFree)
+            p99 = eventFree->quantile(0.99);
         p99s.push_back(static_cast<double>(p99));
 
         double coverage = res.golden->pics().total() /

@@ -58,11 +58,11 @@ main()
                 if (c.signature & mask)
                     explained += c.cycles;
             }
-            for (const auto &[sig, hist] :
-                 res.golden->stallHistograms()) {
-                if ((sig & mask) != 0)
-                    continue; // explained under this set
-                const auto &bins = hist.bins();
+            const auto &hists = res.golden->stallHistograms();
+            for (std::size_t sig = 0; sig < hists.size(); ++sig) {
+                if (!hists[sig] || (sig & mask) != 0)
+                    continue; // none, or explained under this set
+                const auto &bins = hists[sig]->bins();
                 for (std::size_t v = 0; v < bins.size(); ++v) {
                     if (bins[v])
                         unexplained.add(static_cast<std::uint64_t>(v),

@@ -26,10 +26,11 @@ eventImpactCorrelation(const GoldenReference &golden)
     for (unsigned e = 0; e < numEvents; ++e) {
         std::vector<double> xs;
         std::vector<double> ys;
-        for (const auto &[pc, counts] : golden.eventCounts()) {
-            if (counts[e] == 0)
+        const auto &counts = golden.eventCounts();
+        for (InstIndex pc = 0; pc < counts.size(); ++pc) {
+            if (counts[pc][e] == 0)
                 continue;
-            xs.push_back(static_cast<double>(counts[e]));
+            xs.push_back(static_cast<double>(counts[pc][e]));
             auto it = impact.find(pc);
             ys.push_back(it == impact.end() ? 0.0 : it->second[e]);
         }

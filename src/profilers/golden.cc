@@ -1,5 +1,8 @@
 #include "profilers/golden.hh"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "common/logging.hh"
 #include "core/trace_buffer.hh"
 
@@ -8,7 +11,90 @@ namespace tea {
 namespace {
 /** Upper bin of the per-instance stall histograms (cycles). */
 constexpr std::uint64_t stallHistMax = 512;
+
+/**
+ * Largest static-instruction table the golden reference grows to. Far
+ * past any program here; a pc beyond it can only come from a damaged
+ * trace, and the dense tables must not balloon to gigabytes for it.
+ */
+constexpr std::size_t maxStaticInsts = std::size_t{1} << 24;
 } // namespace
+
+void
+GoldenReference::reserveCells(std::size_t static_insts)
+{
+    // Four cells per instruction is the reserve the Pics built at onEnd
+    // takes too (Pics::fromCells), so its layout matches an add()-built
+    // table's.
+    reservedCells_ = 4 * static_insts;
+    cells_.reserve(reservedCells_);
+    nextCell_.reserve(reservedCells_);
+    if (static_insts > firstCell_.size()) {
+        firstCell_.resize(static_insts, noCell);
+        eventCounts_.resize(static_insts);
+    }
+}
+
+void
+GoldenReference::growTo(InstIndex pc)
+{
+    if (pc >= maxStaticInsts) {
+        throw std::length_error(strprintf(
+            "golden reference: pc %u is past the %zu-instruction table "
+            "limit (damaged trace?)",
+            pc, maxStaticInsts));
+    }
+    const std::size_t size = std::min(
+        maxStaticInsts,
+        std::max(std::size_t{pc} + 1, 2 * firstCell_.size()));
+    firstCell_.resize(size, noCell);
+    eventCounts_.resize(size);
+}
+
+// tea_lint: hot
+std::uint32_t
+GoldenReference::findOrAddCell(InstIndex pc, std::uint16_t sig)
+{
+    if (pc >= firstCell_.size())
+        growTo(pc);
+    for (std::uint32_t i = firstCell_[pc]; i != noCell; i = nextCell_[i]) {
+        if (cells_[i].signature == sig)
+            return i;
+    }
+    const auto i = static_cast<std::uint32_t>(cells_.size());
+    cells_.push_back(PicsComponent{pc, sig, 0.0});
+    nextCell_.push_back(firstCell_[pc]);
+    firstCell_[pc] = i;
+    return i;
+}
+
+// tea_lint: hot
+void
+GoldenReference::add(InstIndex pc, Psv psv, double cycles)
+{
+    if (cycles <= 0.0)
+        return;
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(pc) << 16) | psv.bits();
+    if (key != memoKey_) {
+        memoCell_ = findOrAddCell(pc, psv.bits());
+        memoKey_ = key;
+    }
+    cells_[memoCell_].cycles += cycles;
+    total_ += cycles;
+}
+
+Histogram &
+GoldenReference::newStallHistogram(std::uint16_t sig)
+{
+    if (sig >= numSignatures) {
+        throw std::out_of_range(strprintf(
+            "golden reference: signature 0x%x has bits past the %u "
+            "events (damaged trace?)",
+            sig, numEvents));
+    }
+    return stallHist_[sig].emplace(stallHistMax);
+}
 
 void
 GoldenReference::onCycle(const CycleRecord &rec)
@@ -18,7 +104,7 @@ GoldenReference::onCycle(const CycleRecord &rec)
         double share = 1.0 / rec.numCommitted;
         for (unsigned i = 0; i < rec.numCommitted; ++i) {
             const CommittedUop &u = rec.committed[i];
-            pics_.add(u.pc, u.psv, share);
+            add(u.pc, u.psv, share);
         }
         break;
       }
@@ -30,7 +116,7 @@ GoldenReference::onCycle(const CycleRecord &rec)
         break;
       case CommitState::Flushed:
         if (rec.lastValid) {
-            pics_.add(rec.lastPc, rec.lastPsv, 1.0);
+            add(rec.lastPc, rec.lastPsv, 1.0);
         } else {
             pendingCycles_ += 1.0; // start-up before any commit
         }
@@ -41,19 +127,21 @@ GoldenReference::onCycle(const CycleRecord &rec)
 void
 GoldenReference::onRetire(const RetireRecord &rec)
 {
+    std::uint64_t stalled = 0;
     if (pendingCycles_ > 0.0) {
-        pics_.add(rec.pc, rec.psv, pendingCycles_);
-        auto [it, inserted] = stallHist_.try_emplace(rec.psv.bits(),
-                                                     stallHistMax);
-        it->second.add(static_cast<std::uint64_t>(pendingCycles_));
+        add(rec.pc, rec.psv, pendingCycles_);
+        stalled = static_cast<std::uint64_t>(pendingCycles_);
         pendingCycles_ = 0.0;
-    } else {
-        auto [it, inserted] = stallHist_.try_emplace(rec.psv.bits(),
-                                                     stallHistMax);
-        it->second.add(0);
     }
+    const std::uint16_t sig = rec.psv.bits();
+    if (sig < numSignatures && stallHist_[sig])
+        stallHist_[sig]->add(stalled);
+    else
+        newStallHistogram(sig).add(stalled);
 
-    auto &counts = eventCounts_[rec.pc];
+    if (rec.pc >= eventCounts_.size())
+        growTo(rec.pc);
+    EventCounts &counts = eventCounts_[rec.pc];
     for (unsigned i = 0; i < numEvents; ++i) {
         if (rec.psv.test(static_cast<Event>(i)))
             ++counts[i];
@@ -97,6 +185,8 @@ GoldenReference::onEnd(Cycle final_cycle)
     (void)final_cycle;
     dropped_ = pendingCycles_;
     pendingCycles_ = 0.0;
+    // The one hash-table build of the run: every cell is final here.
+    pics_ = Pics::fromCells(cells_, total_, reservedCells_);
 }
 
 } // namespace tea

@@ -33,6 +33,21 @@ Pics::add(InstIndex pc, Psv psv, double cycles)
     total_ += cycles;
 }
 
+Pics
+Pics::fromCells(std::span<const PicsComponent> cells, double total,
+                std::size_t reserved)
+{
+    Pics out;
+    // Even reserve(0) resizes the bucket array, so a table that never
+    // reserved must not call it.
+    if (reserved > 0)
+        out.reserve(reserved);
+    for (const PicsComponent &c : cells)
+        out.cells_.emplace(key(c.unit, c.signature), c.cycles);
+    out.total_ = total;
+    return out;
+}
+
 double
 Pics::cycles(std::uint32_t unit, std::uint16_t signature) const
 {

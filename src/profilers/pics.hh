@@ -13,6 +13,7 @@
 #define TEA_PROFILERS_PICS_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -80,6 +81,21 @@ class Pics
 
     /** Add @p cycles to (unit @p pc, signature @p psv). */
     void add(InstIndex pc, Psv psv, double cycles);
+
+    /**
+     * Build a finished Pics in one pass from a collector's own table
+     * (GoldenReference): @p cells are distinct components in the order
+     * they were first touched, @p total is the running sum of every
+     * cycle they received, in the order received, and @p reserved is
+     * the reserve() an add()-built table would have had (0 for none).
+     * Inserting in first-touch order into an equally reserved table
+     * gives the bucket layout that add() calls would have given, so
+     * iteration order, and every floating-point sum over it, stays
+     * bit-identical; carrying the running total keeps total()
+     * bit-identical too.
+     */
+    static Pics fromCells(std::span<const PicsComponent> cells,
+                          double total, std::size_t reserved);
 
     /**
      * Pre-size the cell table for @p cells expected (unit, signature)

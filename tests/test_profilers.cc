@@ -5,6 +5,10 @@
  */
 
 #include <gtest/gtest.h>
+#include <map>
+#include <stdexcept>
+#include <unordered_map>
+#include <vector>
 
 #include "profilers/correlation.hh"
 #include "profilers/golden.hh"
@@ -57,7 +61,7 @@ TEST(GoldenReference, EventCountsMatchCoreStats)
 {
     Observed o = observe(workloads::flushySqrt(300, true), {});
     std::uint64_t flex = 0;
-    for (const auto &[pc, counts] : o.golden().eventCounts())
+    for (const auto &counts : o.golden().eventCounts())
         flex += counts[static_cast<unsigned>(Event::FlEx)];
     EXPECT_EQ(flex, o.run->stats()
                         .eventCounts[static_cast<unsigned>(Event::FlEx)]);
@@ -67,9 +71,201 @@ TEST(GoldenReference, StallHistogramCountsRetires)
 {
     Observed o = observe(workloads::aluLoop(1000), {});
     std::uint64_t n = 0;
-    for (const auto &[sig, hist] : o.golden().stallHistograms())
-        n += hist.count();
+    for (const auto &hist : o.golden().stallHistograms())
+        n += hist ? hist->count() : 0;
     EXPECT_EQ(n, o.run->stats().committedUops);
+}
+
+namespace {
+
+/**
+ * The golden reference as it was before its flat tables: a hashed Pics
+ * filled by add(), an unordered_map of event counts and a std::map of
+ * stall histograms. It replays the same trace as the real one, so
+ * every table of GoldenReference can be checked against it bit for
+ * bit, iteration order of the Pics included.
+ */
+class OracleGolden final : public TraceSink
+{
+  public:
+    void reserveCells(std::size_t static_insts)
+    {
+        pics_.reserve(4 * static_insts);
+        eventCounts_.reserve(static_insts);
+    }
+
+    void onCycle(const CycleRecord &rec) override
+    {
+        switch (rec.state) {
+          case CommitState::Compute: {
+            double share = 1.0 / rec.numCommitted;
+            for (unsigned i = 0; i < rec.numCommitted; ++i)
+                pics_.add(rec.committed[i].pc, rec.committed[i].psv, share);
+            break;
+          }
+          case CommitState::Stalled:
+          case CommitState::Drained:
+            pending_ += 1.0;
+            break;
+          case CommitState::Flushed:
+            if (rec.lastValid)
+                pics_.add(rec.lastPc, rec.lastPsv, 1.0);
+            else
+                pending_ += 1.0;
+            break;
+        }
+    }
+
+    void onRetire(const RetireRecord &rec) override
+    {
+        auto [it, inserted] = stallHist_.try_emplace(rec.psv.bits(), 512);
+        if (pending_ > 0.0) {
+            pics_.add(rec.pc, rec.psv, pending_);
+            it->second.add(static_cast<std::uint64_t>(pending_));
+            pending_ = 0.0;
+        } else {
+            it->second.add(0);
+        }
+        auto &counts = eventCounts_[rec.pc];
+        for (unsigned i = 0; i < numEvents; ++i) {
+            if (rec.psv.test(static_cast<Event>(i)))
+                ++counts[i];
+        }
+    }
+
+    void onEnd(Cycle) override
+    {
+        dropped_ = pending_;
+        pending_ = 0.0;
+    }
+
+    Pics pics_;
+    double pending_ = 0.0;
+    double dropped_ = 0.0;
+    std::unordered_map<InstIndex, GoldenReference::EventCounts>
+        eventCounts_;
+    std::map<std::uint16_t, Histogram> stallHist_;
+};
+
+/**
+ * Run @p w with a GoldenReference and an OracleGolden on one core, both
+ * reserved for @p reserve static instructions (none when 0), and check
+ * that every table of the golden matches the oracle's.
+ */
+void
+expectGoldenMatchesOracle(Workload w, std::size_t reserve)
+{
+    GoldenReference golden;
+    OracleGolden oracle;
+    if (reserve > 0) {
+        golden.reserveCells(reserve);
+        oracle.reserveCells(reserve);
+    }
+    TechniqueSampler ibs(ibsConfig(97));
+    CoreRun run = makeCore(std::move(w));
+    run->addSink(&golden);
+    run->addSink(&oracle);
+    run->addSink(&ibs);
+    run->run();
+
+    // Pics: the same cells in the same iteration order, and the same
+    // running total, to the last bit.
+    EXPECT_EQ(golden.pics().total(), oracle.pics_.total());
+    const std::vector<PicsComponent> got = golden.pics().components();
+    const std::vector<PicsComponent> want = oracle.pics_.components();
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_GT(got.size(), 0u);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].unit, want[i].unit) << "cell " << i;
+        ASSERT_EQ(got[i].signature, want[i].signature) << "cell " << i;
+        ASSERT_EQ(got[i].cycles, want[i].cycles) << "cell " << i;
+    }
+    // So do the floating-point sums iterated over them: a technique's
+    // error against the projected golden reference.
+    const std::uint16_t mask = ibs.config().eventMask;
+    EXPECT_EQ(ibs.pics().errorAgainst(golden.pics().masked(mask)),
+              ibs.pics().errorAgainst(oracle.pics_.masked(mask)));
+    EXPECT_EQ(golden.droppedCycles(), oracle.dropped_);
+
+    // Event counts: the oracle's rows, and zeros everywhere else.
+    const auto &counts = golden.eventCounts();
+    std::size_t matched = 0;
+    for (InstIndex pc = 0; pc < counts.size(); ++pc) {
+        auto it = oracle.eventCounts_.find(pc);
+        if (it == oracle.eventCounts_.end()) {
+            EXPECT_EQ(counts[pc], GoldenReference::EventCounts{})
+                << "pc " << pc;
+        } else {
+            EXPECT_EQ(counts[pc], it->second) << "pc " << pc;
+            ++matched;
+        }
+    }
+    EXPECT_EQ(matched, oracle.eventCounts_.size());
+
+    // Stall histograms: present exactly where the oracle has one.
+    const auto &hists = golden.stallHistograms();
+    for (std::size_t sig = 0; sig < hists.size(); ++sig) {
+        auto it = oracle.stallHist_.find(static_cast<std::uint16_t>(sig));
+        ASSERT_EQ(hists[sig].has_value(), it != oracle.stallHist_.end())
+            << "signature " << sig;
+        if (hists[sig]) {
+            EXPECT_EQ(hists[sig]->count(), it->second.count());
+            EXPECT_EQ(hists[sig]->bins(), it->second.bins());
+        }
+    }
+}
+
+} // namespace
+
+TEST(GoldenReference, TablesMatchHashedOracleWhenReserved)
+{
+    Workload w = workloads::byName("nab");
+    const std::size_t insts = w.program.size();
+    expectGoldenMatchesOracle(std::move(w), insts);
+    Workload flushy = workloads::flushySqrt(300, true);
+    const std::size_t flushyInsts = flushy.program.size();
+    expectGoldenMatchesOracle(std::move(flushy), flushyInsts);
+}
+
+TEST(GoldenReference, TablesMatchHashedOracleWithoutReserve)
+{
+    expectGoldenMatchesOracle(workloads::branchNoise(3000), 0);
+    expectGoldenMatchesOracle(workloads::pointerChase(64, 50, 4096), 0);
+}
+
+TEST(GoldenReference, TablesMatchHashedOracleForPcsPastTheReserve)
+{
+    // Reserved for 3 instructions: nearly every pc grows the tables.
+    Workload w = workloads::byName("mcf");
+    ASSERT_GT(w.program.size(), 3u);
+    expectGoldenMatchesOracle(std::move(w), 3);
+}
+
+TEST(GoldenReference, PicsAreEmptyUntilEnd)
+{
+    GoldenReference golden;
+    CycleRecord rec{};
+    rec.cycle = 0;
+    rec.state = CommitState::Flushed;
+    rec.lastValid = true;
+    rec.lastPc = 7;
+    golden.onCycle(rec);
+    EXPECT_EQ(golden.pics().size(), 0u);
+    golden.onEnd(1);
+    EXPECT_EQ(golden.pics().size(), 1u);
+    EXPECT_EQ(golden.pics().cycles(7, 0), 1.0);
+    // A pc past the reserve grew the event-count rows to cover it.
+    golden.onRetire(RetireRecord{1, 9, Psv{}, 0});
+    EXPECT_GE(golden.eventCounts().size(), 10u);
+}
+
+TEST(GoldenReference, RejectsSignatureBitsPastTheEvents)
+{
+    GoldenReference golden;
+    EXPECT_THROW(golden.onRetire(RetireRecord{1, 0,
+                                              Psv(std::uint16_t{1u << 12}),
+                                              0}),
+                 std::out_of_range);
 }
 
 TEST(Sampler, TeaAtPeriodOneMatchesGolden)
