@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <numeric>
 #include <thread>
 
 #include "analysis/audit.hh"
@@ -32,6 +34,24 @@ double
 secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/**
+ * The suite order's cost key of @p exp: the byte size of the cache
+ * entry it would replay, 0 without one. It builds the workload and
+ * drops it again (the run builds its own), so the plan holds at most
+ * one workload per worker. Any failure reads as 0: the run then meets
+ * the same failure and contains it.
+ */
+std::uint64_t
+plannedEntryBytes(const SuiteExperiment &exp,
+                  const TraceCacheOptions &cache) noexcept
+{
+    try {
+        return TraceCache::probeEntryBytes(cache, exp.make(), exp.cfg);
+    } catch (...) {
+        return 0;
+    }
 }
 
 } // namespace
@@ -321,23 +341,60 @@ runExperimentSuite(const std::vector<SuiteExperiment> &experiments,
         for (std::size_t i = 0; i < experiments.size(); ++i)
             runOne(i);
     } else {
+        // Suite order: the suite's wall time is at least its longest
+        // experiment's, and in list order a long one that starts late
+        // leaves the other workers idle at the end. When there are
+        // more experiments than workers and a cache to size them by,
+        // a plan loop on the same workers first prices every
+        // experiment by its entry's byte size (a warm replay's cost is
+        // about proportional to it); the run loop then claims them
+        // largest first. The sort is stable, so experiments without an
+        // entry (misses, a cold cache) keep list order, and results
+        // stay indexed by list position whatever the order.
+        const std::size_t n = experiments.size();
+        const bool plan = opts.cache.enabled && n > workers;
+        std::vector<std::uint64_t> cost(n, 0);
+        std::vector<std::size_t> order(n);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::barrier planned(workers, [&]() noexcept {
+            std::stable_sort(order.begin(), order.end(),
+                             [&](std::size_t a, std::size_t b) {
+                                 return cost[a] > cost[b];
+                             });
+        });
+
+        std::atomic<std::size_t> nextPlan{0};
         std::atomic<std::size_t> next{0};
         std::vector<std::thread> pool;
         pool.reserve(workers);
         for (unsigned w = 0; w < workers; ++w) {
-            // Cannot throw: runOne catches everything internally and
-            // fetch_add/size are noexcept.
+            // Cannot throw: plannedEntryBytes and runOne catch
+            // everything internally, and fetch_add, size and the
+            // barrier (whose completion sorts) are noexcept here.
             // tea_lint: allow(unguarded-worker)
             pool.emplace_back([&] {
-                // The cursor only partitions experiment indices: each
-                // results[i] is touched by exactly one worker, and the
-                // thread join orders it before the suite reads it. So
-                // both claims below are relaxed.
-                for (std::size_t i =
+                // The cursors only partition indices: each cost[i] and
+                // results[i] is touched by exactly one worker. The
+                // barrier orders every cost[i] before the sort and the
+                // sort before any run claim; the thread join orders
+                // results[i] before the suite reads it. So the claims
+                // below are relaxed.
+                if (plan) {
+                    for (std::size_t i = nextPlan.fetch_add(
+                             1, std::memory_order_relaxed);
+                         i < n; i = nextPlan.fetch_add(
+                                    1, std::memory_order_relaxed)) {
+                        cost[i] = plannedEntryBytes(experiments[i],
+                                                    opts.cache);
+                    }
+                    planned.arrive_and_wait();
+                }
+                // The run claims are relaxed too, for the same reason.
+                for (std::size_t k =
                          next.fetch_add(1, std::memory_order_relaxed);
-                     i < experiments.size();
-                     i = next.fetch_add(1, std::memory_order_relaxed)) {
-                    runOne(i);
+                     k < n;
+                     k = next.fetch_add(1, std::memory_order_relaxed)) {
+                    runOne(order[k]);
                 }
             });
         }

@@ -26,6 +26,11 @@ namespace tea {
  * holding every program and initial heap image in memory at once — a
  * workload is built on the worker that runs it and freed with the
  * result.
+ *
+ * make() may run twice for one experiment, possibly on two different
+ * workers: once to price it for the suite order (see
+ * runExperimentSuite) and once to run it. Both calls must build the
+ * same workload; the two never overlap.
  */
 struct SuiteExperiment
 {
@@ -40,6 +45,12 @@ struct SuiteExperiment
  * opts.threads experiments are in flight at a time; each runs
  * runWorkload() on one thread, so every result is bit-identical to a
  * serial loop.
+ *
+ * Suite order: with the trace cache on and more experiments than
+ * workers, the workers first build and fingerprint every workload to
+ * stat its cache entry, then start experiments largest entry first
+ * (a stable sort: experiments without an entry keep list order).
+ * Otherwise experiments start in list order and make() runs once each.
  *
  * @return results in the order of @p experiments
  */

@@ -83,6 +83,52 @@ sanitizeName(const std::string &name)
     return out;
 }
 
+std::string
+entryPathIn(const std::string &dir, const std::string &name,
+            std::uint64_t fp)
+{
+    return dir + "/" + sanitizeName(name) + "-" + hashHex(fp) + ".teatrc";
+}
+
+/** fingerprintOf without its failpoint seam. */
+std::uint64_t
+contentFingerprint(const Workload &workload, const CoreConfig &cfg)
+{
+    Fnv1a h;
+    h.add(std::uint64_t{traceCodecVersion});
+
+    // Program: every static instruction plus the code layout that the
+    // I-side timing model sees.
+    const Program &prog = workload.program;
+    h.add(prog.name());
+    h.add(prog.codeBase());
+    h.add(std::uint64_t{prog.entry()});
+    h.add(std::uint64_t{prog.size()});
+    for (const StaticInst &inst : prog.insts()) {
+        h.add(static_cast<std::uint64_t>(inst.op));
+        h.add(std::uint64_t{inst.rd});
+        h.add(std::uint64_t{inst.rs1});
+        h.add(std::uint64_t{inst.rs2});
+        h.addSigned(inst.imm);
+        h.add(std::uint64_t{inst.target});
+    }
+    // Symbols affect nothing in the trace itself but are cheap to hash
+    // and keep PSV/function attribution honest if they ever do.
+    for (const Symbol &sym : prog.functions()) {
+        h.add(sym.name);
+        h.add(std::uint64_t{sym.begin});
+        h.add(std::uint64_t{sym.end});
+    }
+
+    // Initial architectural state.
+    for (std::uint64_t r : workload.initial.regs)
+        h.add(r);
+    h.add(workload.initial.mem.contentHash());
+
+    hashConfig(h, cfg);
+    return h.value();
+}
+
 } // namespace
 
 TraceCacheOptions
@@ -129,39 +175,7 @@ TraceCache::TraceCache(TraceCacheOptions opts) : opts_(std::move(opts))
 std::uint64_t
 TraceCache::fingerprintOf(const Workload &workload, const CoreConfig &cfg)
 {
-    Fnv1a h;
-    h.add(std::uint64_t{traceCodecVersion});
-
-    // Program: every static instruction plus the code layout that the
-    // I-side timing model sees.
-    const Program &prog = workload.program;
-    h.add(prog.name());
-    h.add(prog.codeBase());
-    h.add(std::uint64_t{prog.entry()});
-    h.add(std::uint64_t{prog.size()});
-    for (const StaticInst &inst : prog.insts()) {
-        h.add(static_cast<std::uint64_t>(inst.op));
-        h.add(std::uint64_t{inst.rd});
-        h.add(std::uint64_t{inst.rs1});
-        h.add(std::uint64_t{inst.rs2});
-        h.addSigned(inst.imm);
-        h.add(std::uint64_t{inst.target});
-    }
-    // Symbols affect nothing in the trace itself but are cheap to hash
-    // and keep PSV/function attribution honest if they ever do.
-    for (const Symbol &sym : prog.functions()) {
-        h.add(sym.name);
-        h.add(std::uint64_t{sym.begin});
-        h.add(std::uint64_t{sym.end});
-    }
-
-    // Initial architectural state.
-    for (std::uint64_t r : workload.initial.regs)
-        h.add(r);
-    h.add(workload.initial.mem.contentHash());
-
-    hashConfig(h, cfg);
-    std::uint64_t fp = h.value();
+    std::uint64_t fp = contentFingerprint(workload, cfg);
     // Deterministic perturbation: the run still agrees with itself on
     // the key, but it can never match (or be matched by) a healthy run,
     // which forces the miss/stale-entry machinery to engage.
@@ -173,8 +187,24 @@ TraceCache::fingerprintOf(const Workload &workload, const CoreConfig &cfg)
 std::string
 TraceCache::entryPath(const std::string &name, std::uint64_t fp) const
 {
-    return opts_.dir + "/" + sanitizeName(name) + "-" + hashHex(fp) +
-           ".teatrc";
+    return entryPathIn(opts_.dir, name, fp);
+}
+
+std::uint64_t
+TraceCache::probeEntryBytes(const TraceCacheOptions &opts,
+                            const Workload &workload, const CoreConfig &cfg)
+{
+    if (!opts.enabled || opts.dir.empty())
+        return 0;
+    const std::string path = entryPathIn(
+        opts.dir, workload.program.name(), contentFingerprint(workload, cfg));
+    struct ::stat st{};
+    // Scheduling probe, outside the seams on purpose: a failure only
+    // reads as "no entry".
+    // tea_lint: allow(raw-io)
+    if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode))
+        return 0;
+    return static_cast<std::uint64_t>(st.st_size);
 }
 
 std::unique_ptr<MappedTraceFile>

@@ -84,6 +84,18 @@ class TraceCache
                           std::uint64_t fp) const;
 
     /**
+     * On-disk byte size of the entry @p workload under @p cfg would
+     * replay from in the cache @p opts describes, or 0 when there is
+     * none (or the cache is off). A plain probe for scheduling
+     * (runExperimentSuite's suite order): it creates no directory,
+     * validates nothing and passes through no failpoint seam or retry,
+     * since a wrong answer can only change an order.
+     */
+    static std::uint64_t probeEntryBytes(const TraceCacheOptions &opts,
+                                         const Workload &workload,
+                                         const CoreConfig &cfg);
+
+    /**
      * Open and fully validate the entry at @p path. Returns nullptr on
      * miss. Transient open/stat/mmap errors are retried with capped
      * backoff; a *damaged* entry (as opposed to a simply absent one)

@@ -10,10 +10,13 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <gtest/gtest.h>
+#include <iterator>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -22,6 +25,7 @@
 #include "analysis/audit.hh"
 #include "analysis/parallel_runner.hh"
 #include "analysis/runner.hh"
+#include "analysis/trace_cache.hh"
 #include "core/trace_buffer.hh"
 #include "profilers/golden.hh"
 #include "test_util.hh"
@@ -236,6 +240,220 @@ TEST(ParallelRunner, SuiteMatchesSerialLoop)
             expectExperimentsIdentical(serial[i], par[i]);
         }
     }
+}
+
+namespace {
+
+/** Iteration counts of the ordering suite: entries of clearly
+ *  different sizes, listed smallest first. */
+constexpr unsigned orderIterations[] = {300, 600, 1200, 2400, 4800, 9600};
+constexpr std::size_t orderExperiments = std::size(orderIterations);
+
+/**
+ * The ordering suite, with every make() call stamped: stamps[i] gets
+ * one global sequence number per call of experiment i's factory. Calls
+ * of one experiment never overlap (the plan and the run loop are
+ * separated by a barrier), so each stamps[i] has a single writer at a
+ * time.
+ */
+struct StampedSuite
+{
+    std::atomic<unsigned> seq{0};
+    std::vector<std::vector<unsigned>> stamps =
+        std::vector<std::vector<unsigned>>(orderExperiments);
+    std::vector<SuiteExperiment> experiments;
+
+    StampedSuite()
+    {
+        for (std::size_t i = 0; i < orderExperiments; ++i) {
+            experiments.push_back(SuiteExperiment{
+                "alu-" + std::to_string(orderIterations[i]),
+                [this, i] {
+                    stamps[i].push_back(
+                        seq.fetch_add(1, std::memory_order_relaxed));
+                    return workloads::aluLoop(orderIterations[i]);
+                },
+                CoreConfig{}});
+        }
+    }
+
+    /** Experiment indices in the order of their last make() call (the
+     *  run loop's, when a plan ran first). */
+    std::vector<std::size_t> runOrder() const
+    {
+        std::vector<std::size_t> out(orderExperiments);
+        std::iota(out.begin(), out.end(), std::size_t{0});
+        std::sort(out.begin(), out.end(), [&](std::size_t a, std::size_t b) {
+            return stamps[a].back() < stamps[b].back();
+        });
+        return out;
+    }
+
+    void expectCallsPerExperiment(std::size_t calls) const
+    {
+        for (std::size_t i = 0; i < orderExperiments; ++i)
+            EXPECT_EQ(stamps[i].size(), calls) << experiments[i].name;
+    }
+};
+
+/** Cache options for a fresh per-test directory under the temp dir. */
+RunnerOptions
+cachedIn(const std::filesystem::path &dir, unsigned threads)
+{
+    RunnerOptions opts;
+    opts.threads = threads;
+    opts.cache.enabled = true;
+    opts.cache.dir = dir.string();
+    return opts;
+}
+
+/**
+ * The run loop claims in a fixed order, but a worker that has claimed
+ * may call make() after a later claimer does: with @p threads workers,
+ * a claim's call lands within threads - 1 places of its claim.
+ */
+void
+expectClaimedInOrder(const std::vector<std::size_t> &ran,
+                     const std::vector<std::size_t> &claimed,
+                     unsigned threads)
+{
+    ASSERT_EQ(ran.size(), claimed.size());
+    for (std::size_t k = 0; k < claimed.size(); ++k) {
+        const auto at = static_cast<std::size_t>(
+            std::find(ran.begin(), ran.end(), claimed[k]) - ran.begin());
+        EXPECT_LT(at < k ? k - at : at - k, threads)
+            << "claim " << k << " (experiment " << claimed[k]
+            << ") ran at " << at;
+    }
+}
+
+} // namespace
+
+TEST(SuiteOrder, WarmCacheRunsLargestEntryFirst)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("tea-test-order-" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    const unsigned threads = 3;
+
+    // Cold: nothing to price, so the plan keeps list order.
+    std::vector<std::size_t> listOrder(orderExperiments);
+    std::iota(listOrder.begin(), listOrder.end(), std::size_t{0});
+    {
+        StampedSuite cold;
+        runExperimentSuite(cold.experiments, {teaConfig()},
+                           cachedIn(dir, threads));
+        cold.expectCallsPerExperiment(2);
+        expectClaimedInOrder(cold.runOrder(), listOrder, threads);
+    }
+
+    // The expected order: entry sizes, largest first.
+    std::vector<std::uint64_t> bytes;
+    for (std::size_t i = 0; i < orderExperiments; ++i) {
+        bytes.push_back(TraceCache::probeEntryBytes(
+            cachedIn(dir, threads).cache,
+            workloads::aluLoop(orderIterations[i]), CoreConfig{}));
+        ASSERT_GT(bytes.back(), 0u) << "no entry for experiment " << i;
+        if (i > 0) {
+            ASSERT_GT(bytes[i], bytes[i - 1] + bytes[i - 1] / 4);
+        }
+    }
+    const std::vector<std::size_t> largestFirst{5, 4, 3, 2, 1, 0};
+
+    StampedSuite warm;
+    std::vector<ExperimentResult> res = runExperimentSuite(
+        warm.experiments, standardTechniques(), cachedIn(dir, threads));
+    // Built once by the plan and once by the run.
+    warm.expectCallsPerExperiment(2);
+    expectClaimedInOrder(warm.runOrder(), largestFirst, threads);
+    // The largest entry is among the first claims, the smallest among
+    // the last: list order would fail both.
+    const std::vector<std::size_t> ran = warm.runOrder();
+    EXPECT_NE(std::find(ran.begin(), ran.begin() + threads, 5),
+              ran.begin() + threads);
+    EXPECT_NE(std::find(ran.end() - threads, ran.end(), 0), ran.end());
+
+    // Results stay in list order, bit-identical to a serial loop.
+    StampedSuite serialSuite;
+    std::vector<ExperimentResult> serial = runExperimentSuite(
+        serialSuite.experiments, standardTechniques(), cachedIn(dir, 1));
+    fs::remove_all(dir);
+    ASSERT_EQ(res.size(), orderExperiments);
+    for (std::size_t i = 0; i < orderExperiments; ++i) {
+        SCOPED_TRACE(warm.experiments[i].name);
+        EXPECT_EQ(res[i].name, warm.experiments[i].name);
+        EXPECT_TRUE(res[i].replay.cacheHit);
+        EXPECT_EQ(res[i].replay.cacheBytes, bytes[i]);
+        expectExperimentsIdentical(serial[i], res[i]);
+    }
+}
+
+TEST(SuiteOrder, WithoutAPlanEachWorkloadIsBuiltOnceInListOrder)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("tea-test-noplan-" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    std::vector<std::size_t> listOrder(orderExperiments);
+    std::iota(listOrder.begin(), listOrder.end(), std::size_t{0});
+    {
+        // Warm the cache, so only the rules below can skip the plan.
+        StampedSuite fill;
+        runExperimentSuite(fill.experiments, {teaConfig()},
+                           cachedIn(dir, 1));
+    }
+
+    // Cache off: nothing to price.
+    {
+        StampedSuite s;
+        RunnerOptions off;
+        off.threads = 3;
+        runExperimentSuite(s.experiments, {teaConfig()}, off);
+        s.expectCallsPerExperiment(1);
+        expectClaimedInOrder(s.runOrder(), listOrder, 3);
+    }
+    // One worker: order cannot change the suite's wall time.
+    {
+        StampedSuite s;
+        runExperimentSuite(s.experiments, {teaConfig()}, cachedIn(dir, 1));
+        s.expectCallsPerExperiment(1);
+        EXPECT_EQ(s.runOrder(), listOrder);
+    }
+    // A worker per experiment: every one starts at once anyway.
+    {
+        StampedSuite s;
+        runExperimentSuite(s.experiments, {teaConfig()},
+                           cachedIn(dir, orderExperiments));
+        s.expectCallsPerExperiment(1);
+    }
+    fs::remove_all(dir);
+}
+
+TEST(SuiteOrder, TwoThreadsReadOneResult)
+{
+    // A result may be read from several threads at once (each rendering
+    // a different view of it). Every accessor is a plain const read —
+    // the golden reference builds its Pics at the trace's end, not on
+    // first access — so the tsan preset sees no race here and both
+    // readers see the same numbers.
+    const ExperimentResult res =
+        runBenchmark("nab", standardTechniques(), RunnerOptions{});
+    double error[2] = {0.0, 0.0};
+    std::size_t cells[2] = {0, 0};
+    auto read = [&](int k) {
+        for (const TechniqueResult &t : res.techniques)
+            error[k] += res.errorOf(t);
+        cells[k] = res.golden->pics().components().size() +
+                   res.golden->eventCounts().size();
+    };
+    std::thread a(read, 0);
+    std::thread b(read, 1);
+    a.join();
+    b.join();
+    EXPECT_EQ(error[0], error[1]);
+    EXPECT_EQ(cells[0], cells[1]);
+    EXPECT_GT(cells[0], 0u);
 }
 
 TEST(TraceBufferTest, ReplayMatchesLiveGolden)
