@@ -14,10 +14,13 @@ bench and fails on any byte of difference, printing a unified diff.
 Re-record only on purpose, and say in CHANGES.md why the results moved.
 
 Every bench runs under the same environment: the caller's TEA_* knobs
-are dropped and the trace cache is forced off, so a developer's cache
-directory or failpoint list cannot leak into a pin. Results are
-bit-identical at any thread count and cache state, so neither choice
-changes what is compared; they only keep the run hermetic.
+are dropped, so a developer's cache directory or failpoint list cannot
+leak into a pin. The trace cache is off unless --cache-dir names one;
+the ctests share one cache per run (bench/CMakeLists.txt), so most
+benches replay traces an earlier bench stored. Results are bit-identical
+at any thread count and cache state, so neither choice changes what is
+compared. When a pin fails only with --cache-dir, the cache path is at
+fault, not the figure.
 """
 
 from __future__ import annotations
@@ -32,15 +35,19 @@ from pathlib import Path
 PIN_DIR = Path(__file__).resolve().parent
 
 
-def bench_env() -> dict[str, str]:
+def bench_env(cache_dir: str | None) -> dict[str, str]:
     env = {k: v for k, v in os.environ.items() if not k.startswith("TEA_")}
-    env["TEA_TRACE_CACHE"] = "0"
+    if cache_dir:
+        env["TEA_TRACE_CACHE_DIR"] = cache_dir
+    else:
+        env["TEA_TRACE_CACHE"] = "0"
     return env
 
 
-def run_bench(bench_dir: Path, name: str) -> bytes | None:
-    exe = bench_dir / name
-    proc = subprocess.run([str(exe)], env=bench_env(),
+def run_bench(bench_dir: Path, name: str,
+              cache_dir: str | None) -> bytes | None:
+    exe = bench_dir.resolve() / name
+    proc = subprocess.run([str(exe)], env=bench_env(cache_dir),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           check=False)
     if proc.returncode != 0:
@@ -50,13 +57,13 @@ def run_bench(bench_dir: Path, name: str) -> bytes | None:
     return proc.stdout
 
 
-def check(bench_dir: Path, name: str) -> bool:
+def check(bench_dir: Path, name: str, cache_dir: str | None) -> bool:
     pin = PIN_DIR / f"{name}.txt"
     if not pin.is_file():
         print(f"{name}: no pin at {pin}; record one with --record",
               file=sys.stderr)
         return False
-    got = run_bench(bench_dir, name)
+    got = run_bench(bench_dir, name, cache_dir)
     if got is None:
         return False
     want = pin.read_bytes()
@@ -72,8 +79,8 @@ def check(bench_dir: Path, name: str) -> bool:
     return False
 
 
-def record(bench_dir: Path, name: str) -> bool:
-    got = run_bench(bench_dir, name)
+def record(bench_dir: Path, name: str, cache_dir: str | None) -> bool:
+    got = run_bench(bench_dir, name, cache_dir)
     if got is None:
         return False
     (PIN_DIR / f"{name}.txt").write_bytes(got)
@@ -85,6 +92,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--record", action="store_true",
                     help="rewrite the pins from this build's output")
+    ap.add_argument("--cache-dir",
+                    help="trace-cache directory to run the benches with "
+                         "(default: cache off)")
     ap.add_argument("bench_dir", type=Path,
                     help="directory holding the built bench binaries")
     ap.add_argument("names", nargs="*",
@@ -98,7 +108,7 @@ def main() -> int:
             ap.error("name at least one bench to check")
         names = sorted(p.stem for p in PIN_DIR.glob("*.txt"))
     step = record if args.record else check
-    ok = [step(args.bench_dir, n) for n in names]
+    ok = [step(args.bench_dir, n, args.cache_dir) for n in names]
     return 0 if all(ok) else 1
 
 
