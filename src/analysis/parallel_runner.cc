@@ -369,8 +369,8 @@ runExperimentSuite(const std::vector<SuiteExperiment> &experiments,
         pool.reserve(workers);
         for (unsigned w = 0; w < workers; ++w) {
             // Cannot throw: plannedEntryBytes and runOne catch
-            // everything internally, and fetch_add, size and the
-            // barrier (whose completion sorts) are noexcept here.
+            // everything internally, fetch_add and size are noexcept,
+            // and so is the barrier's completion (the sort).
             // tea_lint: allow(unguarded-worker)
             pool.emplace_back([&] {
                 // The cursors only partition indices: each cost[i] and
