@@ -93,7 +93,8 @@ GoldenReference::newStallHistogram(std::uint16_t sig)
             "events (damaged trace?)",
             sig, numEvents));
     }
-    return stallHist_[sig].emplace(stallHistMax);
+    stallHist_[sig] = std::make_unique<Histogram>(stallHistMax);
+    return *stallHist_[sig];
 }
 
 void

@@ -17,7 +17,7 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "common/stats.hh"
@@ -50,9 +50,13 @@ class GoldenReference final : public TraceSink
     static constexpr std::size_t numSignatures = std::size_t{1}
                                                  << numEvents;
 
-    /** Stall histograms indexed by signature bits. */
+    /**
+     * Stall histograms indexed by signature bits, null where no
+     * instruction retired with the signature (a slot is a pointer, so an
+     * empty table costs 4 KiB, not 512 histograms).
+     */
     using StallHistograms =
-        std::array<std::optional<Histogram>, numSignatures>;
+        std::array<std::unique_ptr<Histogram>, numSignatures>;
 
     GoldenReference() = default;
 

@@ -206,7 +206,7 @@ expectGoldenMatchesOracle(Workload w, std::size_t reserve)
     const auto &hists = golden.stallHistograms();
     for (std::size_t sig = 0; sig < hists.size(); ++sig) {
         auto it = oracle.stallHist_.find(static_cast<std::uint16_t>(sig));
-        ASSERT_EQ(hists[sig].has_value(), it != oracle.stallHist_.end())
+        ASSERT_EQ(hists[sig] != nullptr, it != oracle.stallHist_.end())
             << "signature " << sig;
         if (hists[sig]) {
             EXPECT_EQ(hists[sig]->count(), it->second.count());
