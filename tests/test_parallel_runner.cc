@@ -69,8 +69,7 @@ expectExperimentsIdentical(const ExperimentResult &serial,
                            const ExperimentResult &parallel)
 {
     expectPicsIdentical(serial.golden->pics(), parallel.golden->pics());
-    EXPECT_EQ(serial.golden->eventCounts().size(),
-              parallel.golden->eventCounts().size());
+    EXPECT_EQ(serial.golden->eventCounts(), parallel.golden->eventCounts());
     ASSERT_EQ(serial.techniques.size(), parallel.techniques.size());
     for (std::size_t i = 0; i < serial.techniques.size(); ++i) {
         const TechniqueResult &s = serial.techniques[i];

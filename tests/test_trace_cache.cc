@@ -68,8 +68,7 @@ expectExperimentsIdentical(const ExperimentResult &ref,
                            const ExperimentResult &got)
 {
     expectPicsIdentical(ref.golden->pics(), got.golden->pics());
-    EXPECT_EQ(ref.golden->eventCounts().size(),
-              got.golden->eventCounts().size());
+    EXPECT_EQ(ref.golden->eventCounts(), got.golden->eventCounts());
     ASSERT_EQ(ref.techniques.size(), got.techniques.size());
     for (std::size_t i = 0; i < ref.techniques.size(); ++i) {
         const TechniqueResult &s = ref.techniques[i];

@@ -122,7 +122,7 @@ TEST(TraceIo, ReplayReproducesGoldenExactly)
     EXPECT_GT(cycles, 0u);
     EXPECT_DOUBLE_EQ(replayed.pics().total(), live.pics().total());
     EXPECT_NEAR(replayed.pics().errorAgainst(live.pics()), 0.0, 1e-9);
-    EXPECT_EQ(replayed.eventCounts().size(), live.eventCounts().size());
+    EXPECT_EQ(replayed.eventCounts(), live.eventCounts());
 }
 
 TEST(TraceIo, ReplayReproducesEverySamplingPolicy)
