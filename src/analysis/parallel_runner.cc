@@ -36,25 +36,32 @@ secondsSince(Clock::time_point t0)
     return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/**
- * The suite order's cost key of @p exp: the byte size of the cache
- * entry it would replay, 0 without one. It builds the workload and
- * drops it again (the run builds its own), so the plan holds at most
- * one workload per worker. Any failure reads as 0: the run then meets
- * the same failure and contains it.
- */
+} // namespace
+
 std::uint64_t
-plannedEntryBytes(const SuiteExperiment &exp,
-                  const TraceCacheOptions &cache) noexcept
+suiteOrderCost(const SuiteExperiment &exp,
+               const TraceCacheOptions &cache) noexcept
 {
+    // The workload is built and dropped again (the run builds its
+    // own), so the plan holds at most one workload per worker.
     try {
-        return TraceCache::probeEntryBytes(cache, exp.make(), exp.cfg);
+        const std::uint64_t bytes =
+            TraceCache::probeEntryBytes(cache, exp.make(), exp.cfg);
+        return bytes > 0 ? bytes : suiteMissCost;
     } catch (...) {
         return 0;
     }
 }
 
-} // namespace
+void
+sortLargestFirst(std::vector<std::size_t> &order,
+                 const std::vector<std::uint64_t> &cost) noexcept
+{
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return cost[a] > cost[b];
+                     });
+}
 
 unsigned
 RunnerOptions::parseThreads(const char *what, std::string_view text)
@@ -346,21 +353,16 @@ runExperimentSuite(const std::vector<SuiteExperiment> &experiments,
         // leaves the other workers idle at the end. When there are
         // more experiments than workers and a cache to size them by,
         // a plan loop on the same workers first prices every
-        // experiment by its entry's byte size (a warm replay's cost is
-        // about proportional to it); the run loop then claims them
-        // largest first. The sort is stable, so experiments without an
-        // entry (misses, a cold cache) keep list order, and results
-        // stay indexed by list position whatever the order.
+        // experiment (suiteOrderCost); the run loop then claims them
+        // costliest first (sortLargestFirst). Results stay indexed by
+        // list position whatever the order.
         const std::size_t n = experiments.size();
         const bool plan = opts.cache.enabled && n > workers;
         std::vector<std::uint64_t> cost(n, 0);
         std::vector<std::size_t> order(n);
         std::iota(order.begin(), order.end(), std::size_t{0});
         std::barrier planned(workers, [&]() noexcept {
-            std::stable_sort(order.begin(), order.end(),
-                             [&](std::size_t a, std::size_t b) {
-                                 return cost[a] > cost[b];
-                             });
+            sortLargestFirst(order, cost);
         });
 
         std::atomic<std::size_t> nextPlan{0};
@@ -368,7 +370,7 @@ runExperimentSuite(const std::vector<SuiteExperiment> &experiments,
         std::vector<std::thread> pool;
         pool.reserve(workers);
         for (unsigned w = 0; w < workers; ++w) {
-            // Cannot throw: plannedEntryBytes and runOne catch
+            // Cannot throw: suiteOrderCost and runOne catch
             // everything internally, fetch_add and size are noexcept,
             // and so is the barrier's completion (the sort).
             // tea_lint: allow(unguarded-worker)
@@ -384,8 +386,8 @@ runExperimentSuite(const std::vector<SuiteExperiment> &experiments,
                              1, std::memory_order_relaxed);
                          i < n; i = nextPlan.fetch_add(
                                     1, std::memory_order_relaxed)) {
-                        cost[i] = plannedEntryBytes(experiments[i],
-                                                    opts.cache);
+                        cost[i] = suiteOrderCost(experiments[i],
+                                                 opts.cache);
                     }
                     planned.arrive_and_wait();
                 }

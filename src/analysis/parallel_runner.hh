@@ -11,7 +11,10 @@
 #ifndef TEA_ANALYSIS_PARALLEL_RUNNER_HH
 #define TEA_ANALYSIS_PARALLEL_RUNNER_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -47,10 +50,11 @@ struct SuiteExperiment
  * serial loop.
  *
  * Suite order: with the trace cache on and more experiments than
- * workers, the workers first build and fingerprint every workload to
- * stat its cache entry, then start experiments largest entry first
- * (a stable sort: experiments without an entry keep list order).
- * Otherwise experiments start in list order and make() runs once each.
+ * workers, the workers first price every experiment (suiteOrderCost:
+ * build and fingerprint its workload, stat its cache entry), then
+ * start them costliest first (sortLargestFirst): misses, which must
+ * simulate, in list order, then hits largest entry first. Otherwise
+ * experiments start in list order and make() runs once each.
  *
  * @return results in the order of @p experiments
  */
@@ -58,6 +62,29 @@ std::vector<ExperimentResult> runExperimentSuite(
     const std::vector<SuiteExperiment> &experiments,
     const std::vector<SamplerConfig> &techniques,
     const RunnerOptions &opts = RunnerOptions{});
+
+/** suiteOrderCost of an experiment without a cache entry: above
+ *  every entry's, since a miss simulates before it replays. */
+inline constexpr std::uint64_t suiteMissCost =
+    std::numeric_limits<std::uint64_t>::max();
+
+/**
+ * The suite order's cost key of @p exp under the cache @p cache: the
+ * byte size of the entry it would replay (a warm replay's cost is
+ * about proportional to it), suiteMissCost without one, and 0 when
+ * make() or the fingerprint throws (the run then meets the same
+ * failure at once and contains it). Calls make() once.
+ */
+std::uint64_t suiteOrderCost(const SuiteExperiment &exp,
+                             const TraceCacheOptions &cache) noexcept;
+
+/**
+ * Sort @p order, experiment indices, by @p cost (indexed by
+ * experiment), highest first. The sort is stable: experiments of
+ * equal cost, such as the misses of a cold cache, keep their order.
+ */
+void sortLargestFirst(std::vector<std::size_t> &order,
+                      const std::vector<std::uint64_t> &cost) noexcept;
 
 /**
  * Convenience wrapper over runExperimentSuite: every named suite

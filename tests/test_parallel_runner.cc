@@ -15,8 +15,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <gtest/gtest.h>
-#include <iterator>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -245,42 +245,44 @@ namespace {
 
 /** Iteration counts of the ordering suite: entries of clearly
  *  different sizes, listed smallest first. */
-constexpr unsigned orderIterations[] = {300, 600, 1200, 2400, 4800, 9600};
-constexpr std::size_t orderExperiments = std::size(orderIterations);
+const std::vector<unsigned> orderIterations{300, 600, 1200, 2400, 4800,
+                                            9600};
+const std::size_t orderExperiments = orderIterations.size();
 
 /**
- * The ordering suite, with every make() call stamped: stamps[i] gets
- * one global sequence number per call of experiment i's factory. Calls
- * of one experiment never overlap (the plan and the run loop are
- * separated by a barrier), so each stamps[i] has a single writer at a
- * time.
+ * An ordering suite, one aluLoop experiment per iteration count, with
+ * every make() call stamped: stamps[i] gets one global sequence number
+ * per call of experiment i's factory. Calls of one experiment never
+ * overlap (the plan and the run loop are separated by a barrier), so
+ * each stamps[i] has a single writer at a time.
  */
 struct StampedSuite
 {
     std::atomic<unsigned> seq{0};
-    std::vector<std::vector<unsigned>> stamps =
-        std::vector<std::vector<unsigned>>(orderExperiments);
+    std::vector<std::vector<unsigned>> stamps;
     std::vector<SuiteExperiment> experiments;
 
-    StampedSuite()
+    explicit StampedSuite(
+        const std::vector<unsigned> &iterations = orderIterations)
+        : stamps(iterations.size())
     {
-        for (std::size_t i = 0; i < orderExperiments; ++i) {
+        for (std::size_t i = 0; i < iterations.size(); ++i) {
+            const unsigned iters = iterations[i];
             experiments.push_back(SuiteExperiment{
-                "alu-" + std::to_string(orderIterations[i]),
-                [this, i] {
+                "alu-" + std::to_string(iters),
+                [this, i, iters] {
                     stamps[i].push_back(
                         seq.fetch_add(1, std::memory_order_relaxed));
-                    return workloads::aluLoop(orderIterations[i]);
+                    return workloads::aluLoop(iters);
                 },
                 CoreConfig{}});
         }
     }
 
-    /** Experiment indices in the order of their last make() call (the
-     *  run loop's, when a plan ran first). */
-    std::vector<std::size_t> runOrder() const
+    /** Experiment indices in the order of their last make() call. */
+    std::vector<std::size_t> callOrder() const
     {
-        std::vector<std::size_t> out(orderExperiments);
+        std::vector<std::size_t> out(stamps.size());
         std::iota(out.begin(), out.end(), std::size_t{0});
         std::sort(out.begin(), out.end(), [&](std::size_t a, std::size_t b) {
             return stamps[a].back() < stamps[b].back();
@@ -290,112 +292,180 @@ struct StampedSuite
 
     void expectCallsPerExperiment(std::size_t calls) const
     {
-        for (std::size_t i = 0; i < orderExperiments; ++i)
+        for (std::size_t i = 0; i < stamps.size(); ++i)
             EXPECT_EQ(stamps[i].size(), calls) << experiments[i].name;
     }
 };
 
-/** Cache options for a fresh per-test directory under the temp dir. */
+/** A fresh cache directory under the temp dir, removed at scope exit. */
+struct TempCacheDir
+{
+    std::filesystem::path path;
+
+    explicit TempCacheDir(const std::string &tag)
+        : path(std::filesystem::temp_directory_path() /
+               ("tea-test-" + tag + "-" + std::to_string(::getpid())))
+    {
+        std::filesystem::remove_all(path);
+    }
+    ~TempCacheDir() { std::filesystem::remove_all(path); }
+};
+
+/** Options for @p threads workers over the cache in @p dir. */
 RunnerOptions
-cachedIn(const std::filesystem::path &dir, unsigned threads)
+cachedIn(const TempCacheDir &dir, unsigned threads)
 {
     RunnerOptions opts;
     opts.threads = threads;
     opts.cache.enabled = true;
-    opts.cache.dir = dir.string();
+    opts.cache.dir = dir.path.string();
     return opts;
 }
 
-/**
- * The run loop claims in a fixed order, but a worker that has claimed
- * may call make() after a later claimer does: with @p threads workers,
- * a claim's call lands within threads - 1 places of its claim.
- */
-void
-expectClaimedInOrder(const std::vector<std::size_t> &ran,
-                     const std::vector<std::size_t> &claimed,
-                     unsigned threads)
+std::vector<std::size_t>
+listOrder(std::size_t n)
 {
-    ASSERT_EQ(ran.size(), claimed.size());
-    for (std::size_t k = 0; k < claimed.size(); ++k) {
-        const auto at = static_cast<std::size_t>(
-            std::find(ran.begin(), ran.end(), claimed[k]) - ran.begin());
-        EXPECT_LT(at < k ? k - at : at - k, threads)
-            << "claim " << k << " (experiment " << claimed[k]
-            << ") ran at " << at;
-    }
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    return order;
+}
+
+/** The run order sortLargestFirst gives experiments priced @p cost. */
+std::vector<std::size_t>
+sortedByCost(const std::vector<std::uint64_t> &cost)
+{
+    std::vector<std::size_t> order = listOrder(cost.size());
+    sortLargestFirst(order, cost);
+    return order;
 }
 
 } // namespace
 
-TEST(SuiteOrder, WarmCacheRunsLargestEntryFirst)
+TEST(SuiteOrder, SortsCostliestFirstAndKeepsTiesInListOrder)
 {
-    namespace fs = std::filesystem;
-    const fs::path dir = fs::temp_directory_path() /
-                         ("tea-test-order-" + std::to_string(::getpid()));
-    fs::remove_all(dir);
-    const unsigned threads = 3;
+    // Misses first, then entries largest first, then experiments whose
+    // workload could not be built; equal costs keep list order.
+    EXPECT_EQ(sortedByCost({10, suiteMissCost, 30, 0, suiteMissCost, 30, 20}),
+              (std::vector<std::size_t>{1, 4, 2, 5, 6, 0, 3}));
+    EXPECT_EQ(sortedByCost({1, 2, 3, 4}),
+              (std::vector<std::size_t>{3, 2, 1, 0}));
+    // A cold cache: every experiment misses, so list order stays.
+    EXPECT_EQ(sortedByCost(std::vector<std::uint64_t>(5, suiteMissCost)),
+              listOrder(5));
+    EXPECT_TRUE(sortedByCost({}).empty());
+}
 
-    // Cold: nothing to price, so the plan keeps list order.
-    std::vector<std::size_t> listOrder(orderExperiments);
-    std::iota(listOrder.begin(), listOrder.end(), std::size_t{0});
-    {
-        StampedSuite cold;
-        runExperimentSuite(cold.experiments, {teaConfig()},
-                           cachedIn(dir, threads));
-        cold.expectCallsPerExperiment(2);
-        expectClaimedInOrder(cold.runOrder(), listOrder, threads);
-    }
+TEST(SuiteOrder, PricesAnExperimentByItsCacheEntry)
+{
+    TempCacheDir dir("cost");
+    const TraceCacheOptions cache = cachedIn(dir, 1).cache;
+    StampedSuite suite;
 
-    // The expected order: entry sizes, largest first.
-    std::vector<std::uint64_t> bytes;
+    // Cold: every experiment must simulate, so each is priced above any
+    // entry. One make() per price.
+    for (const SuiteExperiment &exp : suite.experiments)
+        EXPECT_EQ(suiteOrderCost(exp, cache), suiteMissCost) << exp.name;
+    suite.expectCallsPerExperiment(1);
+
+    // Warm: the byte size of the entry the run made.
+    const std::vector<ExperimentResult> filled = runExperimentSuite(
+        suite.experiments, {teaConfig()}, cachedIn(dir, 1));
+    std::vector<std::uint64_t> cost;
     for (std::size_t i = 0; i < orderExperiments; ++i) {
-        bytes.push_back(TraceCache::probeEntryBytes(
-            cachedIn(dir, threads).cache,
-            workloads::aluLoop(orderIterations[i]), CoreConfig{}));
-        ASSERT_GT(bytes.back(), 0u) << "no entry for experiment " << i;
+        SCOPED_TRACE(suite.experiments[i].name);
+        ASSERT_FALSE(filled[i].failed()) << filled[i].error;
+        cost.push_back(suiteOrderCost(suite.experiments[i], cache));
+        EXPECT_EQ(cost[i], filled[i].replay.cacheBytes);
         if (i > 0) {
-            ASSERT_GT(bytes[i], bytes[i - 1] + bytes[i - 1] / 4);
+            ASSERT_GT(cost[i], cost[i - 1] + cost[i - 1] / 4);
         }
     }
-    const std::vector<std::size_t> largestFirst{5, 4, 3, 2, 1, 0};
+    // The entries grow along the list, so the order is its reverse.
+    EXPECT_EQ(sortedByCost(cost),
+              (std::vector<std::size_t>{5, 4, 3, 2, 1, 0}));
 
-    StampedSuite warm;
-    std::vector<ExperimentResult> res = runExperimentSuite(
-        warm.experiments, standardTechniques(), cachedIn(dir, threads));
-    // Built once by the plan and once by the run.
-    warm.expectCallsPerExperiment(2);
-    expectClaimedInOrder(warm.runOrder(), largestFirst, threads);
-    // The largest entry is among the first claims, the smallest among
-    // the last: list order would fail both.
-    const std::vector<std::size_t> ran = warm.runOrder();
-    EXPECT_NE(std::find(ran.begin(), ran.begin() + threads, 5),
-              ran.begin() + threads);
-    EXPECT_NE(std::find(ran.end() - threads, ran.end(), 0), ran.end());
+    // Partly warm: a new experiment goes first, one whose workload
+    // cannot be built goes last.
+    StampedSuite fresh({150});
+    cost.push_back(suiteOrderCost(fresh.experiments[0], cache));
+    EXPECT_EQ(cost.back(), suiteMissCost);
+    const SuiteExperiment broken{
+        "broken",
+        []() -> Workload { throw std::runtime_error("cannot build"); },
+        CoreConfig{}};
+    cost.push_back(suiteOrderCost(broken, cache));
+    EXPECT_EQ(cost.back(), 0u);
+    EXPECT_EQ(sortedByCost(cost),
+              (std::vector<std::size_t>{6, 5, 4, 3, 2, 1, 0, 7}));
+}
 
-    // Results stay in list order, bit-identical to a serial loop.
+TEST(SuiteOrder, PlannedSuiteMatchesASerialLoop)
+{
+    // Three workers over six experiments with the cache on: the plan
+    // runs, so each workload is built twice (priced, then run). When
+    // each worker calls make() is up to the scheduler; the order must
+    // not change the results, which stay in list order and
+    // bit-identical to one worker's.
+    TempCacheDir dir("planned");
+    const unsigned threads = 3;
+    RunnerOptions serialOpts;
+    serialOpts.threads = 1;
     StampedSuite serialSuite;
-    std::vector<ExperimentResult> serial = runExperimentSuite(
-        serialSuite.experiments, standardTechniques(), cachedIn(dir, 1));
-    fs::remove_all(dir);
-    ASSERT_EQ(res.size(), orderExperiments);
-    for (std::size_t i = 0; i < orderExperiments; ++i) {
+    const std::vector<ExperimentResult> serial = runExperimentSuite(
+        serialSuite.experiments, standardTechniques(), serialOpts);
+
+    auto expectMatchesSerial = [&](const StampedSuite &suite,
+                                   const std::vector<ExperimentResult> &res) {
+        suite.expectCallsPerExperiment(2);
+        // The one order check that holds under any scheduling: a worker
+        // claims again only after its last experiment finished, and
+        // calls make() only after its claim, so at least k + 1 - threads
+        // run-loop make() calls precede the k-th claim's. The last
+        // claim, the smallest entry (experiment 0) in both runs below,
+        // is thus among the last `threads` calls; list order would
+        // claim it first. (A claim's make() may be delayed without
+        // bound, so nothing holds the first claims near the front.)
+        const std::vector<std::size_t> calls = suite.callOrder();
+        EXPECT_NE(std::find(calls.end() - threads, calls.end(), 0),
+                  calls.end());
+        ASSERT_EQ(res.size(), orderExperiments);
+        for (std::size_t i = 0; i < orderExperiments; ++i) {
+            SCOPED_TRACE(suite.experiments[i].name);
+            EXPECT_EQ(res[i].name, suite.experiments[i].name);
+            expectExperimentsIdentical(serial[i], res[i]);
+        }
+    };
+
+    // Partly warm: every other experiment has an entry, the rest
+    // simulate and store theirs.
+    {
+        StampedSuite fill({300, 1200, 4800});
+        runExperimentSuite(fill.experiments, {teaConfig()},
+                           cachedIn(dir, 1));
+    }
+    StampedSuite partly;
+    const std::vector<ExperimentResult> made = runExperimentSuite(
+        partly.experiments, standardTechniques(), cachedIn(dir, threads));
+    expectMatchesSerial(partly, made);
+    for (std::size_t i = 0; i < made.size(); ++i)
+        EXPECT_EQ(made[i].replay.cacheHit, i % 2 == 0) << i;
+
+    // Warm: every experiment replays the entry it used or made above.
+    StampedSuite warm;
+    const std::vector<ExperimentResult> replayed = runExperimentSuite(
+        warm.experiments, standardTechniques(), cachedIn(dir, threads));
+    expectMatchesSerial(warm, replayed);
+    for (std::size_t i = 0; i < replayed.size(); ++i) {
         SCOPED_TRACE(warm.experiments[i].name);
-        EXPECT_EQ(res[i].name, warm.experiments[i].name);
-        EXPECT_TRUE(res[i].replay.cacheHit);
-        EXPECT_EQ(res[i].replay.cacheBytes, bytes[i]);
-        expectExperimentsIdentical(serial[i], res[i]);
+        EXPECT_TRUE(replayed[i].replay.cacheHit);
+        EXPECT_GT(replayed[i].replay.cacheBytes, 0u);
+        EXPECT_EQ(replayed[i].replay.cacheBytes, made[i].replay.cacheBytes);
     }
 }
 
-TEST(SuiteOrder, WithoutAPlanEachWorkloadIsBuiltOnceInListOrder)
+TEST(SuiteOrder, WithoutAPlanEachWorkloadIsBuiltOnce)
 {
-    namespace fs = std::filesystem;
-    const fs::path dir = fs::temp_directory_path() /
-                         ("tea-test-noplan-" + std::to_string(::getpid()));
-    fs::remove_all(dir);
-    std::vector<std::size_t> listOrder(orderExperiments);
-    std::iota(listOrder.begin(), listOrder.end(), std::size_t{0});
+    TempCacheDir dir("noplan");
     {
         // Warm the cache, so only the rules below can skip the plan.
         StampedSuite fill;
@@ -403,6 +473,14 @@ TEST(SuiteOrder, WithoutAPlanEachWorkloadIsBuiltOnceInListOrder)
                            cachedIn(dir, 1));
     }
 
+    // One worker: order cannot change the suite's wall time, and one
+    // worker runs the list in order.
+    {
+        StampedSuite s;
+        runExperimentSuite(s.experiments, {teaConfig()}, cachedIn(dir, 1));
+        s.expectCallsPerExperiment(1);
+        EXPECT_EQ(s.callOrder(), listOrder(orderExperiments));
+    }
     // Cache off: nothing to price.
     {
         StampedSuite s;
@@ -410,14 +488,6 @@ TEST(SuiteOrder, WithoutAPlanEachWorkloadIsBuiltOnceInListOrder)
         off.threads = 3;
         runExperimentSuite(s.experiments, {teaConfig()}, off);
         s.expectCallsPerExperiment(1);
-        expectClaimedInOrder(s.runOrder(), listOrder, 3);
-    }
-    // One worker: order cannot change the suite's wall time.
-    {
-        StampedSuite s;
-        runExperimentSuite(s.experiments, {teaConfig()}, cachedIn(dir, 1));
-        s.expectCallsPerExperiment(1);
-        EXPECT_EQ(s.runOrder(), listOrder);
     }
     // A worker per experiment: every one starts at once anyway.
     {
@@ -426,7 +496,6 @@ TEST(SuiteOrder, WithoutAPlanEachWorkloadIsBuiltOnceInListOrder)
                            cachedIn(dir, orderExperiments));
         s.expectCallsPerExperiment(1);
     }
-    fs::remove_all(dir);
 }
 
 TEST(SuiteOrder, TwoThreadsReadOneResult)
