@@ -97,7 +97,7 @@ InvariantAuditor::onCycle(const CycleRecord &rec)
                          static_cast<unsigned long long>(rec.cycle)));
     }
 
-    // Committed uops: monotone seqs that continue the retire stream.
+    // Committed uops: monotone seqs, each dispatched before it commits.
     const unsigned committed =
         std::min<unsigned>(rec.numCommitted,
                            static_cast<unsigned>(rec.committed.size()));
@@ -132,37 +132,6 @@ InvariantAuditor::onCycle(const CycleRecord &rec)
         lastCommitSeq_ = u.seq;
         sawCommit_ = true;
     }
-
-    // The retires delivered since the previous cycle record must be
-    // exactly this cycle's commit snapshot: same uops, same PSVs, same
-    // cycle. This is the cross-check that catches a replay path (codec,
-    // queue, cache) delivering divergent event streams to different
-    // observers.
-    if (pendingRetires_.size() != committed) {
-        report(strprintf("cycle %llu committed %u uops but %zu retire "
-                         "events were delivered for it",
-                         static_cast<unsigned long long>(rec.cycle),
-                         committed, pendingRetires_.size()));
-    } else {
-        for (unsigned i = 0; i < committed; ++i) {
-            const RetireRecord &r = pendingRetires_[i];
-            const CommittedUop &u = rec.committed[i];
-            if (r.seq != u.seq || r.pc != u.pc || r.psv != u.psv ||
-                r.cycle != rec.cycle) {
-                report(strprintf(
-                    "retire/commit mismatch at cycle %llu slot %u: "
-                    "retired (seq %llu, pc %u, psv 0x%x, cycle %llu) "
-                    "vs committed (seq %llu, pc %u, psv 0x%x)",
-                    static_cast<unsigned long long>(rec.cycle), i,
-                    static_cast<unsigned long long>(r.seq), r.pc,
-                    r.psv.bits(),
-                    static_cast<unsigned long long>(r.cycle),
-                    static_cast<unsigned long long>(u.seq), u.pc,
-                    u.psv.bits()));
-            }
-        }
-    }
-    pendingRetires_.clear();
 
     // Last-committed side-band: valid from the first commit on, and in
     // a Compute cycle it names the youngest uop of this very cycle.
@@ -267,37 +236,6 @@ InvariantAuditor::onFetch(const UopRecord &rec)
 }
 
 void
-InvariantAuditor::onRetire(const RetireRecord &rec)
-{
-    ++events_;
-    if (sawEnd_)
-        report(strprintf("retire of seq %llu after the end marker",
-                         static_cast<unsigned long long>(rec.seq)));
-    if (sawRetire_ && rec.seq <= lastRetireSeq_) {
-        report(strprintf("non-monotonic retire seq %llu at cycle %llu "
-                         "(previous %llu)",
-                         static_cast<unsigned long long>(rec.seq),
-                         static_cast<unsigned long long>(rec.cycle),
-                         static_cast<unsigned long long>(
-                             lastRetireSeq_)));
-    }
-    // Retires are delivered while their commit cycle is in flight: the
-    // matching cycle record (same cycle number) follows them.
-    if (sawCycle_ && rec.cycle != lastCycle_ + 1) {
-        report(strprintf("retire of seq %llu carries cycle %llu while "
-                         "cycle %llu is in flight",
-                         static_cast<unsigned long long>(rec.seq),
-                         static_cast<unsigned long long>(rec.cycle),
-                         static_cast<unsigned long long>(lastCycle_ +
-                                                         1)));
-    }
-    checkPsv(rec.psv, "retired uop", rec.cycle, rec.seq);
-    lastRetireSeq_ = rec.seq;
-    sawRetire_ = true;
-    pendingRetires_.push_back(rec);
-}
-
-void
 InvariantAuditor::onEnd(Cycle final_cycle)
 {
     ++events_;
@@ -317,15 +255,6 @@ InvariantAuditor::onEnd(Cycle final_cycle)
                          static_cast<unsigned long long>(final_cycle),
                          static_cast<unsigned long long>(cycles_),
                          static_cast<unsigned long long>(lastCycle_)));
-    }
-    if (!pendingRetires_.empty()) {
-        report(strprintf("end marker at cycle %llu with %zu retires "
-                         "not covered by a cycle record (first seq "
-                         "%llu)",
-                         static_cast<unsigned long long>(final_cycle),
-                         pendingRetires_.size(),
-                         static_cast<unsigned long long>(
-                             pendingRetires_.front().seq)));
     }
     endCycle_ = final_cycle;
     sawEnd_ = true;

@@ -16,16 +16,20 @@
  *    side-band fields are consistent with it (Compute iff uops
  *    committed, Stalled implies a valid ROB head, Drained/Flushed
  *    imply an empty ROB snapshot),
- *  - commit, retire, dispatch and fetch sequence numbers are monotone
- *    and respect pipeline order (nothing commits before dispatching,
+ *  - commit, dispatch and fetch sequence numbers are monotone and
+ *    respect pipeline order (nothing commits before dispatching,
  *    nothing dispatches before fetching; the ROB head never moves
  *    backwards),
- *  - the retire stream and the per-cycle commit snapshots describe the
- *    same instructions (same seq/pc/PSV, cycle-by-cycle) — the
- *    cross-check that catches a sink being fed a divergent trace,
+ *  - in a Compute cycle the last-committed snapshot names the
+ *    youngest committed uop,
  *  - every PSV is restricted to the nine architectural events, and
  *  - the end marker agrees with the number of cycles actually
  *    delivered.
+ *
+ * The trace records each commit once, in its cycle record's commit
+ * slots; the retire callbacks observers receive are derived from those
+ * slots (deliverCycle, core/trace.hh), so the commit checks above cover
+ * them too and there is no second stream to cross-check.
  *
  * Cycle conservation at the PICS level (attributed cycles + dropped
  * tail == simulated cycles, exactly) is verified by a free helper
@@ -63,7 +67,6 @@ class InvariantAuditor : public TraceSink
     void onCycle(const CycleRecord &rec) override;
     void onDispatch(const UopRecord &rec) override;
     void onFetch(const UopRecord &rec) override;
-    void onRetire(const RetireRecord &rec) override;
     void onEnd(Cycle final_cycle) override;
 
     /**
@@ -110,11 +113,6 @@ class InvariantAuditor : public TraceSink
     SeqNum lastDispatchSeq_ = 0;
     bool sawFetch_ = false;
     SeqNum lastFetchSeq_ = 0;
-    bool sawRetire_ = false;
-    SeqNum lastRetireSeq_ = 0;
-
-    /** Retires since the previous cycle record, awaiting cross-check. */
-    std::vector<RetireRecord> pendingRetires_;
 };
 
 /**

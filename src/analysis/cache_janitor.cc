@@ -197,12 +197,6 @@ JanitorConfig::fromEnv()
     JanitorConfig cfg;
     cfg.maxBytes =
         envUnsigned("TEA_TRACE_CACHE_MAX_BYTES", cfg.maxBytes, 0, maxU64);
-    cfg.quarantineMaxCount = envUnsigned(
-        "TEA_CACHE_QUARANTINE_MAX", cfg.quarantineMaxCount, 0, maxU64);
-    cfg.quarantineMaxAgeS = envUnsigned("TEA_CACHE_QUARANTINE_MAX_AGE_S",
-                                        cfg.quarantineMaxAgeS, 0, maxU64);
-    cfg.orphanMaxAgeS = envUnsigned("TEA_CACHE_ORPHAN_MAX_AGE_S",
-                                    cfg.orphanMaxAgeS, 0, maxU64);
     return cfg;
 }
 

@@ -65,10 +65,9 @@ struct JanitorConfig
     unsigned lockTimeoutMs = 100;
 
     /**
-     * Budgets from the environment: TEA_TRACE_CACHE_MAX_BYTES,
-     * TEA_CACHE_QUARANTINE_MAX, TEA_CACHE_QUARANTINE_MAX_AGE_S,
-     * TEA_CACHE_ORPHAN_MAX_AGE_S. Unset variables keep the defaults
-     * above.
+     * The defaults above, with the byte budget from
+     * TEA_TRACE_CACHE_MAX_BYTES when it is set. The other fields are
+     * set in code only.
      */
     static JanitorConfig fromEnv();
 };

@@ -75,7 +75,6 @@ RunnerOptions
 RunnerOptions::fromEnv()
 {
     RunnerOptions opts;
-    constexpr unsigned maxU = std::numeric_limits<unsigned>::max();
     // Default: one experiment in flight per hardware thread (results
     // are identical at any thread count, so this is purely a speed knob).
     const char *threads = std::getenv("TEA_THREADS");
@@ -84,9 +83,6 @@ RunnerOptions::fromEnv()
     opts.audit = static_cast<unsigned>(envUnsigned("TEA_AUDIT", 0, 0, 1));
     opts.cache = TraceCacheOptions::fromEnv();
     opts.janitor = JanitorConfig::fromEnv();
-    opts.cacheLockTimeoutMs = static_cast<unsigned>(
-        envUnsigned("TEA_CACHE_LOCK_TIMEOUT_MS", opts.cacheLockTimeoutMs,
-                    0, maxU));
     return opts;
 }
 

@@ -90,10 +90,10 @@ struct RunnerOptions
     /**
      * Options from the environment: TEA_THREADS (default, and 0: one
      * per hardware thread), TEA_AUDIT (default 0, see audit above),
-     * TEA_CACHE_LOCK_TIMEOUT_MS, the trace-cache controls
-     * TEA_TRACE_CACHE / TEA_TRACE_CACHE_DIR (see TraceCacheOptions),
-     * and the janitor budgets TEA_TRACE_CACHE_MAX_BYTES etc. (see
-     * JanitorConfig::fromEnv). chunkEvents is set in code only.
+     * the trace-cache controls TEA_TRACE_CACHE / TEA_TRACE_CACHE_DIR
+     * (see TraceCacheOptions) and the janitor's byte budget
+     * TEA_TRACE_CACHE_MAX_BYTES (see JanitorConfig::fromEnv).
+     * chunkEvents and cacheLockTimeoutMs are set in code only.
      * Integers go through envUnsigned (common/env.hh): a sign, an
      * overflow or an out-of-range value is fatal.
      */

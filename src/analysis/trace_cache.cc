@@ -29,16 +29,6 @@ Failpoint fpFingerprint("trace_cache.fingerprint", 0);
 Failpoint fpQuarantine("trace_cache.quarantine", EACCES);
 Failpoint fpCacheTouch("trace_cache.touch", EACCES);
 
-std::string
-defaultCacheDir()
-{
-    const char *tmp = std::getenv("TMPDIR");
-    std::string base = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
-    if (base.back() == '/')
-        base.pop_back();
-    return base + "/tea-trace-cache";
-}
-
 /**
  * mkdir -p: create @p dir and any missing parents. Returns false (with
  * errno set) on the first failure other than "already exists".
@@ -151,8 +141,18 @@ TraceCacheOptions::fromEnv()
         }
     }
     if (opts.enabled && opts.dir.empty())
-        opts.dir = defaultCacheDir();
+        opts.dir = defaultDir();
     return opts;
+}
+
+std::string
+TraceCacheOptions::defaultDir()
+{
+    const char *tmp = std::getenv("TMPDIR");
+    std::string base = (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
+    if (base.back() == '/')
+        base.pop_back();
+    return base + "/tea-trace-cache";
 }
 
 TraceCache::TraceCache(TraceCacheOptions opts) : opts_(std::move(opts))

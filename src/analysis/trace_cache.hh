@@ -55,6 +55,12 @@ struct TraceCacheOptions
      *  - TEA_TRACE_CACHE=0 forces it off regardless.
      */
     static TraceCacheOptions fromEnv();
+
+    /**
+     * The directory used when caching is on and no directory is
+     * given: ${TMPDIR:-/tmp}/tea-trace-cache.
+     */
+    static std::string defaultDir();
 };
 
 /**

@@ -302,10 +302,6 @@ Core::retireUop(DynUop &u)
                    static_cast<unsigned long>(u.seq));
         lq_.pop_front();
     }
-
-    if (!sinks_.empty())
-        traceAppend(TraceEventKind::Retire).p.retire =
-            RetireRecord{u.seq, u.pc, u.psv, cycle_};
 }
 
 // tea_lint: hot

@@ -4,15 +4,18 @@
  *
  * The core publishes, for every simulated cycle, the commit state, the
  * committing micro-ops and their PSVs, the head-of-ROB micro-op, and the
- * last-committed instruction's PSV; it additionally publishes dispatch,
- * fetch and retire events. All profiling techniques are TraceSinks and
- * observe the exact same cycles, mirroring the paper's out-of-band
+ * last-committed instruction's PSV; it additionally publishes dispatch
+ * and fetch events. Each commit is recorded once, in its cycle record:
+ * observers' retire callbacks are derived from the record's commit
+ * slots (deliverCycle below). All profiling techniques are TraceSinks
+ * and observe the exact same cycles, mirroring the paper's out-of-band
  * methodology (Section 4).
  */
 
 #ifndef TEA_CORE_TRACE_HH
 #define TEA_CORE_TRACE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -70,7 +73,10 @@ struct UopRecord
     Cycle cycle = 0;
 };
 
-/** A micro-op retiring (committing) with its final PSV. */
+/**
+ * A micro-op retiring (committing) with its final PSV: one commit slot
+ * of a CycleRecord, stamped with the record's cycle.
+ */
 struct RetireRecord
 {
     SeqNum seq = invalidSeqNum;
@@ -94,7 +100,12 @@ class TraceSink
     /** Called for every fetched micro-op. */
     virtual void onFetch(const UopRecord &rec) { (void)rec; }
 
-    /** Called for every committing micro-op with its final PSV. */
+    /**
+     * Called for every committing micro-op with its final PSV. The
+     * trace carries no separate retire events: the calls are derived
+     * from each cycle record's commit slots (deliverCycle), in slot
+     * order, just before that record's onCycle.
+     */
     virtual void onRetire(const RetireRecord &rec) { (void)rec; }
 
     /** Called once when the simulated program has terminated. */
@@ -112,6 +123,27 @@ class TraceSink
      */
     virtual void onBatch(const TraceEvent *events, std::size_t n);
 };
+
+/**
+ * Deliver one cycle record to @p sink: an onRetire for each committed
+ * slot, in slot order and stamped with the record's cycle, then
+ * onCycle. This is the order the core commits in (the retires of a
+ * cycle, then its record), and every delivery path goes through here,
+ * so all observers see the same calls. Templated on the sink type so a
+ * final sink's calls resolve statically inside its onBatch loop.
+ */
+template <typename Sink>
+void
+deliverCycle(Sink &sink, const CycleRecord &rec)
+{
+    const unsigned n = std::min<unsigned>(
+        rec.numCommitted, static_cast<unsigned>(rec.committed.size()));
+    for (unsigned i = 0; i < n; ++i) {
+        const CommittedUop &u = rec.committed[i];
+        sink.onRetire(RetireRecord{u.seq, u.pc, u.psv, rec.cycle});
+    }
+    sink.onCycle(rec);
+}
 
 } // namespace tea
 

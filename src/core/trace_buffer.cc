@@ -38,11 +38,6 @@ eventsEquivalent(const TraceEvent &a, const TraceEvent &b)
         return a.p.uop.seq == b.p.uop.seq &&
                a.p.uop.pc == b.p.uop.pc &&
                a.p.uop.cycle == b.p.uop.cycle;
-      case TraceEventKind::Retire:
-        return a.p.retire.seq == b.p.retire.seq &&
-               a.p.retire.pc == b.p.retire.pc &&
-               a.p.retire.psv == b.p.retire.psv &&
-               a.p.retire.cycle == b.p.retire.cycle;
       case TraceEventKind::End:
         return a.p.end == b.p.end;
     }
@@ -61,16 +56,13 @@ deliverEvent(const TraceEvent &ev, TraceSink &sink)
 {
     switch (ev.kind) {
       case TraceEventKind::Cycle:
-        sink.onCycle(ev.p.cycle);
+        deliverCycle(sink, ev.p.cycle);
         break;
       case TraceEventKind::Dispatch:
         sink.onDispatch(ev.p.uop);
         break;
       case TraceEventKind::Fetch:
         sink.onFetch(ev.p.uop);
-        break;
-      case TraceEventKind::Retire:
-        sink.onRetire(ev.p.retire);
         break;
       case TraceEventKind::End:
         sink.onEnd(ev.p.end);
@@ -158,14 +150,6 @@ ChunkingSink::onFetch(const UopRecord &rec)
 }
 
 void
-ChunkingSink::onRetire(const RetireRecord &rec)
-{
-    append(TraceEventKind::Retire).p.retire = rec;
-    if (open_->events.size() >= chunkEvents_)
-        finish();
-}
-
-void
 ChunkingSink::onEnd(Cycle final_cycle)
 {
     append(TraceEventKind::End).p.end = final_cycle;
@@ -240,12 +224,6 @@ void
 TraceBuffer::onFetch(const UopRecord &rec)
 {
     sink_.onFetch(rec);
-}
-
-void
-TraceBuffer::onRetire(const RetireRecord &rec)
-{
-    sink_.onRetire(rec);
 }
 
 void

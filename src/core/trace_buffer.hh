@@ -3,8 +3,8 @@
  * In-memory cycle-trace capture (the filesystem-free TraceDoctor path).
  *
  * A TraceSink records every trace event — cycle snapshots, fetch and
- * dispatch uops, retires and the end marker — into fixed-size chunks of
- * a tagged union, preserving the exact interleaving the core produced.
+ * dispatch uops and the end marker — into fixed-size chunks of a tagged
+ * union, preserving the exact interleaving the core produced.
  * Chunks can be replayed through any set of TraceSinks, delivering
  * byte-identical records in the original order, which is what makes
  * out-of-band replay deterministic regardless of who replays them or
@@ -35,7 +35,6 @@ enum class TraceEventKind : std::uint8_t
     Cycle,
     Dispatch,
     Fetch,
-    Retire,
     End,
 };
 
@@ -47,7 +46,6 @@ struct TraceEvent
     {
         CycleRecord cycle;
         UopRecord uop; ///< Dispatch and Fetch
-        RetireRecord retire;
         Cycle end;
 
         Payload() : end(0) {}
@@ -76,7 +74,10 @@ using TraceChunkPtr = std::shared_ptr<const TraceChunk>;
  */
 bool eventsEquivalent(const TraceEvent &a, const TraceEvent &b);
 
-/** Deliver one captured event to @p sink. */
+/**
+ * Deliver one captured event to @p sink (a Cycle event through
+ * deliverCycle, so its commit slots reach onRetire first).
+ */
 void deliverEvent(const TraceEvent &ev, TraceSink &sink);
 
 /**
@@ -107,7 +108,6 @@ class ChunkingSink : public TraceSink
     void onCycle(const CycleRecord &rec) override;
     void onDispatch(const UopRecord &rec) override;
     void onFetch(const UopRecord &rec) override;
-    void onRetire(const RetireRecord &rec) override;
     void onEnd(Cycle final_cycle) override;
     void onBatch(const TraceEvent *events, std::size_t n) override;
 
@@ -141,7 +141,6 @@ class TraceBuffer : public TraceSink
     void onCycle(const CycleRecord &rec) override;
     void onDispatch(const UopRecord &rec) override;
     void onFetch(const UopRecord &rec) override;
-    void onRetire(const RetireRecord &rec) override;
     void onEnd(Cycle final_cycle) override;
     void onBatch(const TraceEvent *events, std::size_t n) override;
 

@@ -37,10 +37,6 @@ enum Stream : unsigned
     FetchSeq,
     FetchPc,
     FetchCycle,
-    RetSeq,
-    RetPc,
-    RetPsv,
-    RetCycle,
     EndCycle, ///< final cycle of End events (varint)
     NumStreams,
 };
@@ -57,13 +53,13 @@ constexpr unsigned flagLastValid = 0x1;
 // on-disk contract. Changing any of them invalidates every cached
 // trace, so the change must come with a traceCodecVersion bump — update
 // the pinned values here in the same commit that bumps the version.
-static_assert(traceCodecVersion == 1,
+static_assert(traceCodecVersion == 2,
               "codec version changed: re-pin the layout asserts below");
 static_assert(sizeof(ChunkFrameHeader) == 16,
               "ChunkFrameHeader layout changed: bump traceCodecVersion");
-static_assert(NumStreams == 20,
+static_assert(NumStreams == 16,
               "stream directory changed: bump traceCodecVersion");
-static_assert(static_cast<unsigned>(TraceEventKind::End) == 4,
+static_assert(static_cast<unsigned>(TraceEventKind::End) == 3,
               "trace event kinds changed: bump traceCodecVersion");
 static_assert(flagStateShift == 6 && flagCountShift == 2 &&
                   flagHeadValid == 0x2 && flagLastValid == 0x1,
@@ -168,7 +164,7 @@ encodeChunk(const TraceChunk &chunk, std::vector<std::uint8_t> &out)
     std::array<std::vector<std::uint8_t>, NumStreams> streams;
     DeltaState cycD, headSeqD, headPcD, lastPcD, comSeqD, comPcD;
     DeltaState dispSeqD, dispPcD, dispCycD, fetchSeqD, fetchPcD,
-        fetchCycD, retSeqD, retPcD, retCycD;
+        fetchCycD;
 
     std::vector<std::uint8_t> kinds;
     kinds.reserve(chunk.events.size());
@@ -217,14 +213,6 @@ encodeChunk(const TraceChunk &chunk, std::vector<std::uint8_t> &out)
             putVarint(streams[FetchSeq], fetchSeqD.encode(r.seq));
             putVarint(streams[FetchPc], fetchPcD.encode(r.pc));
             putVarint(streams[FetchCycle], fetchCycD.encode(r.cycle));
-            break;
-          }
-          case TraceEventKind::Retire: {
-            const RetireRecord &r = ev.p.retire;
-            putVarint(streams[RetSeq], retSeqD.encode(r.seq));
-            putVarint(streams[RetPc], retPcD.encode(r.pc));
-            putVarint(streams[RetPsv], r.psv.bits());
-            putVarint(streams[RetCycle], retCycD.encode(r.cycle));
             break;
           }
           case TraceEventKind::End:
@@ -380,7 +368,6 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
     const std::uint32_t nCyc = kindCount(TraceEventKind::Cycle);
     const std::uint32_t nDisp = kindCount(TraceEventKind::Dispatch);
     const std::uint32_t nFetch = kindCount(TraceEventKind::Fetch);
-    const std::uint32_t nRet = kindCount(TraceEventKind::Retire);
     const std::uint32_t nEnd = kindCount(TraceEventKind::End);
     if (nCyc != hdr.cycleRecords)
         return fail(why, "cycle-record count mismatch");
@@ -452,10 +439,6 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
         {FetchSeq, nFetch, "truncated fetch stream"},
         {FetchPc, nFetch, "truncated fetch stream"},
         {FetchCycle, nFetch, "truncated fetch stream"},
-        {RetSeq, nRet, "truncated retire stream"},
-        {RetPc, nRet, "truncated retire stream"},
-        {RetPsv, nRet, "truncated retire stream"},
-        {RetCycle, nRet, "truncated retire stream"},
         {EndCycle, nEnd, "truncated end stream"},
     };
     for (const auto &l : lengths) {
@@ -558,28 +541,6 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
     writeUops(pos[static_cast<unsigned>(TraceEventKind::Fetch)].get(),
               nFetch, TraceEventKind::Fetch, lanes[FetchSeq].get(),
               lanes[FetchPc].get(), lanes[FetchCycle].get());
-
-    {
-        const std::uint32_t *P =
-            pos[static_cast<unsigned>(TraceEventKind::Retire)].get();
-        const std::uint64_t *seq = lanes[RetSeq].get();
-        const std::uint64_t *pc = lanes[RetPc].get();
-        const std::uint64_t *psv = lanes[RetPsv].get();
-        const std::uint64_t *cycle = lanes[RetCycle].get();
-        std::uint64_t seqPrev = 0, pcPrev = 0, cycPrev = 0;
-        for (std::uint32_t j = 0; j < nRet; ++j) {
-            TraceEvent &ev = events[P[j]];
-            ev.kind = TraceEventKind::Retire;
-            RetireRecord &r = ev.p.retire;
-            seqPrev += static_cast<std::uint64_t>(unzigzag(seq[j]));
-            pcPrev += static_cast<std::uint64_t>(unzigzag(pc[j]));
-            cycPrev += static_cast<std::uint64_t>(unzigzag(cycle[j]));
-            r.seq = seqPrev;
-            r.pc = static_cast<InstIndex>(pcPrev);
-            r.psv = Psv(static_cast<std::uint16_t>(psv[j]));
-            r.cycle = cycPrev;
-        }
-    }
 
     {
         const std::uint32_t *P =

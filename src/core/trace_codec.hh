@@ -44,7 +44,7 @@ namespace tea {
  * cached trace file embeds (CoreStats layout, header layout). Bump on
  * any change; stale files then fail validation and are re-simulated.
  */
-inline constexpr std::uint32_t traceCodecVersion = 1;
+inline constexpr std::uint32_t traceCodecVersion = 2;
 
 /** Fixed per-frame header (little-endian, packed by construction). */
 struct ChunkFrameHeader

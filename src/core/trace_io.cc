@@ -373,12 +373,25 @@ MappedTraceFile::open(const std::string &path,
         return reject("CoreStats layout mismatch");
     if (hdr.fingerprint != expected_fingerprint)
         return reject("workload/config fingerprint mismatch");
-    if (size != sizeof(hdr) + hdr.statsBytes + hdr.payloadBytes)
+    // Subtract instead of adding: a crafted payloadBytes could wrap the
+    // sum around to the file size.
+    if (size - sizeof(hdr) < hdr.statsBytes ||
+        size - sizeof(hdr) - hdr.statsBytes != hdr.payloadBytes)
         return reject("file size does not match header (truncated?)");
 
     std::memcpy(&f->stats_, f->base_ + sizeof(hdr), sizeof(CoreStats));
     if (crc32(0, &f->stats_, sizeof(CoreStats)) != hdr.statsCrc)
         return reject("CoreStats CRC mismatch");
+
+    // Every frame is at least a frame header, so a larger count is
+    // damage; bound it before it sizes an allocation.
+    if (hdr.chunkCount > hdr.payloadBytes / sizeof(ChunkFrameHeader))
+        return reject(strprintf("header claims %llu chunks in %llu "
+                                "payload bytes",
+                                static_cast<unsigned long long>(
+                                    hdr.chunkCount),
+                                static_cast<unsigned long long>(
+                                    hdr.payloadBytes)));
 
     // CRC-verify every frame up front: no event is ever delivered from
     // a file with so much as one bad byte in it.

@@ -158,15 +158,12 @@ GoldenReference::onBatch(const TraceEvent *events, std::size_t n)
     // statically), minus the per-event virtual hop the default
     // TraceSink::onBatch fan-out pays. Dispatch and fetch events are
     // skipped outright — the golden reference only consumes commit
-    // state and retires.
+    // state and the retires derived from it.
     for (std::size_t i = 0; i < n; ++i) {
         const TraceEvent &ev = events[i];
         switch (ev.kind) {
           case TraceEventKind::Cycle:
-            onCycle(ev.p.cycle);
-            break;
-          case TraceEventKind::Retire:
-            onRetire(ev.p.retire);
+            deliverCycle(*this, ev.p.cycle);
             break;
           case TraceEventKind::Dispatch:
           case TraceEventKind::Fetch:

@@ -24,12 +24,7 @@ Pics::add(InstIndex pc, Psv psv, double cycles)
 {
     if (cycles <= 0.0)
         return;
-    const std::uint64_t k = key(pc, psv.bits());
-    if (k != lastKey_) {
-        lastCell_ = &cells_[k];
-        lastKey_ = k;
-    }
-    *lastCell_ += cycles;
+    cells_[key(pc, psv.bits())] += cycles;
     total_ += cycles;
 }
 

@@ -16,7 +16,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/fingerprint.hh"
@@ -50,35 +49,6 @@ struct PicsComponent
 class Pics
 {
   public:
-    Pics() = default;
-
-    // The last-cell memo below points into cells_; after a copy or a
-    // move it would alias the *source's* table, so every transfer
-    // resets it (cheap — the next add() re-primes it).
-    Pics(const Pics &other) : cells_(other.cells_), total_(other.total_)
-    {
-    }
-    Pics(Pics &&other) noexcept
-        : cells_(std::move(other.cells_)), total_(other.total_)
-    {
-        other.resetMemo();
-    }
-    Pics &operator=(const Pics &other)
-    {
-        cells_ = other.cells_;
-        total_ = other.total_;
-        resetMemo();
-        return *this;
-    }
-    Pics &operator=(Pics &&other) noexcept
-    {
-        cells_ = std::move(other.cells_);
-        total_ = other.total_;
-        resetMemo();
-        other.resetMemo();
-        return *this;
-    }
-
     /** Add @p cycles to (unit @p pc, signature @p psv). */
     void add(InstIndex pc, Psv psv, double cycles);
 
@@ -168,28 +138,8 @@ class Pics
         }
     };
 
-    void resetMemo()
-    {
-        lastKey_ = invalidKey;
-        lastCell_ = nullptr;
-    }
-
     std::unordered_map<std::uint64_t, double, KeyHash> cells_;
     double total_ = 0.0;
-
-    /**
-     * One-entry memo for add(): replay delivers long runs of cycles
-     * attributed to the same (pc, signature) — a stalled instruction, a
-     * tight loop — and the repeated hash-probe was measurable in the
-     * batched inner loops. unordered_map references are stable across
-     * rehash (only erase invalidates, and Pics never erases), so the
-     * cached cell pointer stays valid as the table grows. Keys are
-     * (unit << 16) | signature with a 32-bit unit, so bit 63 can never
-     * be set on a real key.
-     */
-    static constexpr std::uint64_t invalidKey = ~0ull;
-    std::uint64_t lastKey_ = invalidKey;
-    double *lastCell_ = nullptr;
 };
 
 } // namespace tea

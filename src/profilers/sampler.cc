@@ -233,22 +233,16 @@ TechniqueSampler::onBatch(const TraceEvent *events, std::size_t n)
     // Batched replay inner loop (the class is final, so the calls
     // below resolve statically). A sampler touches one cycle in
     // cfg_.period, so what matters here is making the skip cheap: one
-    // switch and one comparison per event, with the tag stages behind
-    // a hoisted policy test instead of a virtual call each.
-    const Cycle period = cfg_.period;
-    const Cycle phase = cfg_.phase;
+    // switch per event, with the tag stages behind a hoisted policy
+    // test instead of a virtual call each.
     const bool tags = cfg_.policy == SamplePolicy::DispatchTag ||
                       cfg_.policy == SamplePolicy::FetchTag;
     for (std::size_t i = 0; i < n; ++i) {
         const TraceEvent &ev = events[i];
         switch (ev.kind) {
-          case TraceEventKind::Cycle: {
-            const CycleRecord &rec = ev.p.cycle;
-            if (rec.cycle >= phase &&
-                (rec.cycle - phase) % period == 0)
-                takeSample(rec);
+          case TraceEventKind::Cycle:
+            deliverCycle(*this, ev.p.cycle);
             break;
-          }
           case TraceEventKind::Dispatch:
             if (tags)
                 tag(ev.p.uop, SamplePolicy::DispatchTag);
@@ -256,9 +250,6 @@ TechniqueSampler::onBatch(const TraceEvent *events, std::size_t n)
           case TraceEventKind::Fetch:
             if (tags)
                 tag(ev.p.uop, SamplePolicy::FetchTag);
-            break;
-          case TraceEventKind::Retire:
-            onRetire(ev.p.retire);
             break;
           case TraceEventKind::End:
             // Producers keep End out of batches (core/trace.hh), but

@@ -1,5 +1,5 @@
 // Seeded violation for tea_lint's enum-switch rule, checked against the
-// real tree's TraceEventKind (Cycle, Dispatch, Fetch, Retire, End).
+// real tree's TraceEventKind (Cycle, Dispatch, Fetch, End).
 // Never compiled into the project.
 #include "core/trace_buffer.hh"
 
@@ -25,7 +25,6 @@ complete(TraceEventKind k)
     case TraceEventKind::Cycle:
     case TraceEventKind::Dispatch:
     case TraceEventKind::Fetch:
-    case TraceEventKind::Retire:
         return 1;
     case TraceEventKind::End:
         return 0;

@@ -204,7 +204,6 @@ TEST(RunnerOptionsEnv, MalformedIntegersAreFatal)
         {"TEA_THREADS", "4294967297"},
         {"TEA_THREADS", "+2"},
         {"TEA_TRACE_CACHE_MAX_BYTES", "99999999999999999999"},
-        {"TEA_CACHE_LOCK_TIMEOUT_MS", "5ms"},
     };
     for (const auto &c : cases) {
         SCOPED_TRACE(std::string(c.name) + "=" + c.value);

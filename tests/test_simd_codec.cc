@@ -185,7 +185,7 @@ extremeChunk(Rng &rng, std::size_t count)
         cycle += swing ? (0x7fffffffffffffull + rng.below(1024)) : 1;
         seq += swing ? (0x3fffffffffffffull + rng.below(1024)) : 1;
         TraceEvent ev;
-        switch (rng.below(5)) {
+        switch (rng.below(4)) {
           case 0: {
             ev.kind = TraceEventKind::Cycle;
             ev.p.cycle = CycleRecord{};
@@ -222,12 +222,6 @@ extremeChunk(Rng &rng, std::size_t count)
           case 2:
             ev.kind = TraceEventKind::Fetch;
             ev.p.uop = UopRecord{seq, wildPc(), cycle};
-            break;
-          case 3:
-            ev.kind = TraceEventKind::Retire;
-            ev.p.retire = RetireRecord{
-                seq, wildPc(),
-                Psv(static_cast<std::uint16_t>(rng.below(512))), cycle};
             break;
           default:
             ev.kind = TraceEventKind::End;

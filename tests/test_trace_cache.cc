@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "analysis/parallel_runner.hh"
 #include "analysis/runner.hh"
 #include "analysis/trace_cache.hh"
+#include "common/fingerprint.hh"
 #include "common/rng.hh"
 #include "core/trace_buffer.hh"
 #include "core/trace_codec.hh"
@@ -175,7 +177,7 @@ randomEvents(Rng &rng, std::size_t count)
     SeqNum seq = 1;
     for (std::size_t i = 0; i < count; ++i) {
         TraceEvent ev;
-        switch (rng.below(5)) {
+        switch (rng.below(4)) {
           case 0: {
             ev.kind = TraceEventKind::Cycle;
             ev.p.cycle = CycleRecord{};
@@ -218,12 +220,6 @@ randomEvents(Rng &rng, std::size_t count)
             ev.p.uop = UopRecord{seq++,
                                  static_cast<InstIndex>(rng.below(4096)),
                                  cycle};
-            break;
-          case 3:
-            ev.kind = TraceEventKind::Retire;
-            ev.p.retire = RetireRecord{
-                seq++, static_cast<InstIndex>(rng.below(4096)),
-                Psv(static_cast<std::uint16_t>(rng.below(512))), cycle};
             break;
           default:
             ev.kind = TraceEventKind::End;
@@ -440,6 +436,80 @@ TEST(TraceCacheFile, OpenRejectsDamage)
     EXPECT_EQ(MappedTraceFile::open(path, fp, &why), nullptr);
 }
 
+TEST(TraceCacheFile, ResealedHeaderWithImplausibleSizesIsQuarantined)
+{
+    // A header whose CRC is intact but whose counts are absurd must be
+    // rejected with a reason, not size an allocation from them, and the
+    // cache must quarantine the entry (then re-simulate).
+    TempCacheDir dir;
+    TraceCache cache(cachedOptions(dir).cache);
+    ASSERT_TRUE(cache.enabled());
+    Workload w = workloads::aluLoop(300);
+    const std::uint64_t fp = TraceCache::fingerprintOf(w, CoreConfig{});
+    const std::string path = cache.entryPath("alu", fp);
+
+    TraceBuffer buf(256);
+    CoreRun run = makeCore(std::move(w));
+    run->addSink(&buf);
+    run->run();
+    buf.finish();
+    std::vector<char> original;
+    {
+        CompactTraceWriter writer(path, fp);
+        for (const TraceChunkPtr &chunk : buf.chunks())
+            writer.writeChunk(*chunk);
+        ASSERT_TRUE(writer.commit(run->stats()));
+        std::FILE *f = std::fopen(path.c_str(), "rb");
+        ASSERT_NE(f, nullptr);
+        char byte;
+        while (std::fread(&byte, 1, 1, f) == 1)
+            original.push_back(byte);
+        std::fclose(f);
+    }
+    ASSERT_GT(original.size(), 64u);
+
+    // Header layout (trace_io.cc): chunkCount at byte 24, payloadBytes
+    // at 48, statsCrc at 56, and headerCrc at 60 over bytes [0, 60).
+    auto put = [](std::vector<char> &bytes, std::size_t at, auto value) {
+        std::memcpy(bytes.data() + at, &value, sizeof(value));
+    };
+    auto reseal = [&](std::vector<char> bytes) {
+        put(bytes, 60, crc32(0, bytes.data(), 60));
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                  bytes.size());
+        std::fclose(f);
+    };
+
+    // 2^62 chunks cannot fit in the payload.
+    std::vector<char> count = original;
+    put(count, 24, std::uint64_t{1} << 62);
+    reseal(count);
+    std::string why;
+    EXPECT_EQ(MappedTraceFile::open(path, fp, &why), nullptr);
+    EXPECT_NE(why.find("chunks"), std::string::npos) << why;
+
+    CacheOpStats ops;
+    EXPECT_EQ(cache.openEntry(path, fp, &ops), nullptr);
+    EXPECT_TRUE(ops.damaged);
+    EXPECT_EQ(ops.quarantined, 1u);
+    struct ::stat st{};
+    EXPECT_NE(::stat(path.c_str(), &st), 0) << "entry left in place";
+
+    // A payload size that wraps the header + stats + payload sum around
+    // to the length of a header-only file: the stats would be read past
+    // the end of the file.
+    std::vector<char> wrap(original.begin(), original.begin() + 64);
+    put(wrap, 24, std::uint64_t{1} << 62);
+    put(wrap, 48, std::uint64_t{0} - sizeof(CoreStats));
+    const std::vector<char> zeros(sizeof(CoreStats), 0);
+    put(wrap, 56, crc32(0, zeros.data(), zeros.size()));
+    reseal(wrap);
+    EXPECT_EQ(MappedTraceFile::open(path, fp, &why), nullptr);
+    EXPECT_NE(why.find("file size"), std::string::npos) << why;
+}
+
 TEST(TraceCache, MissThenHitIsBitIdentical)
 {
     TempCacheDir dir;
@@ -605,4 +675,180 @@ TEST(TraceCacheFingerprint, SensitiveToWorkloadAndConfig)
     EXPECT_NE(
         TraceCache::fingerprintOf(workloads::lbm(p1), cfg),
         TraceCache::fingerprintOf(workloads::lbm(p2), cfg));
+}
+
+namespace {
+
+/**
+ * Records every observer callback in order. Not final and without an
+ * onBatch override, so batches reach it through TraceSink::onBatch and
+ * deliverEvent, the path every non-final sink takes.
+ */
+class CallRecorder : public TraceSink
+{
+  public:
+    /** One callback: a retire, or any other call kept as its event. */
+    struct Call
+    {
+        bool isRetire = false;
+        RetireRecord retire;
+        TraceEvent event;
+    };
+
+    void onCycle(const CycleRecord &rec) override
+    {
+        push(TraceEventKind::Cycle).p.cycle = rec;
+    }
+    void onDispatch(const UopRecord &rec) override
+    {
+        push(TraceEventKind::Dispatch).p.uop = rec;
+    }
+    void onFetch(const UopRecord &rec) override
+    {
+        push(TraceEventKind::Fetch).p.uop = rec;
+    }
+    void onRetire(const RetireRecord &rec) override
+    {
+        calls.push_back(Call{true, rec, TraceEvent{}});
+    }
+    void onEnd(Cycle final_cycle) override
+    {
+        push(TraceEventKind::End).p.end = final_cycle;
+    }
+
+    std::vector<Call> calls;
+
+  private:
+    TraceEvent &push(TraceEventKind kind)
+    {
+        calls.push_back(Call{});
+        calls.back().event.kind = kind;
+        return calls.back().event;
+    }
+};
+
+bool
+sameRetire(const RetireRecord &a, const RetireRecord &b)
+{
+    return a.seq == b.seq && a.pc == b.pc && a.psv == b.psv &&
+           a.cycle == b.cycle;
+}
+
+/** Forwards every per-kind callback to @p inner; no onBatch override. */
+class Forwarder : public TraceSink
+{
+  public:
+    explicit Forwarder(TraceSink &inner) : inner_(inner) {}
+
+    void onCycle(const CycleRecord &rec) override { inner_.onCycle(rec); }
+    void onDispatch(const UopRecord &rec) override
+    {
+        inner_.onDispatch(rec);
+    }
+    void onFetch(const UopRecord &rec) override { inner_.onFetch(rec); }
+    void onRetire(const RetireRecord &rec) override
+    {
+        inner_.onRetire(rec);
+    }
+    void onEnd(Cycle final_cycle) override { inner_.onEnd(final_cycle); }
+
+  private:
+    TraceSink &inner_;
+};
+
+} // namespace
+
+TEST(TraceDelivery, RetiresAreTheCommitSlotsBeforeTheirCycle)
+{
+    // The trace records each commit once, in its cycle record; the
+    // retire callbacks are derived from it. A live core and a cache-hit
+    // replay of the same workload must make the same calls, and each
+    // cycle's retires must be its commit slots, in slot order, stamped
+    // with its cycle, delivered just before its onCycle.
+    TempCacheDir dir;
+    const RunnerOptions opts = cachedOptions(dir);
+    ExperimentResult cold =
+        runWorkload(workloads::branchNoise(2000), {}, opts);
+    ASSERT_TRUE(cold.replay.cacheStored);
+
+    CallRecorder live;
+    CoreRun run = makeCore(workloads::branchNoise(2000));
+    run->addSink(&live);
+    run->run();
+
+    CallRecorder hit;
+    {
+        TraceCache cache(opts.cache);
+        Workload w = workloads::branchNoise(2000);
+        const std::uint64_t fp = TraceCache::fingerprintOf(w, CoreConfig{});
+        auto mapped = cache.openEntry(cache.entryPath(cold.name, fp), fp);
+        ASSERT_NE(mapped, nullptr);
+        while (TraceChunkPtr chunk = mapped->nextChunk())
+            replayChunk(*chunk, {&hit});
+    }
+
+    ASSERT_EQ(live.calls.size(), hit.calls.size());
+    for (std::size_t i = 0; i < live.calls.size(); ++i) {
+        SCOPED_TRACE(i);
+        const CallRecorder::Call &a = live.calls[i];
+        const CallRecorder::Call &b = hit.calls[i];
+        ASSERT_EQ(a.isRetire, b.isRetire);
+        EXPECT_TRUE(a.isRetire ? sameRetire(a.retire, b.retire)
+                               : eventsEquivalent(a.event, b.event));
+    }
+
+    std::uint64_t retires = 0, multiCommit = 0;
+    std::size_t pending = 0; // first retire since the last onCycle
+    for (std::size_t i = 0; i < live.calls.size(); ++i) {
+        const CallRecorder::Call &c = live.calls[i];
+        if (c.isRetire) {
+            ++retires;
+            continue;
+        }
+        if (c.event.kind == TraceEventKind::Cycle) {
+            const CycleRecord &rec = c.event.p.cycle;
+            ASSERT_EQ(i - pending, rec.numCommitted)
+                << "cycle " << rec.cycle;
+            for (unsigned s = 0; s < rec.numCommitted; ++s) {
+                const CommittedUop &u = rec.committed[s];
+                EXPECT_TRUE(sameRetire(live.calls[pending + s].retire,
+                                       RetireRecord{u.seq, u.pc, u.psv,
+                                                    rec.cycle}))
+                    << "cycle " << rec.cycle << " slot " << s;
+            }
+            multiCommit += rec.numCommitted > 1;
+        } else {
+            // Dispatch, fetch and End never split a cycle's retires
+            // from its record.
+            ASSERT_EQ(i, pending) << "call " << i;
+        }
+        pending = i + 1;
+    }
+    EXPECT_EQ(pending, live.calls.size());
+    EXPECT_EQ(retires, run->stats().committedUops);
+    EXPECT_GT(multiCommit, 0u);
+}
+
+TEST(TraceDelivery, SamplersMatchThroughOnBatchAndDeliverEvent)
+{
+    // Each sampler's own onBatch derives the retires inline; a sink
+    // without an onBatch override gets them from deliverEvent. Both
+    // must leave every sampler bit-identical.
+    TraceBuffer buf;
+    CoreRun run = makeCore(workloads::branchNoise(2000));
+    run->addSink(&buf);
+    run->run();
+    buf.finish();
+
+    for (const SamplerConfig &cfg : standardTechniques(7)) {
+        SCOPED_TRACE(cfg.name);
+        TechniqueSampler direct(cfg);
+        TechniqueSampler forwarded(cfg);
+        Forwarder fwd(forwarded);
+        buf.replay({&direct, &fwd});
+        EXPECT_GT(direct.samplesTaken(), 0u);
+        EXPECT_EQ(direct.samplesTaken(), forwarded.samplesTaken());
+        EXPECT_EQ(direct.samplesDropped(), forwarded.samplesDropped());
+        expectPicsIdentical(direct.pics(), forwarded.pics());
+    }
 }

@@ -224,22 +224,12 @@ randomEvents(std::uint64_t seed, unsigned count)
             ev.p.cycle = rec;
             break;
           }
-          case 1:
-          case 2: {
+          default: {
             ev.kind = rng.chance(0.5) ? TraceEventKind::Dispatch
                                       : TraceEventKind::Fetch;
             ev.p.uop = UopRecord{
                 rng.next(),
                 static_cast<InstIndex>(rng.below(1 << 20)), i};
-            break;
-          }
-          default: {
-            ev.kind = TraceEventKind::Retire;
-            ev.p.retire = RetireRecord{
-                rng.next(),
-                static_cast<InstIndex>(rng.below(1 << 20)),
-                Psv(static_cast<std::uint16_t>(rng.below(0x200))),
-                i};
             break;
           }
         }

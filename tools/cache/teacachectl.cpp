@@ -7,7 +7,7 @@
  *
  *   teacachectl [--dir DIR] stats    one-line accounting summary
  *   teacachectl [--dir DIR] scan     per-file listing with classification
- *   teacachectl [--dir DIR] gc       full janitor pass (env budgets)
+ *   teacachectl [--dir DIR] gc       full janitor pass (env byte budget)
  *   teacachectl [--dir DIR] evict --max-bytes N
  *                                    budget-only pass with an explicit cap
  *   teacachectl [--dir DIR] verify [--quarantine]
@@ -15,10 +15,9 @@
  *                                    exits 1 when any entry is damaged
  *
  * DIR defaults to the runner's own resolution: TEA_TRACE_CACHE_DIR,
- * else ${TMPDIR:-/tmp}/tea-trace-cache. Janitor budgets come from the
- * same environment variables the runner reads (JanitorConfig::fromEnv:
- * TEA_TRACE_CACHE_MAX_BYTES, TEA_CACHE_QUARANTINE_MAX,
- * TEA_CACHE_QUARANTINE_MAX_AGE_S, TEA_CACHE_ORPHAN_MAX_AGE_S).
+ * else ${TMPDIR:-/tmp}/tea-trace-cache. The janitor's byte budget comes
+ * from the variable the runner reads (JanitorConfig::fromEnv:
+ * TEA_TRACE_CACHE_MAX_BYTES); its other limits are built in.
  */
 
 #include <cstdio>
@@ -46,32 +45,14 @@ usage(std::FILE *to)
         "commands:\n"
         "  stats                   one-line cache accounting\n"
         "  scan                    list every cache file, classified\n"
-        "  gc                      janitor pass with env budgets\n"
+        "  gc                      janitor pass with the env byte budget\n"
         "  evict --max-bytes N     janitor pass with an explicit byte cap\n"
         "  verify [--quarantine]   validate every entry; exit 1 on damage\n"
         "\n"
         "DIR defaults to TEA_TRACE_CACHE_DIR, else\n"
-        "${TMPDIR:-/tmp}/tea-trace-cache. Budgets come from\n"
-        "TEA_TRACE_CACHE_MAX_BYTES, TEA_CACHE_QUARANTINE_MAX,\n"
-        "TEA_CACHE_QUARANTINE_MAX_AGE_S and TEA_CACHE_ORPHAN_MAX_AGE_S.\n",
+        "${TMPDIR:-/tmp}/tea-trace-cache. The byte budget comes from\n"
+        "TEA_TRACE_CACHE_MAX_BYTES.\n",
         to);
-}
-
-/** The directory the runner itself would use under this environment. */
-std::string
-defaultDir()
-{
-    TraceCacheOptions opts = TraceCacheOptions::fromEnv();
-    if (!opts.dir.empty())
-        return opts.dir;
-    // Caching disabled in the environment: still resolve the default
-    // location so `teacachectl stats` works without TEA_TRACE_CACHE=1.
-    const char *tmp = std::getenv("TMPDIR");
-    std::string base =
-        (tmp != nullptr && *tmp != '\0') ? tmp : "/tmp";
-    if (base.back() == '/')
-        base.pop_back();
-    return base + "/tea-trace-cache";
 }
 
 void
@@ -197,8 +178,13 @@ main(int argc, char **argv)
         usage(stderr);
         return 2;
     }
+    // The runner's directory under this environment; with caching
+    // off, still its default location, so `teacachectl stats` works
+    // without TEA_TRACE_CACHE=1.
     if (dir.empty())
-        dir = defaultDir();
+        dir = TraceCacheOptions::fromEnv().dir;
+    if (dir.empty())
+        dir = TraceCacheOptions::defaultDir();
 
     if (command == "stats")
         return cmdStats(dir);

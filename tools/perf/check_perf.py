@@ -19,8 +19,8 @@ because only the relative check ran.
 
 Usage:
     check_perf.py BASELINE.json CURRENT.json \
-        --key decode_events_per_second \
-        --key warm_replay_events_per_second [--max-regress 0.20] \
+        --key decode_cycles_per_second \
+        --key warm_replay_cycles_per_second [--max-regress 0.20] \
         --min speedup_vs_reference=1.0
 """
 
@@ -71,7 +71,7 @@ def main() -> int:
     ap.add_argument("--key", action="append", dest="keys", metavar="KEY",
                     help="throughput key to compare, higher is better "
                          "(repeatable; default "
-                         "fastpath_events_per_second)")
+                         "fastpath_cycles_per_second)")
     ap.add_argument("--max-regress", type=float, default=0.20,
                     help="maximum tolerated fractional regression "
                          "(default 0.20)")
@@ -80,7 +80,7 @@ def main() -> int:
                     help="absolute floor on a key of CURRENT, checked "
                          "independently of the baseline (repeatable)")
     args = ap.parse_args()
-    keys = args.keys or ["fastpath_events_per_second"]
+    keys = args.keys or ["fastpath_cycles_per_second"]
 
     floors = []
     for spec in args.floors:
