@@ -43,6 +43,41 @@ void
 InvariantAuditor::onCycle(const CycleRecord &rec)
 {
     ++events_;
+    auditCycle(rec);
+}
+
+void
+InvariantAuditor::onSpan(const CycleRecord &first, std::uint32_t n)
+{
+    ++events_;
+    const auto at = static_cast<unsigned long long>(first.cycle);
+    if (n < 2) {
+        report(strprintf("span at cycle %llu covers %u cycle(s): a span "
+                         "covers at least 2",
+                         at, n));
+    }
+    if (first.state == CommitState::Compute || first.numCommitted != 0) {
+        report(strprintf("span at cycle %llu is in state %s with %u "
+                         "committed uops: a span covers idle cycles only",
+                         at, commitStateName(first.state),
+                         first.numCommitted));
+    }
+    if (first.cycle + n < first.cycle) {
+        report(strprintf("span at cycle %llu of %u cycles runs past the "
+                         "last cycle",
+                         at, n));
+        return;
+    }
+    CycleRecord rec = first;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        rec.cycle = first.cycle + i;
+        auditCycle(rec);
+    }
+}
+
+void
+InvariantAuditor::auditCycle(const CycleRecord &rec)
+{
     ++cycles_;
     if (sawEnd_) {
         report(strprintf("cycle record %llu after the end marker "

@@ -22,7 +22,11 @@
  *    backwards),
  *  - in a Compute cycle the last-committed snapshot names the
  *    youngest committed uop,
- *  - every PSV is restricted to the nine architectural events, and
+ *  - every PSV is restricted to the nine architectural events,
+ *  - every span (an idle run, TraceSink::onSpan) is one a producer may
+ *    emit: at least 2 cycles, idle (not Compute, no commits) and not
+ *    running past the last cycle; its expanded cycles are then audited
+ *    like any others, and
  *  - the end marker agrees with the number of cycles actually
  *    delivered.
  *
@@ -65,6 +69,7 @@ class InvariantAuditor : public TraceSink
     explicit InvariantAuditor(Mode mode = Mode::FailFast);
 
     void onCycle(const CycleRecord &rec) override;
+    void onSpan(const CycleRecord &first, std::uint32_t n) override;
     void onDispatch(const UopRecord &rec) override;
     void onFetch(const UopRecord &rec) override;
     void onEnd(Cycle final_cycle) override;
@@ -90,14 +95,15 @@ class InvariantAuditor : public TraceSink
 
   private:
     void report(const std::string &msg);
+    void auditCycle(const CycleRecord &rec);
     bool checkPsv(const Psv &psv, const char *what, Cycle cycle,
                   SeqNum seq);
 
     Mode mode_;
     std::vector<std::string> violations_;
 
-    std::uint64_t cycles_ = 0; ///< cycle records delivered
-    std::uint64_t events_ = 0; ///< all events delivered
+    std::uint64_t cycles_ = 0; ///< cycles delivered (spans expanded)
+    std::uint64_t events_ = 0; ///< all events delivered (a span is one)
 
     bool sawCycle_ = false;
     Cycle lastCycle_ = 0;   ///< last cycle record's number

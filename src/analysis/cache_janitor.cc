@@ -348,6 +348,28 @@ CacheJanitor::gc() const
         }
     }
 
+    // --- entries of an older codec ------------------------------------
+    // The fingerprint hashes traceCodecVersion, so after a version bump
+    // no run can hit these entries again, and a re-run writes a new
+    // entry beside each instead of replacing it. Removal is as safe as
+    // budget eviction: a reader that mapped one keeps its mapping. Only
+    // a header that parses and names an older version qualifies: a
+    // newer version may belong to a newer build sharing the directory,
+    // and an unparseable file is damage for verify to report.
+    std::vector<CacheFileInfo> current;
+    current.reserve(scan.entries.size());
+    for (const CacheFileInfo &f : scan.entries) {
+        std::uint32_t version = 0;
+        if (peekTraceFileVersion(f.path, &version) &&
+            version < traceCodecVersion && removeFile(f.path)) {
+            ++stats.removedStale;
+            scan.entryBytes -= f.bytes;
+            continue;
+        }
+        current.push_back(f);
+    }
+    scan.entries.swap(current);
+
     // --- size-budget eviction ----------------------------------------
     // Evict in last-use order (openEntry bumps mtime on every hit)
     // until the live entries fit. Unlink is safe against concurrent
@@ -429,6 +451,16 @@ verifyCacheDir(const std::string &dir, bool quarantine_damaged)
                 MappedTraceFile::open(f.path, fp, &why, &sys_err);
             if (mapped != nullptr) {
                 ++report.healthy;
+                continue;
+            }
+            std::uint32_t version = 0;
+            if (peekTraceFileVersion(f.path, &version) &&
+                version < traceCodecVersion) {
+                ++report.stale;
+                report.stalePaths.push_back(
+                    strprintf("%s: codec version %u, current %u",
+                              f.path.c_str(), version,
+                              traceCodecVersion));
                 continue;
             }
             if (why.empty())

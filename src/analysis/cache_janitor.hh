@@ -15,6 +15,9 @@
  *    pid is embedded in the name) or that have aged past a threshold;
  *    remove lock files that are unheld, entry-less and old; age out
  *    and count-cap the quarantine directory;
+ *  - stale entries: remove entries an older codec version wrote. The
+ *    fingerprint hashes the version, so no run can hit them again,
+ *    and a rewrite lands next to them under a new name;
  *  - size budget: when TEA_TRACE_CACHE_MAX_BYTES is set, evict entries
  *    oldest-last-use first (openEntry bumps mtime on every hit) until
  *    the live entries fit the budget. Eviction unlinks; concurrent
@@ -107,6 +110,7 @@ struct JanitorStats
     std::uint64_t removedTmp = 0;     ///< orphaned tmp files removed
     std::uint64_t removedLocks = 0;   ///< stale lock files removed
     std::uint64_t removedQuarantine = 0; ///< quarantine files removed
+    std::uint64_t removedStale = 0; ///< older-codec entries removed
     std::uint64_t scannedEntries = 0; ///< live entries seen by the pass
     std::uint64_t scannedBytes = 0;   ///< live-entry bytes seen
     bool lockBusy = false; ///< pass skipped: another janitor was active
@@ -114,7 +118,8 @@ struct JanitorStats
     /** Total debris files removed (everything but budget eviction). */
     std::uint64_t removals() const
     {
-        return removedTmp + removedLocks + removedQuarantine;
+        return removedTmp + removedLocks + removedQuarantine +
+               removedStale;
     }
 };
 
@@ -129,7 +134,8 @@ class CacheJanitor
 
     /**
      * One full pass under <dir>/janitor.lock: recovery GC (orphan tmp,
-     * stale locks, quarantine aging/capping) then budget eviction.
+     * stale locks, quarantine aging/capping, older-codec entries) then
+     * budget eviction.
      * Returns immediately with lockBusy set when the lock cannot be
      * taken within the configured timeout. Never throws; individual
      * removals that fail are warned about and skipped.
@@ -168,7 +174,9 @@ struct CacheVerifyReport
 {
     std::uint64_t checked = 0; ///< entries examined
     std::uint64_t healthy = 0; ///< entries that validated completely
+    std::uint64_t stale = 0;   ///< entries of an older codec version
     std::uint64_t damaged = 0; ///< entries that failed validation
+    std::vector<std::string> stalePaths;   ///< the stale entries
     std::vector<std::string> damagedPaths; ///< what failed, path list
 
     bool clean() const { return damaged == 0; }
@@ -178,7 +186,9 @@ struct CacheVerifyReport
  * Open and fully validate every live entry in @p dir against the
  * fingerprint its own filename claims (header magic, codec version,
  * CRCs, frame scan — everything MappedTraceFile::open checks). An
- * entry whose name does not parse counts as damaged. When
+ * entry whose name does not parse counts as damaged. An entry whose
+ * header is intact but written by an older codec version is stale,
+ * not damaged: it is left for the janitor's gc() to remove. When
  * @p quarantine_damaged is set, damaged entries are quarantined the
  * same way a cache miss would; otherwise they are left in place and
  * only reported (teacachectl's read-only `verify`).

@@ -153,7 +153,7 @@ Core::nextWakeAtLeast(Cycle at)
 
 // tea_lint: hot
 TraceEvent &
-Core::traceAppend(TraceEventKind kind)
+Core::bufferEvent(TraceEventKind kind)
 {
     if (traceBuf_.size() == traceBatchEvents)
         flushTrace();
@@ -161,6 +161,61 @@ Core::traceAppend(TraceEventKind kind)
     TraceEvent &ev = traceBuf_.back();
     ev.kind = kind;
     return ev;
+}
+
+// tea_lint: hot
+TraceEvent &
+Core::traceAppend(TraceEventKind kind)
+{
+    if (runCycles_ != 0)
+        closeRun(); // nothing may come between a span's records
+    return bufferEvent(kind);
+}
+
+// tea_lint: hot
+void
+Core::closeRun()
+{
+    if (runCycles_ == 1) {
+        bufferEvent(TraceEventKind::Cycle).p.cycle = run_;
+    } else {
+        TraceEvent &ev = bufferEvent(TraceEventKind::Span);
+        ev.spanCycles = runCycles_;
+        ev.p.cycle = run_;
+    }
+    runCycles_ = 0;
+}
+
+/**
+ * Add the idle cycles [rec.cycle, @p until), whose records all equal
+ * @p rec but for the stamp, to the open run. A record that differs in
+ * anything an observer reads (state, ROB head, last-committed) closes
+ * the run and opens a new one; so does reaching maxSpanCycles. Both
+ * loops emit idle cycles through here, one at a time or a skipped
+ * stretch at once, and the split points depend only on the records,
+ * so both produce the same spans.
+ */
+// tea_lint: hot
+void
+Core::extendRun(const CycleRecord &rec, Cycle until)
+{
+    if (runCycles_ != 0 &&
+        (run_.state != rec.state || run_.headSeq != rec.headSeq ||
+         run_.headPc != rec.headPc || run_.lastValid != rec.lastValid ||
+         run_.lastPc != rec.lastPc || run_.lastPsv != rec.lastPsv))
+        closeRun();
+    for (Cycle at = rec.cycle; at < until;) {
+        if (runCycles_ == maxSpanCycles)
+            closeRun();
+        if (runCycles_ == 0) {
+            run_ = rec;
+            run_.cycle = at;
+        }
+        const Cycle take =
+            std::min<Cycle>(until - at, maxSpanCycles - runCycles_);
+        runCycles_ += static_cast<std::uint32_t>(take);
+        at += take;
+    }
 }
 
 // tea_lint: hot
@@ -178,6 +233,8 @@ Core::flushTrace()
 void
 Core::emitEnd()
 {
+    if (runCycles_ != 0)
+        closeRun();
     flushTrace();
     if (!sinks_.empty())
         ++perf_.traceEvents;
@@ -361,9 +418,10 @@ Core::commitStage()
     emitCycleRecord();
 }
 
+/** The commit record of the current cycle (its state classified). */
 // tea_lint: hot
-void
-Core::emitCycleRecord()
+CycleRecord
+Core::cycleRecord() const
 {
     CycleRecord rec;
     rec.cycle = cycle_;
@@ -377,7 +435,7 @@ Core::emitCycleRecord()
         rec.state = CommitState::Compute;
     } else if (robCount_ > 0) {
         rec.state = CommitState::Stalled;
-        DynUop &h = rob_[robHead_ % rob_.size()];
+        const DynUop &h = rob_[robHead_ % rob_.size()];
         rec.headValid = true;
         rec.headSeq = h.seq;
         rec.headPc = h.pc;
@@ -385,10 +443,21 @@ Core::emitCycleRecord()
         rec.state =
             flushShadow_ ? CommitState::Flushed : CommitState::Drained;
     }
+    return rec;
+}
 
+// tea_lint: hot
+void
+Core::emitCycleRecord()
+{
+    const CycleRecord rec = cycleRecord();
     ++stats_.stateCycles[static_cast<unsigned>(rec.state)];
-    if (!sinks_.empty())
+    if (sinks_.empty())
+        return;
+    if (rec.state == CommitState::Compute)
         traceAppend(TraceEventKind::Cycle).p.cycle = rec;
+    else
+        extendRun(rec, cycle_ + 1);
 }
 
 // tea_lint: hot
@@ -960,65 +1029,27 @@ Core::step()
 }
 
 /**
- * Bulk-emit the commit frames for the provably idle cycles
- * [cycle_, until) and jump the clock to @p until. Everything a cycle
- * record exposes is constant while no stage runs (no commits, same ROB
- * head, same last-committed register), so one template record is
- * stamped with successive cycle numbers — the auditor sees the same
- * dense, monotone stream the reference loop emits.
+ * Cover the provably idle cycles [cycle_, until) and jump the clock to
+ * @p until. Everything a cycle record exposes is constant while no
+ * stage runs (no commits, same ROB head, same last-committed
+ * register), so the whole stretch extends the open idle run at once:
+ * the same spans the reference loop builds one record at a time.
  */
 // tea_lint: hot
 void
 Core::skipIdleCycles(Cycle until)
 {
     const Cycle skipped = until - cycle_;
-    CycleRecord rec;
-    rec.numCommitted = 0;
-    rec.committed = committedThisCycle_;
-    rec.lastValid = lastValid_;
-    rec.lastPc = lastPc_;
-    rec.lastPsv = lastPsv_;
-    if (robCount_ > 0) {
-        rec.state = CommitState::Stalled;
-        DynUop &h = rob_[robHead_ % rob_.size()];
-        rec.headValid = true;
-        rec.headSeq = h.seq;
-        rec.headPc = h.pc;
-    } else {
-        rec.state =
-            flushShadow_ ? CommitState::Flushed : CommitState::Drained;
-    }
+    numCommitted_ = 0; // nothing commits in a skipped cycle
+    const CycleRecord rec = cycleRecord();
     stats_.stateCycles[static_cast<unsigned>(rec.state)] += skipped;
     // DR-SQ stalls accrue every blocked cycle; the blocking condition
     // (front-of-buffer store, empty ROB, full SQ) cannot change during
-    // an idle span, so the whole span counts iff it holds now.
+    // an idle stretch, so the whole stretch counts iff it holds now.
     if (drSqBlockedNow())
         stats_.drSqStallCycles += skipped;
-    if (!sinks_.empty()) {
-        // Idle frames differ only in their cycle stamp: append the
-        // template in batch-sized bulk, stamping each copy while its
-        // cache line is still hot, instead of paying the per-event
-        // flush check of traceAppend. One fused pass — fill-then-
-        // restamp would re-walk ~176 bytes per frame a second time,
-        // which on a multi-megacycle idle stream is the difference
-        // between the fast path beating the reference loop and merely
-        // tying it.
-        TraceEvent ev{};
-        ev.kind = TraceEventKind::Cycle;
-        ev.p.cycle = rec;
-        for (Cycle c = cycle_; c < until;) {
-            if (traceBuf_.size() == traceBatchEvents)
-                flushTrace();
-            std::size_t n =
-                std::min<std::size_t>(traceBatchEvents - traceBuf_.size(),
-                                      until - c);
-            for (std::size_t i = 0; i < n; ++i) {
-                ev.p.cycle.cycle = c + i;
-                traceBuf_.push_back(ev);
-            }
-            c += n;
-        }
-    }
+    if (!sinks_.empty())
+        extendRun(rec, until);
     perf_.skippedCycles += skipped;
     cycle_ = until;
     stats_.cycles = cycle_;

@@ -25,9 +25,12 @@
  * "Simulator fast path"):
  *  - the reference loop (step(), or setFastPath(false)) ticks every cycle;
  *  - the fast path (run() by default) executes stages only on cycles a
- *    conservative wake calendar proves can have activity, bulk-emitting
- *    the constant idle commit frames for every skipped cycle so the
- *    observable trace stays bit-identical.
+ *    conservative wake calendar proves can have activity, and covers
+ *    the skipped cycles, whose commit records are all the same idle
+ *    record, by extending one idle span in O(1).
+ * Both loops fold every maximal run of two or more identical idle
+ * cycle records into one span event (TraceSink::onSpan), so the
+ * observable trace stays bit-identical between them.
  */
 
 #ifndef TEA_CORE_CORE_HH
@@ -89,7 +92,7 @@ struct CoreStats
 struct SimPerf
 {
     std::uint64_t activeCycles = 0;  ///< cycles the stages executed
-    std::uint64_t skippedCycles = 0; ///< idle cycles bulk-emitted
+    std::uint64_t skippedCycles = 0; ///< idle cycles skipped over
     std::uint64_t traceEvents = 0;   ///< events delivered to sinks
     std::uint64_t wakeups = 0;       ///< wake-calendar entries consumed
 
@@ -124,7 +127,15 @@ class Core
     /** Register a trace observer (not owned). */
     void addSink(TraceSink *sink);
 
-    /** Simulate one cycle. @return false once the program has halted */
+    /**
+     * Simulate one cycle and flush its trace events to the sinks.
+     * An idle cycle record that may still grow into a span is held
+     * back: it reaches the sinks when the run of identical idle
+     * records ends, that is when the next different record or any
+     * other event is emitted, or at the end marker. So after a step()
+     * the sinks may lag the core by the open run's cycles.
+     * @return false once the program has halted
+     */
     bool step();
 
     /**
@@ -235,8 +246,12 @@ class Core
 
     // Batched trace emission.
     TraceEvent &traceAppend(TraceEventKind kind);
+    TraceEvent &bufferEvent(TraceEventKind kind);
     void flushTrace();
     void emitEnd();
+    CycleRecord cycleRecord() const;
+    void extendRun(const CycleRecord &rec, Cycle until);
+    void closeRun();
 
     // Helpers.
     DynUop *uopFor(SeqNum seq);
@@ -337,6 +352,13 @@ class Core
 
     // Chunk-local trace staging buffer, flushed to sinks via onBatch.
     std::vector<TraceEvent> traceBuf_;
+
+    // The open run of identical idle cycle records: its first record
+    // and length (0 = none open). Kept out of traceBuf_ so it can grow
+    // across flushTrace() calls; closeRun() appends it as one Cycle
+    // event (length 1) or one Span.
+    CycleRecord run_;
+    std::uint32_t runCycles_ = 0;
 };
 
 } // namespace tea

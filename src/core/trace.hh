@@ -7,9 +7,10 @@
  * last-committed instruction's PSV; it additionally publishes dispatch
  * and fetch events. Each commit is recorded once, in its cycle record:
  * observers' retire callbacks are derived from the record's commit
- * slots (deliverCycle below). All profiling techniques are TraceSinks
- * and observe the exact same cycles, mirroring the paper's out-of-band
- * methodology (Section 4).
+ * slots (deliverCycle below). A run of identical idle cycles is
+ * published once, as a span (onSpan below). All profiling techniques
+ * are TraceSinks and observe the exact same cycles, mirroring the
+ * paper's out-of-band methodology (Section 4).
  */
 
 #ifndef TEA_CORE_TRACE_HH
@@ -94,6 +95,20 @@ class TraceSink
     /** Called once per simulated cycle after commit. */
     virtual void onCycle(const CycleRecord &rec) { (void)rec; }
 
+    /**
+     * Called for a span: @p n (>= 2) consecutive idle cycles whose
+     * records equal @p first except for the cycle stamp, which counts
+     * up from first.cycle. Idle means not Compute, so nothing commits
+     * and no retire is due. The producer folds a run of such records
+     * into one span only when nothing else is emitted between them, so
+     * a span stands exactly where its n records would. The default
+     * expands it into n onCycle calls with consecutive stamps, so a
+     * sink that only overrides onCycle sees the per-cycle stream;
+     * observers override it to handle the run in one step, with
+     * results bit-identical to that expansion.
+     */
+    virtual void onSpan(const CycleRecord &first, std::uint32_t n);
+
     /** Called for every micro-op entering the ROB. */
     virtual void onDispatch(const UopRecord &rec) { (void)rec; }
 
@@ -114,12 +129,13 @@ class TraceSink
     /**
      * Deliver @p n consecutive captured events in order. The default
      * implementation (core/trace_buffer.cc) fans each event out to the
-     * per-kind callbacks above, so sinks observe exactly the stream a
-     * record-at-a-time producer would have delivered; bulk-capable
-     * sinks (ChunkingSink) override it to append whole ranges and skip
-     * the per-record virtual dispatch. Producers batching through this
-     * hook must preserve capture order and batch every event kind but
-     * End, which keeps its dedicated onEnd call.
+     * per-kind callbacks above (a Span to onSpan), so sinks observe
+     * exactly the stream a record-at-a-time producer would have
+     * delivered; bulk-capable sinks (ChunkingSink) override it to
+     * append whole ranges and skip the per-record virtual dispatch.
+     * Producers batching through this hook must preserve capture order
+     * and batch every event kind but End, which keeps its dedicated
+     * onEnd call.
      */
     virtual void onBatch(const TraceEvent *events, std::size_t n);
 };

@@ -12,6 +12,10 @@ eventsEquivalent(const TraceEvent &a, const TraceEvent &b)
     if (a.kind != b.kind)
         return false;
     switch (a.kind) {
+      case TraceEventKind::Span:
+        if (a.spanCycles != b.spanCycles)
+            return false;
+        [[fallthrough]];
       case TraceEventKind::Cycle: {
         const CycleRecord &x = a.p.cycle;
         const CycleRecord &y = b.p.cycle;
@@ -45,6 +49,16 @@ eventsEquivalent(const TraceEvent &a, const TraceEvent &b)
 }
 
 void
+TraceSink::onSpan(const CycleRecord &first, std::uint32_t n)
+{
+    CycleRecord rec = first;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        rec.cycle = first.cycle + i;
+        onCycle(rec);
+    }
+}
+
+void
 TraceSink::onBatch(const TraceEvent *events, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
@@ -57,6 +71,9 @@ deliverEvent(const TraceEvent &ev, TraceSink &sink)
     switch (ev.kind) {
       case TraceEventKind::Cycle:
         deliverCycle(sink, ev.p.cycle);
+        break;
+      case TraceEventKind::Span:
+        sink.onSpan(ev.p.cycle, ev.spanCycles);
         break;
       case TraceEventKind::Dispatch:
         sink.onDispatch(ev.p.uop);
@@ -134,6 +151,17 @@ ChunkingSink::onCycle(const CycleRecord &rec)
 }
 
 void
+ChunkingSink::onSpan(const CycleRecord &first, std::uint32_t n)
+{
+    TraceEvent &ev = append(TraceEventKind::Span);
+    ev.spanCycles = n;
+    ev.p.cycle = first;
+    open_->cycleRecords += n;
+    if (open_->events.size() >= chunkEvents_)
+        finish();
+}
+
+void
 ChunkingSink::onDispatch(const UopRecord &rec)
 {
     append(TraceEventKind::Dispatch).p.uop = rec;
@@ -180,10 +208,8 @@ ChunkingSink::onBatch(const TraceEvent *events, std::size_t n)
         }
         open_->events.insert(open_->events.end(), events + i,
                              events + i + take);
-        for (std::size_t k = i; k < i + take; ++k) {
-            if (events[k].kind == TraceEventKind::Cycle)
-                ++open_->cycleRecords;
-        }
+        for (std::size_t k = i; k < i + take; ++k)
+            open_->cycleRecords += cyclesCovered(events[k]);
         events_ += take;
         i += take;
         if (open_->events.size() >= chunkEvents_ ||
@@ -212,6 +238,12 @@ void
 TraceBuffer::onCycle(const CycleRecord &rec)
 {
     sink_.onCycle(rec);
+}
+
+void
+TraceBuffer::onSpan(const CycleRecord &first, std::uint32_t n)
+{
+    sink_.onSpan(first, n);
 }
 
 void

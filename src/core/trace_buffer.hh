@@ -2,9 +2,10 @@
  * @file
  * In-memory cycle-trace capture (the filesystem-free TraceDoctor path).
  *
- * A TraceSink records every trace event — cycle snapshots, fetch and
- * dispatch uops and the end marker — into fixed-size chunks of a tagged
- * union, preserving the exact interleaving the core produced.
+ * A TraceSink records every trace event — cycle snapshots, idle spans,
+ * fetch and dispatch uops and the end marker — into fixed-size chunks
+ * of a tagged union, preserving the exact interleaving the core
+ * produced.
  * Chunks can be replayed through any set of TraceSinks, delivering
  * byte-identical records in the original order, which is what makes
  * out-of-band replay deterministic regardless of who replays them or
@@ -36,28 +37,60 @@ enum class TraceEventKind : std::uint8_t
     Dispatch,
     Fetch,
     End,
+    Span, ///< a run of identical idle cycle records (TraceSink::onSpan)
 };
+
+/**
+ * Longest idle span: the length is a 32-bit field. A longer idle run is
+ * split into back-to-back spans, the first ones exactly this long.
+ */
+inline constexpr std::uint32_t maxSpanCycles = ~std::uint32_t{0};
 
 /** One captured trace event (tagged union; all payloads are trivial). */
 struct TraceEvent
 {
     TraceEventKind kind = TraceEventKind::End;
+
+    /**
+     * Span only: the cycles the span covers (2..maxSpanCycles). It
+     * lives in the alignment padding after the kind, so a span costs
+     * no more memory than a cycle record.
+     */
+    std::uint32_t spanCycles = 0;
+
     union Payload
     {
-        CycleRecord cycle;
-        UopRecord uop; ///< Dispatch and Fetch
+        CycleRecord cycle; ///< Cycle, and a Span's first record
+        UopRecord uop;     ///< Dispatch and Fetch
         Cycle end;
 
         Payload() : end(0) {}
     } p;
 };
 
+static_assert(sizeof(TraceEvent) ==
+                  sizeof(TraceEvent::Payload) +
+                      alignof(TraceEvent::Payload),
+              "the span length must fit in the padding after the kind");
+
+/** Cycles @p ev covers: 1 for a Cycle, the length for a Span, else 0. */
+inline std::uint64_t
+cyclesCovered(const TraceEvent &ev)
+{
+    if (ev.kind == TraceEventKind::Span)
+        return ev.spanCycles;
+    return ev.kind == TraceEventKind::Cycle ? 1 : 0;
+}
+
 /** A batch of consecutive trace events. */
 struct TraceChunk
 {
     std::vector<TraceEvent> events;
 
-    /** Cycle records contained (for replayed-cycle accounting). */
+    /**
+     * Cycles the events cover (cyclesCovered summed), for
+     * replayed-cycle accounting.
+     */
     std::uint64_t cycleRecords = 0;
 };
 
@@ -65,7 +98,8 @@ using TraceChunkPtr = std::shared_ptr<const TraceChunk>;
 
 /**
  * True when @p a and @p b are indistinguishable to any TraceSink: same
- * kind and same values in every field an observer may legally read.
+ * kind, same span length and same values in every field an observer
+ * may legally read.
  * Fields gated by a validity flag (ROB head, last-committed, committed
  * slots at index >= numCommitted) are compared only when valid — the
  * core reuses its working buffers, so invalid slots can hold stale
@@ -76,7 +110,8 @@ bool eventsEquivalent(const TraceEvent &a, const TraceEvent &b);
 
 /**
  * Deliver one captured event to @p sink (a Cycle event through
- * deliverCycle, so its commit slots reach onRetire first).
+ * deliverCycle, so its commit slots reach onRetire first; a Span
+ * through onSpan).
  */
 void deliverEvent(const TraceEvent &ev, TraceSink &sink);
 
@@ -106,6 +141,7 @@ class ChunkingSink : public TraceSink
     ChunkingSink(std::size_t chunk_events, Emit emit);
 
     void onCycle(const CycleRecord &rec) override;
+    void onSpan(const CycleRecord &first, std::uint32_t n) override;
     void onDispatch(const UopRecord &rec) override;
     void onFetch(const UopRecord &rec) override;
     void onEnd(Cycle final_cycle) override;
@@ -139,6 +175,7 @@ class TraceBuffer : public TraceSink
     explicit TraceBuffer(std::size_t chunk_events = 4096);
 
     void onCycle(const CycleRecord &rec) override;
+    void onSpan(const CycleRecord &first, std::uint32_t n) override;
     void onDispatch(const UopRecord &rec) override;
     void onFetch(const UopRecord &rec) override;
     void onEnd(Cycle final_cycle) override;

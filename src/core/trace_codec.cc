@@ -22,7 +22,7 @@ namespace {
  */
 enum Stream : unsigned
 {
-    CycDelta = 0, ///< CycleRecord.cycle (zigzag delta)
+    CycDelta = 0, ///< CycleRecord.cycle of Cycle and Span (zigzag delta)
     CycFlags,     ///< packed state/numCommitted/headValid/lastValid
     HeadSeq,      ///< headSeq, present iff headValid (zigzag delta)
     HeadPc,       ///< headPc, present iff headValid (zigzag delta)
@@ -38,6 +38,7 @@ enum Stream : unsigned
     FetchPc,
     FetchCycle,
     EndCycle, ///< final cycle of End events (varint)
+    SpanLen,  ///< cycles each Span covers (varint)
     NumStreams,
 };
 
@@ -53,14 +54,17 @@ constexpr unsigned flagLastValid = 0x1;
 // on-disk contract. Changing any of them invalidates every cached
 // trace, so the change must come with a traceCodecVersion bump — update
 // the pinned values here in the same commit that bumps the version.
-static_assert(traceCodecVersion == 2,
+static_assert(traceCodecVersion == 3,
               "codec version changed: re-pin the layout asserts below");
-static_assert(sizeof(ChunkFrameHeader) == 16,
+static_assert(sizeof(ChunkFrameHeader) == 24,
               "ChunkFrameHeader layout changed: bump traceCodecVersion");
-static_assert(NumStreams == 16,
+static_assert(NumStreams == 17,
               "stream directory changed: bump traceCodecVersion");
-static_assert(static_cast<unsigned>(TraceEventKind::End) == 3,
+static_assert(static_cast<unsigned>(TraceEventKind::End) == 3 &&
+                  static_cast<unsigned>(TraceEventKind::Span) == 4,
               "trace event kinds changed: bump traceCodecVersion");
+static_assert(maxSpanCycles == 0xFFFFFFFFu,
+              "span length bound changed: bump traceCodecVersion");
 static_assert(flagStateShift == 6 && flagCountShift == 2 &&
                   flagHeadValid == 0x2 && flagLastValid == 0x1,
               "CycFlags packing changed: bump traceCodecVersion");
@@ -165,13 +169,33 @@ encodeChunk(const TraceChunk &chunk, std::vector<std::uint8_t> &out)
     DeltaState cycD, headSeqD, headPcD, lastPcD, comSeqD, comPcD;
     DeltaState dispSeqD, dispPcD, dispCycD, fetchSeqD, fetchPcD,
         fetchCycD;
+    std::uint32_t spans = 0;
+    std::uint64_t covered = 0;
 
     std::vector<std::uint8_t> kinds;
     kinds.reserve(chunk.events.size());
 
     for (const TraceEvent &ev : chunk.events) {
         kinds.push_back(static_cast<std::uint8_t>(ev.kind));
+        covered += cyclesCovered(ev);
         switch (ev.kind) {
+          case TraceEventKind::Span: {
+            // The decoder rejects what no producer emits; writing it
+            // would store a CRC-clean frame that cannot be replayed.
+            const CycleRecord &r = ev.p.cycle;
+            tea_assert(ev.spanCycles >= 2 &&
+                           r.state != CommitState::Compute &&
+                           r.numCommitted == 0 &&
+                           r.cycle + ev.spanCycles > r.cycle,
+                       "illegal span (cycle %llu, %u cycles, state %u, "
+                       "%u commits)",
+                       static_cast<unsigned long long>(r.cycle),
+                       ev.spanCycles, static_cast<unsigned>(r.state),
+                       r.numCommitted);
+            putVarint(streams[SpanLen], ev.spanCycles);
+            ++spans;
+            [[fallthrough]]; // its first record goes to the cycle streams
+          }
           case TraceEventKind::Cycle: {
             const CycleRecord &r = ev.p.cycle;
             tea_assert(r.numCommitted <= r.committed.size(),
@@ -233,11 +257,17 @@ encodeChunk(const TraceChunk &chunk, std::vector<std::uint8_t> &out)
         payload.insert(payload.end(), s.begin(), s.end());
     }
 
+    tea_assert(covered == chunk.cycleRecords,
+               "chunk claims %llu cycles, its events cover %llu",
+               static_cast<unsigned long long>(chunk.cycleRecords),
+               static_cast<unsigned long long>(covered));
+
     ChunkFrameHeader hdr;
     hdr.frameBytes = static_cast<std::uint32_t>(sizeof(ChunkFrameHeader) +
                                                 payload.size());
     hdr.eventCount = static_cast<std::uint32_t>(chunk.events.size());
-    hdr.cycleRecords = static_cast<std::uint32_t>(chunk.cycleRecords);
+    hdr.spanEvents = spans;
+    hdr.cycleRecords = covered;
     hdr.payloadCrc = crc32(0, payload.data(), payload.size());
     tea_assert(hdr.frameBytes <= maxChunkFrameBytes,
                "trace chunk frame exceeds %u bytes", maxChunkFrameBytes);
@@ -262,8 +292,13 @@ peekFrame(const std::uint8_t *data, std::size_t avail,
         return fail(why, "implausible chunk frame size");
     if (hdr.frameBytes > avail)
         return fail(why, "chunk frame extends past end of file");
-    if (hdr.cycleRecords > hdr.eventCount ||
-        hdr.eventCount > hdr.frameBytes)
+    // A Cycle event covers one cycle and a span 2..maxSpanCycles.
+    if (hdr.eventCount > hdr.frameBytes ||
+        hdr.spanEvents > hdr.eventCount ||
+        hdr.cycleRecords < 2ull * hdr.spanEvents ||
+        hdr.cycleRecords - 2ull * hdr.spanEvents >
+            (hdr.eventCount - hdr.spanEvents) +
+                std::uint64_t{hdr.spanEvents} * (maxSpanCycles - 2))
         return fail(why, "implausible chunk event counts");
     *header = hdr;
     return true;
@@ -293,10 +328,15 @@ struct ChunkDecoder::Impl
     std::array<std::size_t, NumStreams> cap{};
     std::array<std::size_t, NumStreams> count{};
 
-    /** Event index list per kind, filled by assemble's position pass. */
     static constexpr unsigned numKinds =
-        static_cast<unsigned>(TraceEventKind::End) + 1;
-    std::array<std::unique_ptr<std::uint32_t[]>, numKinds> pos;
+        static_cast<unsigned>(TraceEventKind::Span) + 1;
+
+    /**
+     * Event index lists, filled by assemble's position pass: one per
+     * kind, except that Cycle and Span events share the Cycle list in
+     * event order, because they share the cycle streams.
+     */
+    std::array<std::unique_ptr<std::uint32_t[]>, numKinds - 1> pos;
     std::size_t posCap = 0;
 
     void
@@ -352,25 +392,33 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
     // through std::uint32_t* may alias integer counters, forcing the
     // compiler to spill and reload them every iteration; pointers are a
     // distinct type the stores provably cannot touch.
-    std::uint32_t *cur[numKinds];
-    for (unsigned k = 0; k < numKinds; ++k)
+    constexpr unsigned spanKind =
+        static_cast<unsigned>(TraceEventKind::Span);
+    constexpr unsigned cycleKind =
+        static_cast<unsigned>(TraceEventKind::Cycle);
+    std::uint32_t *cur[numKinds - 1];
+    for (unsigned k = 0; k < numKinds - 1; ++k)
         cur[k] = pos[k].get();
+    std::uint32_t nSpan = 0;
     for (std::uint32_t i = 0; i < hdr.eventCount; ++i) {
         const std::uint8_t k = kinds[i];
         if (k >= numKinds)
             return fail(why, "unknown trace event kind");
-        *cur[k]++ = i;
+        const bool span = k == spanKind;
+        nSpan += span;
+        *cur[span ? cycleKind : k]++ = i;
     }
     const auto kindCount = [&](TraceEventKind k) {
         const auto u = static_cast<unsigned>(k);
         return static_cast<std::uint32_t>(cur[u] - pos[u].get());
     };
+    // Cycle-stream records: the Cycle events and the spans' first ones.
     const std::uint32_t nCyc = kindCount(TraceEventKind::Cycle);
     const std::uint32_t nDisp = kindCount(TraceEventKind::Dispatch);
     const std::uint32_t nFetch = kindCount(TraceEventKind::Fetch);
     const std::uint32_t nEnd = kindCount(TraceEventKind::End);
-    if (nCyc != hdr.cycleRecords)
-        return fail(why, "cycle-record count mismatch");
+    if (nSpan != hdr.spanEvents)
+        return fail(why, "span count mismatch");
     if (count[CycFlags] != nCyc)
         return fail(why, count[CycFlags] < nCyc
                              ? "truncated cycle stream"
@@ -440,6 +488,7 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
         {FetchPc, nFetch, "truncated fetch stream"},
         {FetchCycle, nFetch, "truncated fetch stream"},
         {EndCycle, nEnd, "truncated end stream"},
+        {SpanLen, nSpan, "truncated span stream"},
     };
     for (const auto &l : lengths) {
         if (count[l.s] != l.expect)
@@ -455,9 +504,9 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
     // encoder produced it (event order within a kind, commit order
     // within a cycle), so one running accumulator per delta stream
     // replaces a separate prefix-sum pass over every lane.
+    std::uint64_t covered = 0;
     {
-        const std::uint32_t *P =
-            pos[static_cast<unsigned>(TraceEventKind::Cycle)].get();
+        const std::uint32_t *P = pos[cycleKind].get();
         const std::uint64_t *cyc = lanes[CycDelta].get();
         const std::uint64_t *hseq = lanes[HeadSeq].get();
         const std::uint64_t *hpc = lanes[HeadPc].get();
@@ -466,18 +515,36 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
         const std::uint64_t *cseq = lanes[ComSeq].get();
         const std::uint64_t *cpc = lanes[ComPc].get();
         const std::uint64_t *cpsv = lanes[ComPsv].get();
+        const std::uint64_t *slen = lanes[SpanLen].get();
         std::uint64_t cycPrev = 0, hseqPrev = 0, hpcPrev = 0;
         std::uint64_t lpcPrev = 0, cseqPrev = 0, cpcPrev = 0;
-        std::size_t hs = 0, ls = 0, cs = 0;
+        std::size_t hs = 0, ls = 0, cs = 0, ss = 0;
+        // The span rules, each OR-accumulated without a branch and
+        // checked once after the loop.
+        bool shortSpan = false, longSpan = false, busySpan = false,
+             wrapSpan = false;
         for (std::uint32_t j = 0; j < nCyc; ++j) {
             TraceEvent &ev = events[P[j]];
-            ev.kind = TraceEventKind::Cycle;
+            const bool span = kinds[P[j]] == spanKind;
+            ev.kind = span ? TraceEventKind::Span : TraceEventKind::Cycle;
             CycleRecord &r = ev.p.cycle;
             const std::uint8_t f = cflags[j];
             cycPrev += static_cast<std::uint64_t>(unzigzag(cyc[j]));
             r.cycle = cycPrev;
             r.state = static_cast<CommitState>(f >> flagStateShift);
             const unsigned nc = (f >> flagCountShift) & 0xFu;
+            // Like the gated fields below: the span lane is read at the
+            // cursor every time (it is sized one slot past its count)
+            // and the cursor advances only on a span.
+            const std::uint64_t len = span ? slen[ss] : 1;
+            ss += span;
+            ev.spanCycles = static_cast<std::uint32_t>(span ? len : 0);
+            covered += len;
+            shortSpan |= span & (len < 2);
+            longSpan |= len > maxSpanCycles;
+            busySpan |=
+                span & ((nc != 0) | (r.state == CommitState::Compute));
+            wrapSpan |= span & (cycPrev + len < cycPrev);
             r.numCommitted = static_cast<std::uint8_t>(nc);
             const bool hv = f & flagHeadValid;
             const bool lv = f & flagLastValid;
@@ -515,7 +582,17 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
             }
             cs += nc;
         }
+        if (shortSpan)
+            return fail(why, "span shorter than 2 cycles");
+        if (longSpan)
+            return fail(why, "span longer than maxSpanCycles");
+        if (busySpan)
+            return fail(why, "span of a Compute record or with commits");
+        if (wrapSpan)
+            return fail(why, "span runs past the last cycle");
     }
+    if (covered != hdr.cycleRecords)
+        return fail(why, "cycle-record count mismatch");
 
     const auto writeUops = [events](const std::uint32_t *P,
                                     std::uint32_t n, TraceEventKind kind,
@@ -553,7 +630,7 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
         }
     }
 
-    out.cycleRecords = nCyc;
+    out.cycleRecords = covered;
     return true;
 }
 

@@ -3,13 +3,21 @@
  * Compact structure-of-arrays codec for trace chunks.
  *
  * One TraceChunk is encoded as one self-contained *frame*: a fixed
- * header (sizes, event counts, payload CRC-32) followed by the event
- * kind array and a fixed set of length-prefixed field streams. Within a
- * stream, values of the same field are stored back-to-back
- * (structure-of-arrays), delta-encoded against the previous value of
- * the same stream and written as zigzag LEB128 varints — cycles and
- * sequence numbers are near-monotonic, PCs loop over small ranges, so
- * most values fit in one byte (~10x smaller than the in-memory events).
+ * header (sizes, event and cycle counts, payload CRC-32) followed by
+ * the event kind array and a fixed set of length-prefixed field
+ * streams. Within a stream, values of the same field are stored
+ * back-to-back (structure-of-arrays), delta-encoded against the
+ * previous value of the same stream and written as zigzag LEB128
+ * varints — cycles and sequence numbers are near-monotonic, PCs loop
+ * over small ranges, so most values fit in one byte (~10x smaller than
+ * the in-memory events).
+ *
+ * A Span event (an idle run, TraceSink::onSpan) is its first cycle
+ * record plus a length. The record travels in the cycle streams, in
+ * event order with the Cycle events, and the length in a stream of its
+ * own. The decoder rejects a span that no producer can emit: shorter
+ * than 2 cycles, longer than maxSpanCycles, in the Compute state, with
+ * commits, or running past the last representable cycle.
  *
  * Frames are independent (all delta state resets per frame), so a file
  * of concatenated frames supports chunk-at-a-time streaming decode
@@ -44,15 +52,21 @@ namespace tea {
  * cached trace file embeds (CoreStats layout, header layout). Bump on
  * any change; stale files then fail validation and are re-simulated.
  */
-inline constexpr std::uint32_t traceCodecVersion = 2;
+inline constexpr std::uint32_t traceCodecVersion = 3;
 
 /** Fixed per-frame header (little-endian, packed by construction). */
 struct ChunkFrameHeader
 {
-    std::uint32_t frameBytes = 0;   ///< total frame size incl. header
-    std::uint32_t eventCount = 0;   ///< events in the chunk
-    std::uint32_t cycleRecords = 0; ///< Cycle events among them
-    std::uint32_t payloadCrc = 0;   ///< CRC-32 of the payload bytes
+    std::uint32_t frameBytes = 0; ///< total frame size incl. header
+    std::uint32_t eventCount = 0; ///< events in the chunk
+    std::uint32_t spanEvents = 0; ///< Span events among them
+    std::uint32_t payloadCrc = 0; ///< CRC-32 of the payload bytes
+    /**
+     * Cycles the events cover: one per Cycle event plus each span's
+     * length (TraceChunk::cycleRecords). 64 bits, so no frame can
+     * overflow it: at most 2^30 events of at most maxSpanCycles each.
+     */
+    std::uint64_t cycleRecords = 0;
 };
 
 /** Hard upper bound on one frame (sanity check against corruption). */

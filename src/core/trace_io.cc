@@ -297,6 +297,32 @@ CompactTraceWriter::commit(const CoreStats &stats)
     return true;
 }
 
+bool
+peekTraceFileVersion(const std::string &path, std::uint32_t *version)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    TraceFileHeader hdr;
+    std::size_t got = 0;
+    while (got < sizeof(hdr)) {
+        const ssize_t n = ::read(fd, reinterpret_cast<char *>(&hdr) + got,
+                                 sizeof(hdr) - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        got += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    if (got != sizeof(hdr) ||
+        std::memcmp(hdr.magic, traceFileMagic, sizeof(hdr.magic)) != 0 ||
+        hdr.headerCrc != headerSelfCrc(hdr))
+        return false;
+    *version = hdr.codecVersion;
+    return true;
+}
+
 MappedTraceFile::~MappedTraceFile()
 {
     if (base_)

@@ -195,6 +195,16 @@ class MappedTraceFile
     std::size_t scratchNext_ = 0; ///< ring rotation cursor
 };
 
+/**
+ * Read the codec version from the header of the trace-cache file at
+ * @p path, validating the header alone (magic and header CRC). This is
+ * how the janitor tells an entry written by another codec version from
+ * a damaged one.
+ * @return true (with @p version set) when the header parses
+ */
+bool peekTraceFileVersion(const std::string &path,
+                          std::uint32_t *version);
+
 } // namespace tea
 
 #endif // TEA_CORE_TRACE_IO_HH

@@ -126,6 +126,35 @@ GoldenReference::onCycle(const CycleRecord &rec)
 }
 
 void
+GoldenReference::onSpan(const CycleRecord &first, std::uint32_t n)
+{
+    switch (first.state) {
+      case CommitState::Compute:
+        // Not a legal span (nothing commits in one); the per-cycle
+        // expansion is the reference behaviour.
+        TraceSink::onSpan(first, n);
+        break;
+      case CommitState::Stalled:
+      case CommitState::Drained:
+        // pendingCycles_ is a whole number, so one add of n is exact
+        // and equals n adds of 1.0.
+        pendingCycles_ += static_cast<double>(n);
+        break;
+      case CommitState::Flushed:
+        if (first.lastValid) {
+            // A cell and the total may hold fractions (Compute shares),
+            // and floating-point sums are not associative: 1/3 + 1.0 +
+            // 1.0 is not 1/3 + 2.0. Keep the n adds onCycle would make.
+            for (std::uint32_t i = 0; i < n; ++i)
+                add(first.lastPc, first.lastPsv, 1.0);
+        } else {
+            pendingCycles_ += static_cast<double>(n);
+        }
+        break;
+    }
+}
+
+void
 GoldenReference::onRetire(const RetireRecord &rec)
 {
     std::uint64_t stalled = 0;
@@ -164,6 +193,9 @@ GoldenReference::onBatch(const TraceEvent *events, std::size_t n)
         switch (ev.kind) {
           case TraceEventKind::Cycle:
             deliverCycle(*this, ev.p.cycle);
+            break;
+          case TraceEventKind::Span:
+            onSpan(ev.p.cycle, ev.spanCycles);
             break;
           case TraceEventKind::Dispatch:
           case TraceEventKind::Fetch:

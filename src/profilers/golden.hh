@@ -61,6 +61,7 @@ class GoldenReference final : public TraceSink
     GoldenReference() = default;
 
     void onCycle(const CycleRecord &rec) override;
+    void onSpan(const CycleRecord &first, std::uint32_t n) override;
     void onRetire(const RetireRecord &rec) override;
     void onEnd(Cycle final_cycle) override;
     void onBatch(const TraceEvent *events, std::size_t n) override;

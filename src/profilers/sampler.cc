@@ -113,6 +113,31 @@ TechniqueSampler::onCycle(const CycleRecord &rec)
     takeSample(rec);
 }
 
+/**
+ * Visit only the cycles of [first.cycle, first.cycle + n) where onCycle
+ * would sample, and sample each exactly as onCycle would.
+ */
+void
+TechniqueSampler::onSpan(const CycleRecord &first, std::uint32_t n)
+{
+    const Cycle end = first.cycle + n;
+    Cycle c = cfg_.phase;
+    if (first.cycle > cfg_.phase) {
+        const Cycle past = (first.cycle - cfg_.phase) % cfg_.period;
+        c = first.cycle + (past == 0 ? 0 : cfg_.period - past);
+    }
+    if (c >= end || c < first.cycle)
+        return; // no fire in the span (or the next one wraps)
+    CycleRecord rec = first;
+    for (;;) {
+        rec.cycle = c;
+        takeSample(rec);
+        if (end - c <= cfg_.period)
+            break;
+        c += cfg_.period;
+    }
+}
+
 void
 TechniqueSampler::takeSample(const CycleRecord &rec)
 {
@@ -242,6 +267,9 @@ TechniqueSampler::onBatch(const TraceEvent *events, std::size_t n)
         switch (ev.kind) {
           case TraceEventKind::Cycle:
             deliverCycle(*this, ev.p.cycle);
+            break;
+          case TraceEventKind::Span:
+            onSpan(ev.p.cycle, ev.spanCycles);
             break;
           case TraceEventKind::Dispatch:
             if (tags)

@@ -81,6 +81,7 @@ class TechniqueSampler final : public TraceSink
     explicit TechniqueSampler(SamplerConfig cfg);
 
     void onCycle(const CycleRecord &rec) override;
+    void onSpan(const CycleRecord &first, std::uint32_t n) override;
     void onDispatch(const UopRecord &rec) override;
     void onFetch(const UopRecord &rec) override;
     void onRetire(const RetireRecord &rec) override;

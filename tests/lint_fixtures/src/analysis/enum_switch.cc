@@ -1,5 +1,5 @@
 // Seeded violation for tea_lint's enum-switch rule, checked against the
-// real tree's TraceEventKind (Cycle, Dispatch, Fetch, End).
+// real tree's TraceEventKind (Cycle, Dispatch, Fetch, End, Span).
 // Never compiled into the project.
 #include "core/trace_buffer.hh"
 
@@ -25,6 +25,7 @@ complete(TraceEventKind k)
     case TraceEventKind::Cycle:
     case TraceEventKind::Dispatch:
     case TraceEventKind::Fetch:
+    case TraceEventKind::Span:
         return 1;
     case TraceEventKind::End:
         return 0;

@@ -217,6 +217,74 @@ TEST(Audit, DetectsEventsAfterEnd)
     EXPECT_TRUE(violationNaming(a, {"after the end marker"}));
 }
 
+TEST(Audit, CleanSpanAuditsItsExpandedCycles)
+{
+    InvariantAuditor a = collector();
+    emitComputeCycle(a, 0, 1, 5);
+    CycleRecord stalled = idleCycle(1, CommitState::Stalled);
+    stalled.headValid = true;
+    stalled.headSeq = 2;
+    stalled.headPc = 6;
+    stalled.lastValid = true;
+    stalled.lastPc = 5;
+    a.onSpan(stalled, 40);
+    emitComputeCycle(a, 41, 2, 6);
+    a.onEnd(42);
+    a.finish();
+    EXPECT_TRUE(a.clean()) << a.violations().front();
+    EXPECT_EQ(a.cyclesAudited(), 42u); // the span's 40 cycles count
+    EXPECT_EQ(a.eventsAudited(), 8u);  // the span is one event
+}
+
+TEST(Audit, DetectsSpanCoveringFewerThanTwoCycles)
+{
+    for (std::uint32_t n : {0u, 1u}) {
+        SCOPED_TRACE(n);
+        InvariantAuditor a = collector();
+        a.onSpan(idleCycle(0, CommitState::Drained), n);
+        ASSERT_FALSE(a.clean());
+        EXPECT_TRUE(violationNaming(
+            a, {"span at cycle 0", "covers " + std::to_string(n)}));
+    }
+}
+
+TEST(Audit, DetectsComputeOrCommittingSpan)
+{
+    InvariantAuditor a = collector();
+    a.onSpan(idleCycle(0, CommitState::Compute), 2);
+    EXPECT_TRUE(violationNaming(a, {"span at cycle 0", "Compute",
+                                    "idle cycles only"}));
+
+    InvariantAuditor b = collector();
+    CycleRecord busy = idleCycle(0, CommitState::Drained);
+    busy.numCommitted = 1;
+    busy.committed[0] = CommittedUop{1, 5, Psv{}};
+    b.onSpan(busy, 2);
+    EXPECT_TRUE(violationNaming(b, {"span at cycle 0", "Drained",
+                                    "1 committed"}));
+}
+
+TEST(Audit, DetectsSpanRunningPastTheLastCycle)
+{
+    InvariantAuditor a = collector();
+    a.onSpan(idleCycle(~Cycle{0} - 1, CommitState::Drained), 3);
+    ASSERT_FALSE(a.clean());
+    EXPECT_TRUE(violationNaming(a, {"runs past the last cycle"}));
+}
+
+TEST(Audit, DetectsGapAfterSpan)
+{
+    // The density check runs across span boundaries: a span covering
+    // [1, 11) must be followed by cycle 11.
+    InvariantAuditor a = collector();
+    a.onCycle(idleCycle(0, CommitState::Drained));
+    a.onSpan(idleCycle(1, CommitState::Drained), 10);
+    a.onCycle(idleCycle(12, CommitState::Drained));
+    ASSERT_FALSE(a.clean());
+    EXPECT_TRUE(violationNaming(a, {"non-contiguous", "cycle 12",
+                                    "cycle 10"}));
+}
+
 TEST(Audit, CleanOnLiveCoreTrace)
 {
     // The real core must satisfy every invariant the auditor enforces —

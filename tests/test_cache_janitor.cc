@@ -8,7 +8,9 @@
  * entry verification.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <string>
 #include <thread>
@@ -24,7 +26,9 @@
 #include "analysis/runner.hh"
 #include "analysis/trace_cache.hh"
 #include "common/failpoint.hh"
+#include "common/fingerprint.hh"
 #include "common/file_lock.hh"
+#include "core/trace_codec.hh"
 #include "profilers/golden.hh"
 #include "profilers/pics.hh"
 #include "test_util.hh"
@@ -193,6 +197,28 @@ deadPid()
     int status = 0;
     ::waitpid(pid, &status, 0);
     return pid;
+}
+
+/**
+ * Rewrite the codec version in the header of the cache entry at
+ * @p path and reseal the header CRC, as a build with that codec
+ * version would have written it. The header is 64 bytes: the version
+ * is the u32 after the 8-byte magic, the CRC of the first 60 bytes the
+ * final u32 (core/trace_io.cc).
+ */
+void
+resealVersion(const std::string &path, std::uint32_t version)
+{
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr) << path;
+    unsigned char hdr[64];
+    ASSERT_EQ(std::fread(hdr, 1, sizeof hdr, f), sizeof hdr);
+    std::memcpy(hdr + 8, &version, sizeof version);
+    const std::uint32_t crc = crc32(0, hdr, 60);
+    std::memcpy(hdr + 60, &crc, sizeof crc);
+    ASSERT_EQ(std::fseek(f, 0, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(hdr, 1, sizeof hdr, f), sizeof hdr);
+    ASSERT_EQ(std::fclose(f), 0);
 }
 
 class CacheJanitorTest : public ::testing::Test
@@ -588,4 +614,61 @@ TEST_F(CacheJanitorTest, VerifyDetectsAndQuarantinesDamage)
     CacheVerifyReport after = verifyCacheDir(dir.path(), false);
     EXPECT_TRUE(after.clean());
     EXPECT_EQ(after.checked, 1u);
+}
+
+TEST_F(CacheJanitorTest, OlderCodecEntriesAreStaleAndCollected)
+{
+    // After a codec-version bump the old entries can never be hit again
+    // (the fingerprint hashes the version). verify calls them stale, not
+    // damaged, and gc removes them; newer-version entries and files
+    // whose header does not parse are left alone.
+    TempCacheDir dir;
+    ASSERT_TRUE(runOnce(cachedOptions(dir), 200).replay.cacheStored);
+    ASSERT_TRUE(runOnce(cachedOptions(dir), 300).replay.cacheStored);
+    ASSERT_TRUE(runOnce(cachedOptions(dir), 400).replay.cacheStored);
+    std::vector<std::string> entries = dir.entries();
+    ASSERT_EQ(entries.size(), 3u);
+    std::sort(entries.begin(), entries.end());
+    const std::string stale = dir.path() + "/" + entries[0];
+    const std::string newer = dir.path() + "/" + entries[1];
+    resealVersion(stale, traceCodecVersion - 1);
+    resealVersion(newer, traceCodecVersion + 1);
+    const std::string junk = dir.path() + "/junk-0123456789abcdef.teatrc";
+    writeFile(junk, "not a trace-cache file");
+
+    CacheVerifyReport before = verifyCacheDir(dir.path(), false);
+    EXPECT_EQ(before.checked, 4u);
+    EXPECT_EQ(before.healthy, 1u);
+    EXPECT_EQ(before.stale, 1u);
+    EXPECT_EQ(before.damaged, 2u); // the newer entry and the junk file
+    ASSERT_EQ(before.stalePaths.size(), 1u);
+    EXPECT_NE(before.stalePaths[0].find(stale), std::string::npos);
+
+    const JanitorStats gc =
+        CacheJanitor(dir.path(), JanitorConfig{}).gc();
+    EXPECT_EQ(gc.removedStale, 1u);
+    EXPECT_EQ(gc.removals(), 1u);
+    EXPECT_EQ(gc.evictedEntries, 0u);
+    std::vector<std::string> left = dir.entries();
+    std::sort(left.begin(), left.end());
+    EXPECT_EQ(left.size(), 3u);
+    EXPECT_EQ(std::count(left.begin(), left.end(), entries[0]), 0);
+
+    // With only a stale entry beside a healthy one, verify is clean
+    // (teacachectl verify exits 0) and names it stale.
+    TempCacheDir only;
+    ASSERT_TRUE(runOnce(cachedOptions(only), 200).replay.cacheStored);
+    ASSERT_TRUE(runOnce(cachedOptions(only), 300).replay.cacheStored);
+    std::vector<std::string> two = only.entries();
+    ASSERT_EQ(two.size(), 2u);
+    resealVersion(only.path() + "/" + two[0], traceCodecVersion - 1);
+    CacheVerifyReport clean = verifyCacheDir(only.path(), true);
+    EXPECT_TRUE(clean.clean());
+    EXPECT_EQ(clean.stale, 1u);
+    EXPECT_EQ(clean.healthy, 1u);
+    EXPECT_FALSE(only.anyWithSuffix(".reason")); // not quarantined
+    EXPECT_EQ(only.entries().size(), 2u);
+    EXPECT_EQ(CacheJanitor(only.path(), JanitorConfig{}).gc().removedStale,
+              1u);
+    EXPECT_EQ(only.entries().size(), 1u);
 }

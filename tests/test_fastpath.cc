@@ -23,11 +23,13 @@
 
 #include "analysis/audit.hh"
 #include "analysis/runner.hh"
+#include "analysis/sweep.hh"
 #include "common/fingerprint.hh"
 #include "common/rng.hh"
 #include "core/core.hh"
 #include "core/trace_buffer.hh"
 #include "core/trace_codec.hh"
+#include "workloads/kernel_gen.hh"
 #include "workloads/workload.hh"
 
 using namespace tea;
@@ -124,6 +126,40 @@ TEST_P(FastpathSuite, BitIdenticalTraceAndStats)
 INSTANTIATE_TEST_SUITE_P(
     Workloads, FastpathSuite,
     ::testing::ValuesIn(workloads::suiteNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
+
+// --- one example-sweep kernel per core preset -------------------------
+
+class FastpathSweepPreset : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(FastpathSweepPreset, MemoryKernelBitIdentical)
+{
+    // The example sweep's memory-level kernels spend most cycles in
+    // idle runs, which both loops fold into the same spans.
+    for (const SweepExperiment &e : expandSweep(exampleSweep())) {
+        if (e.preset != GetParam() ||
+            e.name.find("level=MEM") == std::string::npos)
+            continue;
+        SCOPED_TRACE(e.name);
+        TraceDigest ref = runDigest(workloads::generateKernel(e.spec),
+                                    e.cfg, false);
+        TraceDigest fast = runDigest(workloads::generateKernel(e.spec),
+                                     e.cfg, true);
+        expectDigestsIdentical(ref, fast);
+        EXPECT_GT(fast.perf.skippedCycles, 0u);
+        EXPECT_LT(fast.events, fast.cycles) << "no idle run was folded";
+        return;
+    }
+    FAIL() << "no level=MEM experiment for preset " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, FastpathSweepPreset,
+    ::testing::ValuesIn(exampleSweep().presets),
     [](const ::testing::TestParamInfo<std::string> &info) {
         return info.param;
     });

@@ -185,7 +185,7 @@ extremeChunk(Rng &rng, std::size_t count)
         cycle += swing ? (0x7fffffffffffffull + rng.below(1024)) : 1;
         seq += swing ? (0x3fffffffffffffull + rng.below(1024)) : 1;
         TraceEvent ev;
-        switch (rng.below(4)) {
+        switch (rng.below(5)) {
           case 0: {
             ev.kind = TraceEventKind::Cycle;
             ev.p.cycle = CycleRecord{};
@@ -223,13 +223,38 @@ extremeChunk(Rng &rng, std::size_t count)
             ev.kind = TraceEventKind::Fetch;
             ev.p.uop = UopRecord{seq, wildPc(), cycle};
             break;
+          case 3: {
+            // An idle span whose length swings between the shortest
+            // and the longest the format carries.
+            ev.kind = TraceEventKind::Span;
+            ev.spanCycles = swing ? maxSpanCycles - static_cast<std::uint32_t>(
+                                                        rng.below(4))
+                                  : static_cast<std::uint32_t>(
+                                        2 + rng.below(4));
+            ev.p.cycle = CycleRecord{};
+            CycleRecord &r = ev.p.cycle;
+            r.cycle = cycle;
+            cycle += ev.spanCycles - 1;
+            r.state = static_cast<CommitState>(1 + rng.below(3));
+            r.headValid = r.state == CommitState::Stalled;
+            if (r.headValid) {
+                r.headSeq = seq + 0x7ffffffffull;
+                r.headPc = wildPc();
+            }
+            r.lastValid = rng.chance(0.9);
+            if (r.lastValid) {
+                r.lastPc = wildPc();
+                r.lastPsv =
+                    Psv(static_cast<std::uint16_t>(rng.below(512)));
+            }
+            break;
+          }
           default:
             ev.kind = TraceEventKind::End;
             ev.p.end = cycle;
             break;
         }
-        if (ev.kind == TraceEventKind::Cycle)
-            ++c.cycleRecords;
+        c.cycleRecords += cyclesCovered(ev);
         c.events.push_back(ev);
     }
     return c;

@@ -199,7 +199,7 @@ randomEvents(std::uint64_t seed, unsigned count)
     evs.reserve(count + 1);
     for (unsigned i = 0; i < count; ++i) {
         TraceEvent ev;
-        switch (rng.below(4)) {
+        switch (rng.below(5)) {
           case 0: {
             ev.kind = TraceEventKind::Cycle;
             CycleRecord rec;
@@ -215,6 +215,25 @@ randomEvents(std::uint64_t seed, unsigned count)
                         rng.below(0x200)))};
             }
             rec.headValid = rng.chance(0.5);
+            rec.headSeq = rng.next();
+            rec.headPc = static_cast<InstIndex>(rng.below(1 << 20));
+            rec.lastValid = rng.chance(0.5);
+            rec.lastPc = static_cast<InstIndex>(rng.below(1 << 20));
+            rec.lastPsv =
+                Psv(static_cast<std::uint16_t>(rng.below(0x200)));
+            ev.p.cycle = rec;
+            break;
+          }
+          case 1: {
+            // An idle span: no commits, not Compute, >= 2 cycles.
+            ev.kind = TraceEventKind::Span;
+            ev.spanCycles = static_cast<std::uint32_t>(
+                rng.chance(0.1) ? maxSpanCycles - rng.below(2)
+                                : rng.range(2, 1000));
+            CycleRecord rec;
+            rec.cycle = i;
+            rec.state = static_cast<CommitState>(rng.range(1, 3));
+            rec.headValid = rec.state == CommitState::Stalled;
             rec.headSeq = rng.next();
             rec.headPc = static_cast<InstIndex>(rng.below(1 << 20));
             rec.lastValid = rng.chance(0.5);
@@ -291,10 +310,8 @@ TEST(TraceCodec, DecodeFromMisalignedBuffer)
     std::vector<TraceEvent> written = randomEvents(0xa11a, 500);
     TraceChunk chunk;
     chunk.events = written;
-    for (const TraceEvent &ev : written) {
-        if (ev.kind == TraceEventKind::Cycle)
-            ++chunk.cycleRecords;
-    }
+    for (const TraceEvent &ev : written)
+        chunk.cycleRecords += cyclesCovered(ev);
     std::vector<std::uint8_t> encoded;
     encodeChunk(chunk, encoded);
     ASSERT_GT(encoded.size(), sizeof(ChunkFrameHeader));
@@ -384,10 +401,8 @@ sampleChunk()
 {
     TraceChunk chunk;
     chunk.events = randomEvents(0xfau, 200);
-    for (const TraceEvent &ev : chunk.events) {
-        if (ev.kind == TraceEventKind::Cycle)
-            ++chunk.cycleRecords;
-    }
+    for (const TraceEvent &ev : chunk.events)
+        chunk.cycleRecords += cyclesCovered(ev);
     return chunk;
 }
 

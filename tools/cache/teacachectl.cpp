@@ -13,6 +13,8 @@
  *   teacachectl [--dir DIR] verify [--quarantine]
  *                                    validate every entry end to end;
  *                                    exits 1 when any entry is damaged
+ *                                    (an older codec's entry is stale,
+ *                                    not damaged: gc removes it)
  *
  * DIR defaults to the runner's own resolution: TEA_TRACE_CACHE_DIR,
  * else ${TMPDIR:-/tmp}/tea-trace-cache. The janitor's byte budget comes
@@ -103,14 +105,16 @@ runJanitor(const std::string &dir, const JanitorConfig &cfg)
         return 1;
     }
     std::printf("%s: scanned %llu entr%s (%llu bytes); evicted %llu "
-                "(%llu bytes); removed %llu tmp, %llu lock(s), %llu "
-                "quarantine file(s)\n",
+                "(%llu bytes); removed %llu stale entr%s, %llu tmp, "
+                "%llu lock(s), %llu quarantine file(s)\n",
                 dir.c_str(),
                 static_cast<unsigned long long>(stats.scannedEntries),
                 stats.scannedEntries == 1 ? "y" : "ies",
                 static_cast<unsigned long long>(stats.scannedBytes),
                 static_cast<unsigned long long>(stats.evictedEntries),
                 static_cast<unsigned long long>(stats.evictedBytes),
+                static_cast<unsigned long long>(stats.removedStale),
+                stats.removedStale == 1 ? "y" : "ies",
                 static_cast<unsigned long long>(stats.removedTmp),
                 static_cast<unsigned long long>(stats.removedLocks),
                 static_cast<unsigned long long>(
@@ -122,13 +126,18 @@ int
 cmdVerify(const std::string &dir, bool quarantine)
 {
     CacheVerifyReport report = verifyCacheDir(dir, quarantine);
+    for (const std::string &s : report.stalePaths)
+        std::fprintf(stderr, "teacachectl: STALE %s (gc removes it)\n",
+                     s.c_str());
     for (const std::string &d : report.damagedPaths)
         std::fprintf(stderr, "teacachectl: DAMAGED %s\n", d.c_str());
-    std::printf("%s: %llu entr%s checked, %llu healthy, %llu damaged%s\n",
+    std::printf("%s: %llu entr%s checked, %llu healthy, %llu stale, "
+                "%llu damaged%s\n",
                 dir.c_str(),
                 static_cast<unsigned long long>(report.checked),
                 report.checked == 1 ? "y" : "ies",
                 static_cast<unsigned long long>(report.healthy),
+                static_cast<unsigned long long>(report.stale),
                 static_cast<unsigned long long>(report.damaged),
                 quarantine && report.damaged > 0 ? " (quarantined)"
                                                  : "");
