@@ -335,22 +335,16 @@ measureSimulator()
         fastp.seconds > 0.0
             ? static_cast<double>(fastp.cycles) / fastp.seconds
             : 0.0;
-    double events_per_s =
-        fastp.seconds > 0.0
-            ? static_cast<double>(fastp.events) / fastp.seconds
-            : 0.0;
     const unsigned cores = std::thread::hardware_concurrency();
 
     std::printf("simulator: fast path %.3f s (%.1fx vs %.2f s seed cold, "
                 "%.1fx vs %.3f s reference loop), %llu cycles, "
-                "%llu events, %.1f Mcycles/s, %.1f Mevents/s, "
-                "%.1f%% cycles skipped\n",
+                "%llu events, %.1f Mcycles/s, %.1f%% cycles skipped\n",
                 fastp.seconds, vs_seed, kSeedColdSeconds, vs_ref,
                 ref.seconds,
                 static_cast<unsigned long long>(fastp.cycles),
                 static_cast<unsigned long long>(fastp.events),
-                cycles_per_s / 1e6, events_per_s / 1e6,
-                fastp.skipRatio * 100.0);
+                cycles_per_s / 1e6, fastp.skipRatio * 100.0);
 
     std::FILE *f = std::fopen("BENCH_simulator.json", "w");
     if (!f) {
@@ -370,15 +364,13 @@ measureSimulator()
                  "  \"speedup_vs_seed\": %.3f,\n"
                  "  \"speedup_vs_reference\": %.3f,\n"
                  "  \"fastpath_cycles_per_second\": %.0f,\n"
-                 "  \"fastpath_events_per_second\": %.0f,\n"
                  "  \"skip_ratio\": %.4f,\n"
                  "  \"machine_cores\": %u\n"
                  "}\n",
                  workload, static_cast<unsigned long long>(fastp.cycles),
                  static_cast<unsigned long long>(fastp.events),
                  kSeedColdSeconds, ref.seconds, fastp.seconds, vs_seed,
-                 vs_ref, cycles_per_s, events_per_s, fastp.skipRatio,
-                 cores);
+                 vs_ref, cycles_per_s, fastp.skipRatio, cores);
     std::fclose(f);
     return 0;
 }

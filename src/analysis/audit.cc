@@ -132,6 +132,40 @@ InvariantAuditor::auditCycle(const CycleRecord &rec)
                          static_cast<unsigned long long>(rec.cycle)));
     }
 
+    // Front-end seqs: each stage passes uops once, in seq order, and
+    // dispatch never overtakes fetch.
+    const auto at = static_cast<unsigned long long>(rec.cycle);
+    if (rec.nextDispatchSeq > rec.nextFetchSeq) {
+        report(strprintf("next dispatch seq %llu at cycle %llu is ahead "
+                         "of next fetch seq %llu (dispatch before "
+                         "fetch)",
+                         static_cast<unsigned long long>(
+                             rec.nextDispatchSeq),
+                         at,
+                         static_cast<unsigned long long>(
+                             rec.nextFetchSeq)));
+    }
+    if (sawCycle_ && rec.nextDispatchSeq < lastNextDispatchSeq_) {
+        report(strprintf("non-monotonic dispatch seq %llu at cycle %llu "
+                         "(previous %llu)",
+                         static_cast<unsigned long long>(
+                             rec.nextDispatchSeq),
+                         at,
+                         static_cast<unsigned long long>(
+                             lastNextDispatchSeq_)));
+    }
+    if (sawCycle_ && rec.nextFetchSeq < lastNextFetchSeq_) {
+        report(strprintf("non-monotonic fetch seq %llu at cycle %llu "
+                         "(previous %llu)",
+                         static_cast<unsigned long long>(
+                             rec.nextFetchSeq),
+                         at,
+                         static_cast<unsigned long long>(
+                             lastNextFetchSeq_)));
+    }
+    lastNextDispatchSeq_ = rec.nextDispatchSeq;
+    lastNextFetchSeq_ = rec.nextFetchSeq;
+
     // Committed uops: monotone seqs, each dispatched before it commits.
     const unsigned committed =
         std::min<unsigned>(rec.numCommitted,
@@ -155,13 +189,13 @@ InvariantAuditor::auditCycle(const CycleRecord &rec)
                              static_cast<unsigned long long>(
                                  lastCommitSeq_)));
         }
-        if (sawDispatch_ && u.seq > lastDispatchSeq_) {
+        if (u.seq >= rec.nextDispatchSeq) {
             report(strprintf("seq %llu commits at cycle %llu but never "
-                             "dispatched (last dispatch %llu)",
+                             "dispatched (next dispatch %llu)",
                              static_cast<unsigned long long>(u.seq),
                              static_cast<unsigned long long>(rec.cycle),
                              static_cast<unsigned long long>(
-                                 lastDispatchSeq_)));
+                                 rec.nextDispatchSeq)));
         }
         checkPsv(u.psv, "committed uop", rec.cycle, u.seq);
         lastCommitSeq_ = u.seq;
@@ -224,50 +258,6 @@ InvariantAuditor::auditCycle(const CycleRecord &rec)
 
     lastCycle_ = rec.cycle;
     sawCycle_ = true;
-}
-
-void
-InvariantAuditor::onDispatch(const UopRecord &rec)
-{
-    ++events_;
-    if (sawEnd_)
-        report(strprintf("dispatch of seq %llu after the end marker",
-                         static_cast<unsigned long long>(rec.seq)));
-    if (sawDispatch_ && rec.seq <= lastDispatchSeq_) {
-        report(strprintf("non-monotonic dispatch seq %llu at cycle "
-                         "%llu (previous %llu)",
-                         static_cast<unsigned long long>(rec.seq),
-                         static_cast<unsigned long long>(rec.cycle),
-                         static_cast<unsigned long long>(
-                             lastDispatchSeq_)));
-    }
-    if (sawFetch_ && rec.seq > lastFetchSeq_) {
-        report(strprintf("seq %llu dispatches at cycle %llu before "
-                         "fetching (last fetch %llu)",
-                         static_cast<unsigned long long>(rec.seq),
-                         static_cast<unsigned long long>(rec.cycle),
-                         static_cast<unsigned long long>(lastFetchSeq_)));
-    }
-    lastDispatchSeq_ = rec.seq;
-    sawDispatch_ = true;
-}
-
-void
-InvariantAuditor::onFetch(const UopRecord &rec)
-{
-    ++events_;
-    if (sawEnd_)
-        report(strprintf("fetch of seq %llu after the end marker",
-                         static_cast<unsigned long long>(rec.seq)));
-    if (sawFetch_ && rec.seq <= lastFetchSeq_) {
-        report(strprintf("non-monotonic fetch seq %llu at cycle %llu "
-                         "(previous %llu)",
-                         static_cast<unsigned long long>(rec.seq),
-                         static_cast<unsigned long long>(rec.cycle),
-                         static_cast<unsigned long long>(lastFetchSeq_)));
-    }
-    lastFetchSeq_ = rec.seq;
-    sawFetch_ = true;
 }
 
 void

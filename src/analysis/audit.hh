@@ -16,10 +16,12 @@
  *    side-band fields are consistent with it (Compute iff uops
  *    committed, Stalled implies a valid ROB head, Drained/Flushed
  *    imply an empty ROB snapshot),
- *  - commit, dispatch and fetch sequence numbers are monotone and
- *    respect pipeline order (nothing commits before dispatching,
- *    nothing dispatches before fetching; the ROB head never moves
- *    backwards),
+ *  - commit sequence numbers and each record's front-end seqs
+ *    (nextDispatchSeq, nextFetchSeq) are monotone and respect pipeline
+ *    order (every committed seq is below the record's
+ *    nextDispatchSeq, and nextDispatchSeq <= nextFetchSeq: nothing
+ *    commits before dispatching, nothing dispatches before fetching;
+ *    the ROB head never moves backwards),
  *  - in a Compute cycle the last-committed snapshot names the
  *    youngest committed uop,
  *  - every PSV is restricted to the nine architectural events,
@@ -70,8 +72,6 @@ class InvariantAuditor : public TraceSink
 
     void onCycle(const CycleRecord &rec) override;
     void onSpan(const CycleRecord &first, std::uint32_t n) override;
-    void onDispatch(const UopRecord &rec) override;
-    void onFetch(const UopRecord &rec) override;
     void onEnd(Cycle final_cycle) override;
 
     /**
@@ -107,6 +107,8 @@ class InvariantAuditor : public TraceSink
 
     bool sawCycle_ = false;
     Cycle lastCycle_ = 0;   ///< last cycle record's number
+    SeqNum lastNextFetchSeq_ = 0;    ///< last record's nextFetchSeq
+    SeqNum lastNextDispatchSeq_ = 0; ///< last record's nextDispatchSeq
     bool sawEnd_ = false;
     Cycle endCycle_ = 0;
 
@@ -114,11 +116,6 @@ class InvariantAuditor : public TraceSink
     SeqNum lastCommitSeq_ = 0; ///< youngest committed seq so far
     bool sawHead_ = false;
     SeqNum lastHeadSeq_ = 0; ///< ROB head must be monotone
-
-    bool sawDispatch_ = false;
-    SeqNum lastDispatchSeq_ = 0;
-    bool sawFetch_ = false;
-    SeqNum lastFetchSeq_ = 0;
 };
 
 /**

@@ -146,7 +146,6 @@ Core::nextWakeAtLeast(Cycle at)
     while (!wake_.empty() && wake_.front() < at) {
         std::pop_heap(wake_.begin(), wake_.end(), std::greater<Cycle>());
         wake_.pop_back();
-        ++perf_.wakeups;
     }
     return wake_.empty() ? invalidCycle : wake_.front();
 }
@@ -161,15 +160,6 @@ Core::bufferEvent(TraceEventKind kind)
     TraceEvent &ev = traceBuf_.back();
     ev.kind = kind;
     return ev;
-}
-
-// tea_lint: hot
-TraceEvent &
-Core::traceAppend(TraceEventKind kind)
-{
-    if (runCycles_ != 0)
-        closeRun(); // nothing may come between a span's records
-    return bufferEvent(kind);
 }
 
 // tea_lint: hot
@@ -189,11 +179,11 @@ Core::closeRun()
 /**
  * Add the idle cycles [rec.cycle, @p until), whose records all equal
  * @p rec but for the stamp, to the open run. A record that differs in
- * anything an observer reads (state, ROB head, last-committed) closes
- * the run and opens a new one; so does reaching maxSpanCycles. Both
- * loops emit idle cycles through here, one at a time or a skipped
- * stretch at once, and the split points depend only on the records,
- * so both produce the same spans.
+ * anything an observer reads (state, ROB head, last-committed, the
+ * front-end seqs) closes the run and opens a new one; so does reaching
+ * maxSpanCycles. Both loops emit idle cycles through here, one at a
+ * time or a skipped stretch at once, and the split points depend only
+ * on the records, so both produce the same spans.
  */
 // tea_lint: hot
 void
@@ -202,7 +192,9 @@ Core::extendRun(const CycleRecord &rec, Cycle until)
     if (runCycles_ != 0 &&
         (run_.state != rec.state || run_.headSeq != rec.headSeq ||
          run_.headPc != rec.headPc || run_.lastValid != rec.lastValid ||
-         run_.lastPc != rec.lastPc || run_.lastPsv != rec.lastPsv))
+         run_.lastPc != rec.lastPc || run_.lastPsv != rec.lastPsv ||
+         run_.nextFetchSeq != rec.nextFetchSeq ||
+         run_.nextDispatchSeq != rec.nextDispatchSeq))
         closeRun();
     for (Cycle at = rec.cycle; at < until;) {
         if (runCycles_ == maxSpanCycles)
@@ -430,6 +422,9 @@ Core::cycleRecord() const
     rec.lastValid = lastValid_;
     rec.lastPc = lastPc_;
     rec.lastPsv = lastPsv_;
+    rec.nextFetchSeq = nextSeq_;
+    rec.nextDispatchSeq =
+        fetchBuffer_.empty() ? nextSeq_ : fetchBuffer_.front().seq;
 
     if (numCommitted_ > 0) {
         rec.state = CommitState::Compute;
@@ -454,10 +449,13 @@ Core::emitCycleRecord()
     ++stats_.stateCycles[static_cast<unsigned>(rec.state)];
     if (sinks_.empty())
         return;
-    if (rec.state == CommitState::Compute)
-        traceAppend(TraceEventKind::Cycle).p.cycle = rec;
-    else
+    if (rec.state == CommitState::Compute) {
+        if (runCycles_ != 0)
+            closeRun(); // a record with commits ends the idle run
+        bufferEvent(TraceEventKind::Cycle).p.cycle = rec;
+    } else {
         extendRun(rec, cycle_ + 1);
+    }
 }
 
 // tea_lint: hot
@@ -860,10 +858,6 @@ Core::dispatchStage()
             if (d.pendingDeps == 0)
                 iqWake(iqOf(cls), d.readyCycle);
         }
-
-        if (!sinks_.empty())
-            traceAppend(TraceEventKind::Dispatch).p.uop =
-                UopRecord{d.seq, d.pc, cycle_};
     }
     if (dispatched)
         scheduleWake(cycle_ + 1); // width-limited; more may dispatch
@@ -951,11 +945,8 @@ Core::fetchStage()
             stop = true;
         }
 
-        UopRecord rec{u.seq, u.pc, cycle_};
         fetchBuffer_.push_back(std::move(u));
         fetched_any = true;
-        if (!sinks_.empty())
-            traceAppend(TraceEventKind::Fetch).p.uop = rec;
 
         if (stop)
             break;
@@ -964,7 +955,6 @@ Core::fetchStage()
         scheduleWake(cycle_ + 1); // fetch continues / decode proceeds
 }
 
-// tea_lint: hot
 // tea_lint: hot
 void
 Core::ageStoreSets()

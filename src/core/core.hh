@@ -30,7 +30,10 @@
  *    record, by extending one idle span in O(1).
  * Both loops fold every maximal run of two or more identical idle
  * cycle records into one span event (TraceSink::onSpan), so the
- * observable trace stays bit-identical between them.
+ * observable trace stays bit-identical between them. The trace is one
+ * record per cycle (or span) plus the end marker: fetch and dispatch
+ * emit nothing, and each record carries the next seqs they will pass
+ * (CycleRecord::nextFetchSeq, nextDispatchSeq).
  */
 
 #ifndef TEA_CORE_CORE_HH
@@ -94,7 +97,6 @@ struct SimPerf
     std::uint64_t activeCycles = 0;  ///< cycles the stages executed
     std::uint64_t skippedCycles = 0; ///< idle cycles skipped over
     std::uint64_t traceEvents = 0;   ///< events delivered to sinks
-    std::uint64_t wakeups = 0;       ///< wake-calendar entries consumed
 
     /** Fraction of simulated cycles skipped by the next-event clock. */
     double skipRatio() const
@@ -131,9 +133,9 @@ class Core
      * Simulate one cycle and flush its trace events to the sinks.
      * An idle cycle record that may still grow into a span is held
      * back: it reaches the sinks when the run of identical idle
-     * records ends, that is when the next different record or any
-     * other event is emitted, or at the end marker. So after a step()
-     * the sinks may lag the core by the open run's cycles.
+     * records ends, that is when the next different record is emitted,
+     * or at the end marker. So after a step() the sinks may lag the
+     * core by the open run's cycles.
      * @return false once the program has halted
      */
     bool step();
@@ -245,7 +247,6 @@ class Core
     Cycle nextWakeAtLeast(Cycle at);
 
     // Batched trace emission.
-    TraceEvent &traceAppend(TraceEventKind kind);
     TraceEvent &bufferEvent(TraceEventKind kind);
     void flushTrace();
     void emitEnd();

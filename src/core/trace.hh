@@ -2,15 +2,18 @@
  * @file
  * Cycle-by-cycle trace interface (the in-process TraceDoctor equivalent).
  *
- * The core publishes, for every simulated cycle, the commit state, the
- * committing micro-ops and their PSVs, the head-of-ROB micro-op, and the
- * last-committed instruction's PSV; it additionally publishes dispatch
- * and fetch events. Each commit is recorded once, in its cycle record:
- * observers' retire callbacks are derived from the record's commit
- * slots (deliverCycle below). A run of identical idle cycles is
- * published once, as a span (onSpan below). All profiling techniques
- * are TraceSinks and observe the exact same cycles, mirroring the
- * paper's out-of-band methodology (Section 4).
+ * The core publishes, for every simulated cycle, one record: the commit
+ * state, the committing micro-ops and their PSVs, the head-of-ROB
+ * micro-op, the last-committed instruction's PSV, and the next
+ * micro-ops to dispatch and to fetch. Each commit is recorded once, in
+ * its cycle record: observers' retire callbacks are derived from the
+ * record's commit slots (deliverCycle below). The front end emits no
+ * per-uop events: dispatch and fetch run in seq order after the record
+ * is built, so the record's two front-end seqs name the first micro-op
+ * each stage passes from that cycle on. A run of identical idle cycles
+ * is published once, as a span (onSpan below). All profiling
+ * techniques are TraceSinks and observe the exact same cycles,
+ * mirroring the paper's out-of-band methodology (Section 4).
  */
 
 #ifndef TEA_CORE_TRACE_HH
@@ -62,11 +65,27 @@ struct CycleRecord
     InstIndex lastPc = invalidInstIndex;
     Psv lastPsv;
 
+    /**
+     * Front-end position when the record is built (after this cycle's
+     * commits, before its dispatch and fetch): the seq the next fetched
+     * micro-op gets, and the seq of the next one to dispatch (the
+     * fetch-buffer head, or nextFetchSeq when the buffer is empty).
+     * Both never decrease, and nextDispatchSeq <= nextFetchSeq.
+     */
+    SeqNum nextFetchSeq = 0;
+    SeqNum nextDispatchSeq = 0;
+
     /** Micro-ops committed this cycle (slots < numCommitted valid). */
     std::array<CommittedUop, 8> committed{};
 };
 
-/** A micro-op passing a front-end stage (fetch or dispatch). */
+/**
+ * A micro-op passing a front-end stage (fetch or dispatch). The trace
+ * carries no such events (CycleRecord's front-end seqs replace them).
+ * The type and the onDispatch/onFetch hooks below have no caller; they
+ * remain only because perfbench's TimedSink (perfbench/harness.cc)
+ * overrides them.
+ */
 struct UopRecord
 {
     SeqNum seq = invalidSeqNum;
@@ -99,20 +118,19 @@ class TraceSink
      * Called for a span: @p n (>= 2) consecutive idle cycles whose
      * records equal @p first except for the cycle stamp, which counts
      * up from first.cycle. Idle means not Compute, so nothing commits
-     * and no retire is due. The producer folds a run of such records
-     * into one span only when nothing else is emitted between them, so
-     * a span stands exactly where its n records would. The default
-     * expands it into n onCycle calls with consecutive stamps, so a
-     * sink that only overrides onCycle sees the per-cycle stream;
-     * observers override it to handle the run in one step, with
-     * results bit-identical to that expansion.
+     * and no retire is due; equal front-end seqs mean nothing was
+     * fetched or dispatched inside the run. A span stands exactly where
+     * its n records would. The default expands it into n onCycle calls
+     * with consecutive stamps, so a sink that only overrides onCycle
+     * sees the per-cycle stream; observers override it to handle the
+     * run in one step, with results bit-identical to that expansion.
      */
     virtual void onSpan(const CycleRecord &first, std::uint32_t n);
 
-    /** Called for every micro-op entering the ROB. */
+    /** Never called: the trace has no per-uop events (UopRecord). */
     virtual void onDispatch(const UopRecord &rec) { (void)rec; }
 
-    /** Called for every fetched micro-op. */
+    /** Never called: the trace has no per-uop events (UopRecord). */
     virtual void onFetch(const UopRecord &rec) { (void)rec; }
 
     /**

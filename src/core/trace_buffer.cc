@@ -29,6 +29,9 @@ eventsEquivalent(const TraceEvent &a, const TraceEvent &b)
         if (x.lastValid &&
             (x.lastPc != y.lastPc || x.lastPsv != y.lastPsv))
             return false;
+        if (x.nextFetchSeq != y.nextFetchSeq ||
+            x.nextDispatchSeq != y.nextDispatchSeq)
+            return false;
         for (unsigned i = 0; i < x.numCommitted; ++i) {
             if (x.committed[i].seq != y.committed[i].seq ||
                 x.committed[i].pc != y.committed[i].pc ||
@@ -37,11 +40,6 @@ eventsEquivalent(const TraceEvent &a, const TraceEvent &b)
         }
         return true;
       }
-      case TraceEventKind::Dispatch:
-      case TraceEventKind::Fetch:
-        return a.p.uop.seq == b.p.uop.seq &&
-               a.p.uop.pc == b.p.uop.pc &&
-               a.p.uop.cycle == b.p.uop.cycle;
       case TraceEventKind::End:
         return a.p.end == b.p.end;
     }
@@ -63,28 +61,6 @@ TraceSink::onBatch(const TraceEvent *events, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
         deliverEvent(events[i], *this);
-}
-
-void
-deliverEvent(const TraceEvent &ev, TraceSink &sink)
-{
-    switch (ev.kind) {
-      case TraceEventKind::Cycle:
-        deliverCycle(sink, ev.p.cycle);
-        break;
-      case TraceEventKind::Span:
-        sink.onSpan(ev.p.cycle, ev.spanCycles);
-        break;
-      case TraceEventKind::Dispatch:
-        sink.onDispatch(ev.p.uop);
-        break;
-      case TraceEventKind::Fetch:
-        sink.onFetch(ev.p.uop);
-        break;
-      case TraceEventKind::End:
-        sink.onEnd(ev.p.end);
-        break;
-    }
 }
 
 std::uint64_t
@@ -162,22 +138,6 @@ ChunkingSink::onSpan(const CycleRecord &first, std::uint32_t n)
 }
 
 void
-ChunkingSink::onDispatch(const UopRecord &rec)
-{
-    append(TraceEventKind::Dispatch).p.uop = rec;
-    if (open_->events.size() >= chunkEvents_)
-        finish();
-}
-
-void
-ChunkingSink::onFetch(const UopRecord &rec)
-{
-    append(TraceEventKind::Fetch).p.uop = rec;
-    if (open_->events.size() >= chunkEvents_)
-        finish();
-}
-
-void
 ChunkingSink::onEnd(Cycle final_cycle)
 {
     append(TraceEventKind::End).p.end = final_cycle;
@@ -244,18 +204,6 @@ void
 TraceBuffer::onSpan(const CycleRecord &first, std::uint32_t n)
 {
     sink_.onSpan(first, n);
-}
-
-void
-TraceBuffer::onDispatch(const UopRecord &rec)
-{
-    sink_.onDispatch(rec);
-}
-
-void
-TraceBuffer::onFetch(const UopRecord &rec)
-{
-    sink_.onFetch(rec);
 }
 
 void

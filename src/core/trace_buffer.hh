@@ -2,10 +2,9 @@
  * @file
  * In-memory cycle-trace capture (the filesystem-free TraceDoctor path).
  *
- * A TraceSink records every trace event — cycle snapshots, idle spans,
- * fetch and dispatch uops and the end marker — into fixed-size chunks
- * of a tagged union, preserving the exact interleaving the core
- * produced.
+ * A TraceSink records every trace event — cycle records, idle spans
+ * and the end marker — into fixed-size chunks of a tagged union,
+ * preserving the exact order the core produced.
  * Chunks can be replayed through any set of TraceSinks, delivering
  * byte-identical records in the original order, which is what makes
  * out-of-band replay deterministic regardless of who replays them or
@@ -34,8 +33,6 @@ namespace tea {
 enum class TraceEventKind : std::uint8_t
 {
     Cycle,
-    Dispatch,
-    Fetch,
     End,
     Span, ///< a run of identical idle cycle records (TraceSink::onSpan)
 };
@@ -61,7 +58,6 @@ struct TraceEvent
     union Payload
     {
         CycleRecord cycle; ///< Cycle, and a Span's first record
-        UopRecord uop;     ///< Dispatch and Fetch
         Cycle end;
 
         Payload() : end(0) {}
@@ -109,11 +105,28 @@ using TraceChunkPtr = std::shared_ptr<const TraceChunk>;
 bool eventsEquivalent(const TraceEvent &a, const TraceEvent &b);
 
 /**
- * Deliver one captured event to @p sink (a Cycle event through
+ * Deliver one captured event to @p sink: a Cycle event through
  * deliverCycle, so its commit slots reach onRetire first; a Span
- * through onSpan).
+ * through onSpan; the end marker through onEnd. Templated on the sink
+ * type like deliverCycle, so a final sink's onBatch loop resolves every
+ * call statically.
  */
-void deliverEvent(const TraceEvent &ev, TraceSink &sink);
+template <typename Sink>
+void
+deliverEvent(const TraceEvent &ev, Sink &sink)
+{
+    switch (ev.kind) {
+      case TraceEventKind::Cycle:
+        deliverCycle(sink, ev.p.cycle);
+        break;
+      case TraceEventKind::Span:
+        sink.onSpan(ev.p.cycle, ev.spanCycles);
+        break;
+      case TraceEventKind::End:
+        sink.onEnd(ev.p.end);
+        break;
+    }
+}
 
 /**
  * Replay every event of @p chunk through @p sinks in capture order.
@@ -142,8 +155,6 @@ class ChunkingSink : public TraceSink
 
     void onCycle(const CycleRecord &rec) override;
     void onSpan(const CycleRecord &first, std::uint32_t n) override;
-    void onDispatch(const UopRecord &rec) override;
-    void onFetch(const UopRecord &rec) override;
     void onEnd(Cycle final_cycle) override;
     void onBatch(const TraceEvent *events, std::size_t n) override;
 
@@ -176,8 +187,6 @@ class TraceBuffer : public TraceSink
 
     void onCycle(const CycleRecord &rec) override;
     void onSpan(const CycleRecord &first, std::uint32_t n) override;
-    void onDispatch(const UopRecord &rec) override;
-    void onFetch(const UopRecord &rec) override;
     void onEnd(Cycle final_cycle) override;
     void onBatch(const TraceEvent *events, std::size_t n) override;
 

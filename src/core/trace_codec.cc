@@ -31,12 +31,8 @@ enum Stream : unsigned
     ComSeq,       ///< committed[i].seq (zigzag delta)
     ComPc,        ///< committed[i].pc (zigzag delta)
     ComPsv,       ///< committed[i].psv bits (varint)
-    DispSeq,      ///< dispatch seq (zigzag delta)
-    DispPc,       ///< dispatch pc (zigzag delta)
-    DispCycle,    ///< dispatch cycle (zigzag delta)
-    FetchSeq,
-    FetchPc,
-    FetchCycle,
+    NextFetch,    ///< nextFetchSeq (zigzag delta)
+    NextDisp,     ///< nextDispatchSeq (zigzag delta)
     EndCycle, ///< final cycle of End events (varint)
     SpanLen,  ///< cycles each Span covers (varint)
     NumStreams,
@@ -54,14 +50,15 @@ constexpr unsigned flagLastValid = 0x1;
 // on-disk contract. Changing any of them invalidates every cached
 // trace, so the change must come with a traceCodecVersion bump — update
 // the pinned values here in the same commit that bumps the version.
-static_assert(traceCodecVersion == 3,
+static_assert(traceCodecVersion == 4,
               "codec version changed: re-pin the layout asserts below");
 static_assert(sizeof(ChunkFrameHeader) == 24,
               "ChunkFrameHeader layout changed: bump traceCodecVersion");
-static_assert(NumStreams == 17,
+static_assert(NumStreams == 13,
               "stream directory changed: bump traceCodecVersion");
-static_assert(static_cast<unsigned>(TraceEventKind::End) == 3 &&
-                  static_cast<unsigned>(TraceEventKind::Span) == 4,
+static_assert(static_cast<unsigned>(TraceEventKind::Cycle) == 0 &&
+                  static_cast<unsigned>(TraceEventKind::End) == 1 &&
+                  static_cast<unsigned>(TraceEventKind::Span) == 2,
               "trace event kinds changed: bump traceCodecVersion");
 static_assert(maxSpanCycles == 0xFFFFFFFFu,
               "span length bound changed: bump traceCodecVersion");
@@ -167,8 +164,7 @@ encodeChunk(const TraceChunk &chunk, std::vector<std::uint8_t> &out)
 {
     std::array<std::vector<std::uint8_t>, NumStreams> streams;
     DeltaState cycD, headSeqD, headPcD, lastPcD, comSeqD, comPcD;
-    DeltaState dispSeqD, dispPcD, dispCycD, fetchSeqD, fetchPcD,
-        fetchCycD;
+    DeltaState fetchD, dispD;
     std::uint32_t spans = 0;
     std::uint64_t covered = 0;
 
@@ -223,20 +219,8 @@ encodeChunk(const TraceChunk &chunk, std::vector<std::uint8_t> &out)
                 putVarint(streams[ComPc], comPcD.encode(c.pc));
                 putVarint(streams[ComPsv], c.psv.bits());
             }
-            break;
-          }
-          case TraceEventKind::Dispatch: {
-            const UopRecord &r = ev.p.uop;
-            putVarint(streams[DispSeq], dispSeqD.encode(r.seq));
-            putVarint(streams[DispPc], dispPcD.encode(r.pc));
-            putVarint(streams[DispCycle], dispCycD.encode(r.cycle));
-            break;
-          }
-          case TraceEventKind::Fetch: {
-            const UopRecord &r = ev.p.uop;
-            putVarint(streams[FetchSeq], fetchSeqD.encode(r.seq));
-            putVarint(streams[FetchPc], fetchPcD.encode(r.pc));
-            putVarint(streams[FetchCycle], fetchCycD.encode(r.cycle));
+            putVarint(streams[NextFetch], fetchD.encode(r.nextFetchSeq));
+            putVarint(streams[NextDisp], dispD.encode(r.nextDispatchSeq));
             break;
           }
           case TraceEventKind::End:
@@ -414,8 +398,6 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
     };
     // Cycle-stream records: the Cycle events and the spans' first ones.
     const std::uint32_t nCyc = kindCount(TraceEventKind::Cycle);
-    const std::uint32_t nDisp = kindCount(TraceEventKind::Dispatch);
-    const std::uint32_t nFetch = kindCount(TraceEventKind::Fetch);
     const std::uint32_t nEnd = kindCount(TraceEventKind::End);
     if (nSpan != hdr.spanEvents)
         return fail(why, "span count mismatch");
@@ -481,12 +463,8 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
         {ComSeq, nCom, "truncated committed stream"},
         {ComPc, nCom, "truncated committed stream"},
         {ComPsv, nCom, "truncated committed stream"},
-        {DispSeq, nDisp, "truncated dispatch stream"},
-        {DispPc, nDisp, "truncated dispatch stream"},
-        {DispCycle, nDisp, "truncated dispatch stream"},
-        {FetchSeq, nFetch, "truncated fetch stream"},
-        {FetchPc, nFetch, "truncated fetch stream"},
-        {FetchCycle, nFetch, "truncated fetch stream"},
+        {NextFetch, nCyc, "truncated front-end stream"},
+        {NextDisp, nCyc, "truncated front-end stream"},
         {EndCycle, nEnd, "truncated end stream"},
         {SpanLen, nSpan, "truncated span stream"},
     };
@@ -516,8 +494,11 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
         const std::uint64_t *cpc = lanes[ComPc].get();
         const std::uint64_t *cpsv = lanes[ComPsv].get();
         const std::uint64_t *slen = lanes[SpanLen].get();
+        const std::uint64_t *nfetch = lanes[NextFetch].get();
+        const std::uint64_t *ndisp = lanes[NextDisp].get();
         std::uint64_t cycPrev = 0, hseqPrev = 0, hpcPrev = 0;
         std::uint64_t lpcPrev = 0, cseqPrev = 0, cpcPrev = 0;
+        std::uint64_t fetchPrev = 0, dispPrev = 0;
         std::size_t hs = 0, ls = 0, cs = 0, ss = 0;
         // The span rules, each OR-accumulated without a branch and
         // checked once after the loop.
@@ -571,6 +552,10 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
             r.lastPc = static_cast<InstIndex>(lpcPrev);
             r.lastPsv = Psv(static_cast<std::uint16_t>(lpsv[ls]));
             ls += lv;
+            fetchPrev += static_cast<std::uint64_t>(unzigzag(nfetch[j]));
+            dispPrev += static_cast<std::uint64_t>(unzigzag(ndisp[j]));
+            r.nextFetchSeq = fetchPrev;
+            r.nextDispatchSeq = dispPrev;
             for (unsigned c = 0; c < nc; ++c) {
                 cseqPrev +=
                     static_cast<std::uint64_t>(unzigzag(cseq[cs + c]));
@@ -593,31 +578,6 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
     }
     if (covered != hdr.cycleRecords)
         return fail(why, "cycle-record count mismatch");
-
-    const auto writeUops = [events](const std::uint32_t *P,
-                                    std::uint32_t n, TraceEventKind kind,
-                                    const std::uint64_t *seq,
-                                    const std::uint64_t *pc,
-                                    const std::uint64_t *cycle) {
-        std::uint64_t seqPrev = 0, pcPrev = 0, cycPrev = 0;
-        for (std::uint32_t j = 0; j < n; ++j) {
-            TraceEvent &ev = events[P[j]];
-            ev.kind = kind;
-            UopRecord &r = ev.p.uop;
-            seqPrev += static_cast<std::uint64_t>(unzigzag(seq[j]));
-            pcPrev += static_cast<std::uint64_t>(unzigzag(pc[j]));
-            cycPrev += static_cast<std::uint64_t>(unzigzag(cycle[j]));
-            r.seq = seqPrev;
-            r.pc = static_cast<InstIndex>(pcPrev);
-            r.cycle = cycPrev;
-        }
-    };
-    writeUops(pos[static_cast<unsigned>(TraceEventKind::Dispatch)].get(),
-              nDisp, TraceEventKind::Dispatch, lanes[DispSeq].get(),
-              lanes[DispPc].get(), lanes[DispCycle].get());
-    writeUops(pos[static_cast<unsigned>(TraceEventKind::Fetch)].get(),
-              nFetch, TraceEventKind::Fetch, lanes[FetchSeq].get(),
-              lanes[FetchPc].get(), lanes[FetchCycle].get());
 
     {
         const std::uint32_t *P =

@@ -12,6 +12,11 @@
  * over small ranges, so most values fit in one byte (~10x smaller than
  * the in-memory events).
  *
+ * The trace has three event kinds: Cycle, Span and End. A cycle
+ * record's front-end seqs (nextFetchSeq, nextDispatchSeq) advance by at
+ * most the fetch or dispatch width per record, so their delta streams
+ * cost about one byte each per record.
+ *
  * A Span event (an idle run, TraceSink::onSpan) is its first cycle
  * record plus a length. The record travels in the cycle streams, in
  * event order with the Cycle events, and the length in a stream of its
@@ -52,7 +57,7 @@ namespace tea {
  * cached trace file embeds (CoreStats layout, header layout). Bump on
  * any change; stale files then fail validation and are re-simulated.
  */
-inline constexpr std::uint32_t traceCodecVersion = 3;
+inline constexpr std::uint32_t traceCodecVersion = 4;
 
 /** Fixed per-frame header (little-endian, packed by construction). */
 struct ChunkFrameHeader

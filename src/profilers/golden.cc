@@ -182,31 +182,10 @@ GoldenReference::onRetire(const RetireRecord &rec)
 void
 GoldenReference::onBatch(const TraceEvent *events, std::size_t n)
 {
-    // Batched replay inner loop: the same per-kind logic as the
-    // virtual callbacks (the class is final, so these calls resolve
-    // statically), minus the per-event virtual hop the default
-    // TraceSink::onBatch fan-out pays. Dispatch and fetch events are
-    // skipped outright — the golden reference only consumes commit
-    // state and the retires derived from it.
-    for (std::size_t i = 0; i < n; ++i) {
-        const TraceEvent &ev = events[i];
-        switch (ev.kind) {
-          case TraceEventKind::Cycle:
-            deliverCycle(*this, ev.p.cycle);
-            break;
-          case TraceEventKind::Span:
-            onSpan(ev.p.cycle, ev.spanCycles);
-            break;
-          case TraceEventKind::Dispatch:
-          case TraceEventKind::Fetch:
-            break;
-          case TraceEventKind::End:
-            // Producers keep End out of batches (core/trace.hh), but a
-            // hand-built chunk may still carry one; honor it.
-            onEnd(ev.p.end);
-            break;
-        }
-    }
+    // The default TraceSink::onBatch, minus its per-event virtual hops:
+    // the class is final, so deliverEvent's calls resolve statically.
+    for (std::size_t i = 0; i < n; ++i)
+        deliverEvent(events[i], *this);
 }
 
 void

@@ -68,7 +68,8 @@ dtagTeaConfig(Cycle period)
                          teaEventSet().mask, period, 0};
 }
 
-TechniqueSampler::TechniqueSampler(SamplerConfig cfg) : cfg_(std::move(cfg))
+TechniqueSampler::TechniqueSampler(SamplerConfig cfg)
+    : cfg_(std::move(cfg)), nextFire_(cfg_.phase)
 {
     tea_assert(cfg_.period > 0, "sampling period must be positive");
 }
@@ -103,14 +104,40 @@ TechniqueSampler::emitRecord(Cycle timestamp, CommitState state,
     recorder_->onSample(rec);
 }
 
+/** The first fire cycle at or after @p c (invalidCycle if none fits). */
+Cycle
+TechniqueSampler::fireAtOrAfter(Cycle c) const
+{
+    if (c <= cfg_.phase)
+        return cfg_.phase;
+    const Cycle past = (c - cfg_.phase) % cfg_.period;
+    if (past == 0)
+        return c;
+    const Cycle fire = c + (cfg_.period - past);
+    return fire < c ? invalidCycle : fire;
+}
+
+void
+TechniqueSampler::advanceFire()
+{
+    nextFire_ = nextFire_ > invalidCycle - cfg_.period
+                    ? invalidCycle
+                    : nextFire_ + cfg_.period;
+}
+
 void
 TechniqueSampler::onCycle(const CycleRecord &rec)
 {
-    if (rec.cycle < cfg_.phase)
+    if (rec.cycle < nextFire_)
         return;
-    if ((rec.cycle - cfg_.phase) % cfg_.period != 0)
-        return;
+    if (rec.cycle != nextFire_) {
+        // The stream jumped past the running fire cycle: re-align.
+        nextFire_ = fireAtOrAfter(rec.cycle);
+        if (rec.cycle != nextFire_)
+            return;
+    }
     takeSample(rec);
+    advanceFire();
 }
 
 /**
@@ -121,20 +148,13 @@ void
 TechniqueSampler::onSpan(const CycleRecord &first, std::uint32_t n)
 {
     const Cycle end = first.cycle + n;
-    Cycle c = cfg_.phase;
-    if (first.cycle > cfg_.phase) {
-        const Cycle past = (first.cycle - cfg_.phase) % cfg_.period;
-        c = first.cycle + (past == 0 ? 0 : cfg_.period - past);
-    }
-    if (c >= end || c < first.cycle)
-        return; // no fire in the span (or the next one wraps)
+    if (nextFire_ < first.cycle)
+        nextFire_ = fireAtOrAfter(first.cycle);
     CycleRecord rec = first;
-    for (;;) {
-        rec.cycle = c;
+    while (nextFire_ < end) {
+        rec.cycle = nextFire_;
         takeSample(rec);
-        if (end - c <= cfg_.period)
-            break;
-        c += cfg_.period;
+        advanceFire();
     }
 }
 
@@ -194,36 +214,19 @@ TechniqueSampler::takeSample(const CycleRecord &rec)
 
       case SamplePolicy::DispatchTag:
       case SamplePolicy::FetchTag:
-        if (armed_ || taggedSeq_ != invalidSeqNum) {
+        if (taggedSeq_ != invalidSeqNum) {
             // The previous tagged micro-op is still in flight; hardware
             // drops the new sample.
             ++samplesDropped_;
         } else {
-            armed_ = true;
+            // The first micro-op to pass the tagging stage after the
+            // fire (file comment).
+            taggedSeq_ = cfg_.policy == SamplePolicy::DispatchTag
+                             ? rec.nextDispatchSeq
+                             : rec.nextFetchSeq;
         }
         break;
     }
-}
-
-void
-TechniqueSampler::tag(const UopRecord &rec, SamplePolicy stage)
-{
-    if (cfg_.policy != stage || !armed_)
-        return;
-    armed_ = false;
-    taggedSeq_ = rec.seq;
-}
-
-void
-TechniqueSampler::onDispatch(const UopRecord &rec)
-{
-    tag(rec, SamplePolicy::DispatchTag);
-}
-
-void
-TechniqueSampler::onFetch(const UopRecord &rec)
-{
-    tag(rec, SamplePolicy::FetchTag);
 }
 
 void
@@ -255,50 +258,25 @@ TechniqueSampler::onRetire(const RetireRecord &rec)
 void
 TechniqueSampler::onBatch(const TraceEvent *events, std::size_t n)
 {
-    // Batched replay inner loop (the class is final, so the calls
-    // below resolve statically). A sampler touches one cycle in
-    // cfg_.period, so what matters here is making the skip cheap: one
-    // switch per event, with the tag stages behind a hoisted policy
-    // test instead of a virtual call each.
-    const bool tags = cfg_.policy == SamplePolicy::DispatchTag ||
-                      cfg_.policy == SamplePolicy::FetchTag;
-    for (std::size_t i = 0; i < n; ++i) {
-        const TraceEvent &ev = events[i];
-        switch (ev.kind) {
-          case TraceEventKind::Cycle:
-            deliverCycle(*this, ev.p.cycle);
-            break;
-          case TraceEventKind::Span:
-            onSpan(ev.p.cycle, ev.spanCycles);
-            break;
-          case TraceEventKind::Dispatch:
-            if (tags)
-                tag(ev.p.uop, SamplePolicy::DispatchTag);
-            break;
-          case TraceEventKind::Fetch:
-            if (tags)
-                tag(ev.p.uop, SamplePolicy::FetchTag);
-            break;
-          case TraceEventKind::End:
-            // Producers keep End out of batches (core/trace.hh), but
-            // honor one in a hand-built chunk anyway.
-            onEnd(ev.p.end);
-            break;
-        }
-    }
+    // The default TraceSink::onBatch, minus its per-event virtual hops:
+    // the class is final, so deliverEvent's calls resolve statically. A
+    // sampler touches one cycle in cfg_.period, so a record costs one
+    // switch and one compare against nextFire_.
+    for (std::size_t i = 0; i < n; ++i)
+        deliverEvent(events[i], *this);
 }
 
 void
 TechniqueSampler::onEnd(Cycle final_cycle)
 {
     (void)final_cycle;
-    if (armed_ || taggedSeq_ != invalidSeqNum)
+    if (taggedSeq_ != invalidSeqNum)
         ++samplesDropped_;
     samplesDropped_ += pendingCount_;
     pendingWeight_ = 0.0;
     pendingCount_ = 0;
-    armed_ = false;
     taggedSeq_ = invalidSeqNum;
+    nextFire_ = cfg_.phase; // a further trace starts its fires afresh
 }
 
 } // namespace tea

@@ -16,6 +16,13 @@
  *  - DispatchTag (IBS, SPE): the next micro-op to dispatch after the
  *    sample fires is tagged; the sample completes when it retires.
  *  - FetchTag (RIS): as DispatchTag, but tags at fetch.
+ *
+ * The tag comes from the cycle record: the record is built after the
+ * cycle's commits and before its dispatch and fetch, and both stages
+ * pass micro-ops once each in seq order, so the first micro-op to
+ * dispatch (fetch) after a fire is the firing record's nextDispatchSeq
+ * (nextFetchSeq). A fire while a tag is in flight is dropped, as the
+ * hardware drops it.
  */
 
 #ifndef TEA_PROFILERS_SAMPLER_HH
@@ -82,8 +89,6 @@ class TechniqueSampler final : public TraceSink
 
     void onCycle(const CycleRecord &rec) override;
     void onSpan(const CycleRecord &first, std::uint32_t n) override;
-    void onDispatch(const UopRecord &rec) override;
-    void onFetch(const UopRecord &rec) override;
     void onRetire(const RetireRecord &rec) override;
     void onEnd(Cycle final_cycle) override;
     void onBatch(const TraceEvent *events, std::size_t n) override;
@@ -119,7 +124,8 @@ class TechniqueSampler final : public TraceSink
 
   private:
     void takeSample(const CycleRecord &rec);
-    void tag(const UopRecord &rec, SamplePolicy stage);
+    Cycle fireAtOrAfter(Cycle c) const;
+    void advanceFire();
     void emitRecord(Cycle timestamp, CommitState state, unsigned count,
                     const std::uint64_t *addrs,
                     const std::uint16_t *psvs);
@@ -133,9 +139,16 @@ class TechniqueSampler final : public TraceSink
     std::uint64_t samplesTaken_ = 0;
     std::uint64_t samplesDropped_ = 0;
 
+    /**
+     * Next cycle the sampling interrupt fires (phase + k * period),
+     * invalidCycle once no later fire is representable. The trace's
+     * cycles are dense and monotone, so onCycle and onSpan advance it
+     * by one period per fire and divide only to re-align after a jump.
+     */
+    Cycle nextFire_;
+
     double pendingWeight_ = 0.0;       ///< TP/NCI delayed sample weight
     std::uint64_t pendingCount_ = 0;   ///< fires folded into the weight
-    bool armed_ = false;               ///< tagging sample requested
     SeqNum taggedSeq_ = invalidSeqNum; ///< tagged micro-op in flight
 };
 

@@ -1,5 +1,5 @@
 // Seeded violation for tea_lint's enum-switch rule, checked against the
-// real tree's TraceEventKind (Cycle, Dispatch, Fetch, End, Span).
+// real tree's TraceEventKind (Cycle, End, Span).
 // Never compiled into the project.
 #include "core/trace_buffer.hh"
 
@@ -23,8 +23,6 @@ complete(TraceEventKind k)
 {
     switch (k) {
     case TraceEventKind::Cycle:
-    case TraceEventKind::Dispatch:
-    case TraceEventKind::Fetch:
     case TraceEventKind::Span:
         return 1;
     case TraceEventKind::End:

@@ -28,7 +28,10 @@ collector()
     return InvariantAuditor(InvariantAuditor::Mode::Collect);
 }
 
-/** A Compute cycle record committing one uop (seq, pc, psv). */
+/**
+ * A Compute cycle record committing one uop (seq, pc, psv), with
+ * nothing fetched or dispatched past it.
+ */
 CycleRecord
 computeCycle(Cycle cycle, SeqNum seq, InstIndex pc, Psv psv = Psv{})
 {
@@ -40,26 +43,23 @@ computeCycle(Cycle cycle, SeqNum seq, InstIndex pc, Psv psv = Psv{})
     rec.lastValid = true;
     rec.lastPc = pc;
     rec.lastPsv = psv;
+    rec.nextFetchSeq = rec.nextDispatchSeq = seq + 1;
     return rec;
 }
 
-/** Fetch+dispatch+cycle for one uop committing at @p cycle. */
-void
-emitComputeCycle(InvariantAuditor &a, Cycle cycle, SeqNum seq,
-                 InstIndex pc)
-{
-    a.onFetch(UopRecord{seq, pc, cycle});
-    a.onDispatch(UopRecord{seq, pc, cycle});
-    a.onCycle(computeCycle(cycle, seq, pc));
-}
-
-/** A commit-less cycle record in state @p state at @p cycle. */
+/**
+ * A commit-less cycle record in state @p state at @p cycle, whose next
+ * uops to fetch and dispatch are @p fetch and @p dispatch.
+ */
 CycleRecord
-idleCycle(Cycle cycle, CommitState state)
+idleCycle(Cycle cycle, CommitState state, SeqNum fetch = 0,
+          SeqNum dispatch = 0)
 {
     CycleRecord rec;
     rec.cycle = cycle;
     rec.state = state;
+    rec.nextFetchSeq = fetch;
+    rec.nextDispatchSeq = dispatch;
     return rec;
 }
 
@@ -87,8 +87,8 @@ violationNaming(const InvariantAuditor &a,
 TEST(Audit, CleanSyntheticTracePasses)
 {
     InvariantAuditor a = collector();
-    emitComputeCycle(a, 0, 1, 5);
-    CycleRecord drained = idleCycle(1, CommitState::Drained);
+    a.onCycle(computeCycle(0, 1, 5));
+    CycleRecord drained = idleCycle(1, CommitState::Drained, 2, 2);
     drained.lastValid = true;
     drained.lastPc = 5;
     a.onCycle(drained);
@@ -96,7 +96,7 @@ TEST(Audit, CleanSyntheticTracePasses)
     a.finish();
     EXPECT_TRUE(a.clean()) << a.violations().front();
     EXPECT_EQ(a.cyclesAudited(), 2u);
-    EXPECT_EQ(a.eventsAudited(), 5u);
+    EXPECT_EQ(a.eventsAudited(), 3u);
 }
 
 TEST(Audit, DetectsDroppedCycle)
@@ -154,21 +154,46 @@ TEST(Audit, DetectsNonMonotonicCommitSeq)
 TEST(Audit, DetectsNonMonotonicDispatchSeq)
 {
     InvariantAuditor a = collector();
-    a.onDispatch(UopRecord{7, 1, 0});
-    a.onDispatch(UopRecord{7, 1, 0});
+    a.onCycle(idleCycle(0, CommitState::Drained, 9, 8));
+    a.onCycle(idleCycle(1, CommitState::Drained, 9, 7));
     ASSERT_FALSE(a.clean());
-    EXPECT_TRUE(violationNaming(a, {"non-monotonic dispatch seq 7"}));
+    EXPECT_TRUE(violationNaming(a, {"non-monotonic dispatch seq 7",
+                                    "cycle 1", "previous 8"}))
+        << a.violations().front();
+}
+
+TEST(Audit, DetectsNonMonotonicFetchSeq)
+{
+    InvariantAuditor a = collector();
+    a.onCycle(idleCycle(0, CommitState::Drained, 9, 8));
+    a.onCycle(idleCycle(1, CommitState::Drained, 8, 8));
+    ASSERT_FALSE(a.clean());
+    EXPECT_TRUE(violationNaming(a, {"non-monotonic fetch seq 8",
+                                    "cycle 1", "previous 9"}))
+        << a.violations().front();
+}
+
+TEST(Audit, DetectsDispatchAheadOfFetch)
+{
+    InvariantAuditor a = collector();
+    a.onCycle(idleCycle(0, CommitState::Drained, 4, 5));
+    ASSERT_FALSE(a.clean());
+    EXPECT_TRUE(violationNaming(a, {"next dispatch seq 5", "cycle 0",
+                                    "ahead of next fetch seq 4"}))
+        << a.violations().front();
 }
 
 TEST(Audit, DetectsCommitBeforeDispatch)
 {
     InvariantAuditor a = collector();
-    a.onFetch(UopRecord{1, 5, 0});
-    a.onDispatch(UopRecord{1, 5, 0});
-    // Seq 2 commits without ever dispatching.
-    a.onCycle(computeCycle(0, 2, 6));
+    // Seq 2 commits while the front end has dispatched only seq 1.
+    CycleRecord rec = computeCycle(0, 2, 6);
+    rec.nextDispatchSeq = 2;
+    a.onCycle(rec);
     ASSERT_FALSE(a.clean());
-    EXPECT_TRUE(violationNaming(a, {"seq 2", "never dispatched"}));
+    EXPECT_TRUE(violationNaming(a, {"seq 2", "cycle 0",
+                                    "never dispatched"}))
+        << a.violations().front();
 }
 
 TEST(Audit, DetectsStalledWithoutHead)
@@ -220,20 +245,20 @@ TEST(Audit, DetectsEventsAfterEnd)
 TEST(Audit, CleanSpanAuditsItsExpandedCycles)
 {
     InvariantAuditor a = collector();
-    emitComputeCycle(a, 0, 1, 5);
-    CycleRecord stalled = idleCycle(1, CommitState::Stalled);
+    a.onCycle(computeCycle(0, 1, 5));
+    CycleRecord stalled = idleCycle(1, CommitState::Stalled, 3, 3);
     stalled.headValid = true;
     stalled.headSeq = 2;
     stalled.headPc = 6;
     stalled.lastValid = true;
     stalled.lastPc = 5;
     a.onSpan(stalled, 40);
-    emitComputeCycle(a, 41, 2, 6);
+    a.onCycle(computeCycle(41, 2, 6));
     a.onEnd(42);
     a.finish();
     EXPECT_TRUE(a.clean()) << a.violations().front();
     EXPECT_EQ(a.cyclesAudited(), 42u); // the span's 40 cycles count
-    EXPECT_EQ(a.eventsAudited(), 8u);  // the span is one event
+    EXPECT_EQ(a.eventsAudited(), 4u);  // the span is one event
 }
 
 TEST(Audit, DetectsSpanCoveringFewerThanTwoCycles)

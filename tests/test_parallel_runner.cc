@@ -117,7 +117,7 @@ TEST(ParallelRunner, ChunkingGeometryDoesNotChangeResults)
     EXPECT_GT(miss.replay.chunksProduced, 100u);
     EXPECT_EQ(hit.replay.chunksProduced, miss.replay.chunksProduced);
     EXPECT_EQ(hit.replay.eventsCaptured, miss.replay.eventsCaptured);
-    EXPECT_GT(miss.replay.eventsCaptured, direct.stats.cycles);
+    EXPECT_EQ(miss.replay.eventsCaptured, direct.replay.simEvents);
 }
 
 TEST(ParallelRunner, ReplayStatsAccountForEveryChunkAndCycle)
@@ -136,10 +136,13 @@ TEST(ParallelRunner, ReplayStatsAccountForEveryChunkAndCycle)
     fs::remove_all(dir);
 
     // Uncached: the simulation is the whole trace; nothing is framed.
-    // Every committed uop was fetched and dispatched, and the cycle
-    // records and idle spans come on top.
+    // The trace is one Cycle event per Compute cycle, the idle records
+    // and spans (each covering at least one cycle) and the end marker.
+    const std::uint64_t computeCycles = direct.stats.stateCycles[
+        static_cast<unsigned>(CommitState::Compute)];
     EXPECT_EQ(direct.replay.simCycles, direct.stats.cycles);
-    EXPECT_GT(direct.replay.simEvents, 2 * direct.stats.committedUops);
+    EXPECT_LT(computeCycles, direct.replay.simEvents);
+    EXPECT_LE(direct.replay.simEvents, direct.stats.cycles + 1);
     EXPECT_EQ(direct.replay.chunksProduced, 0u);
     EXPECT_EQ(direct.replay.eventsCaptured, 0u);
 

@@ -350,6 +350,84 @@ TEST(Sampler, FetchTagDiffersFromDispatchTag)
     EXPECT_GT(ibs.errorAgainst(ris), 0.01);
 }
 
+TEST(Sampler, TagComesFromTheFiringRecord)
+{
+    // A hand-built trace. The fire at cycle 0 sees seq 42 as the next
+    // uop to dispatch and seq 45 as the next to fetch, so IBS charges
+    // seq 42's retire and RIS seq 45's, one period each; seq 41 retires
+    // first and gets nothing. The fire at cycle 10 comes while both
+    // tags are in flight and is dropped. The fire at cycle 20 tags uops
+    // that never retire, so the end marker drops one more.
+    constexpr Cycle period = 10;
+    TechniqueSampler ibs(ibsConfig(period));
+    TechniqueSampler ris(risConfig(period));
+    const auto pcOf = [](SeqNum seq) {
+        return static_cast<InstIndex>(100 + seq);
+    };
+    for (Cycle c = 0; c <= 20; ++c) {
+        CycleRecord rec;
+        rec.cycle = c;
+        rec.state = CommitState::Drained;
+        rec.nextFetchSeq = c == 0 ? 45 : 48;
+        rec.nextDispatchSeq = c == 0 ? 42 : c < 10 ? 44 : 46;
+        const auto commit = [&](SeqNum first, SeqNum last) {
+            rec.state = CommitState::Compute;
+            for (SeqNum seq = first; seq <= last; ++seq)
+                rec.committed[rec.numCommitted++] =
+                    CommittedUop{seq, pcOf(seq), Psv{}};
+        };
+        if (c == 5)
+            commit(41, 41);
+        if (c == 15)
+            commit(42, 45);
+        deliverCycle(ibs, rec);
+        deliverCycle(ris, rec);
+    }
+
+    for (const TechniqueSampler *s : {&ibs, &ris}) {
+        SCOPED_TRACE(s->config().name);
+        EXPECT_EQ(s->samplesTaken(), 1u);
+        EXPECT_EQ(s->samplesDropped(), 1u);
+        EXPECT_EQ(s->pics().total(), static_cast<double>(period));
+        EXPECT_EQ(s->pics().cycles(pcOf(41), 0), 0.0);
+    }
+    EXPECT_EQ(ibs.pics().cycles(pcOf(42), 0), static_cast<double>(period));
+    EXPECT_EQ(ris.pics().cycles(pcOf(45), 0), static_cast<double>(period));
+
+    ibs.onEnd(21);
+    ris.onEnd(21);
+    EXPECT_EQ(ibs.samplesDropped(), 2u);
+    EXPECT_EQ(ris.samplesDropped(), 2u);
+}
+
+TEST(Sampler, FiresRealignAfterACycleJump)
+{
+    // Fires sit at multiples of the period however the record cycles
+    // advance: one at a time, past a fire point, onto one, or in spans
+    // that start after a jump.
+    TechniqueSampler tea(teaConfig(10));
+    CycleRecord rec;
+    rec.state = CommitState::Compute;
+    rec.numCommitted = 1;
+    rec.committed[0] = CommittedUop{1, 7, Psv{}};
+    for (Cycle c : {0, 1, 25, 26, 30, 40, 57, 61, 100}) {
+        rec.cycle = c;
+        tea.onCycle(rec); // fires at 0, 30, 40 and 100
+    }
+    CycleRecord idle;
+    idle.state = CommitState::Flushed;
+    idle.lastValid = true;
+    idle.lastPc = 7;
+    idle.cycle = 135;
+    tea.onSpan(idle, 16); // [135, 151): fires at 140 and 150
+    idle.cycle = 151;
+    tea.onSpan(idle, 9); // [151, 160): none
+    idle.cycle = 1000;
+    tea.onSpan(idle, 2); // [1000, 1002): fires at 1000
+    EXPECT_EQ(tea.samplesTaken(), 7u);
+    EXPECT_EQ(tea.pics().cycles(7, 0), 70.0);
+}
+
 TEST(Sampler, NciMisattributesFlushCycles)
 {
     // On a flush-heavy workload NCI attributes flush cycles to the

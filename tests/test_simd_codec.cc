@@ -180,13 +180,21 @@ extremeChunk(Rng &rng, std::size_t count)
         return static_cast<InstIndex>(
             swing ? 0xfffffff0u - rng.below(8) : rng.below(64));
     };
+    // The front-end seqs ride on the swinging seq, so their delta
+    // streams hit every width too.
+    auto frontEnd = [&](CycleRecord &r) {
+        r.nextDispatchSeq = seq;
+        r.nextFetchSeq = seq + (swing ? 0x7ffffffffull : rng.below(8));
+    };
     for (std::size_t i = 0; i < count; ++i) {
         swing = !swing;
         cycle += swing ? (0x7fffffffffffffull + rng.below(1024)) : 1;
         seq += swing ? (0x3fffffffffffffull + rng.below(1024)) : 1;
         TraceEvent ev;
         switch (rng.below(5)) {
-          case 0: {
+          case 0:
+          case 1:
+          case 2: {
             ev.kind = TraceEventKind::Cycle;
             ev.p.cycle = CycleRecord{};
             CycleRecord &r = ev.p.cycle;
@@ -213,16 +221,9 @@ extremeChunk(Rng &rng, std::size_t count)
                 r.lastPsv =
                     Psv(static_cast<std::uint16_t>(rng.below(512)));
             }
+            frontEnd(r);
             break;
           }
-          case 1:
-            ev.kind = TraceEventKind::Dispatch;
-            ev.p.uop = UopRecord{seq, wildPc(), cycle};
-            break;
-          case 2:
-            ev.kind = TraceEventKind::Fetch;
-            ev.p.uop = UopRecord{seq, wildPc(), cycle};
-            break;
           case 3: {
             // An idle span whose length swings between the shortest
             // and the longest the format carries.
@@ -247,6 +248,7 @@ extremeChunk(Rng &rng, std::size_t count)
                 r.lastPsv =
                     Psv(static_cast<std::uint16_t>(rng.below(512)));
             }
+            frontEnd(r);
             break;
           }
           default:

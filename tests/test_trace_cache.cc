@@ -177,10 +177,23 @@ randomEvents(Rng &rng, std::size_t count)
     events.reserve(count);
     Cycle cycle = 0;
     SeqNum seq = 1;
+    // Front-end seqs: small steps with rare jumps past 2^32, so the
+    // delta streams carry wide varints too.
+    SeqNum fetch = 1;
+    SeqNum dispatch = 1;
+    const auto frontEnd = [&](CycleRecord &c) {
+        fetch += rng.chance(0.02) ? (SeqNum{1} << 32) + rng.below(999)
+                                  : rng.below(5);
+        dispatch = std::min(fetch, dispatch + rng.below(5));
+        c.nextFetchSeq = fetch;
+        c.nextDispatchSeq = dispatch;
+    };
     for (std::size_t i = 0; i < count; ++i) {
         TraceEvent ev;
         switch (rng.below(5)) {
-          case 0: {
+          case 0:
+          case 1:
+          case 2: {
             ev.kind = TraceEventKind::Cycle;
             ev.p.cycle = CycleRecord{};
             CycleRecord &c = ev.p.cycle;
@@ -209,20 +222,9 @@ randomEvents(Rng &rng, std::size_t count)
                 c.lastPsv =
                     Psv(static_cast<std::uint16_t>(rng.below(512)));
             }
+            frontEnd(c);
             break;
           }
-          case 1:
-            ev.kind = TraceEventKind::Dispatch;
-            ev.p.uop = UopRecord{seq++,
-                                 static_cast<InstIndex>(rng.below(4096)),
-                                 cycle};
-            break;
-          case 2:
-            ev.kind = TraceEventKind::Fetch;
-            ev.p.uop = UopRecord{seq++,
-                                 static_cast<InstIndex>(rng.below(4096)),
-                                 cycle};
-            break;
           case 3: {
             // An idle span: one of the three idle states, no commits,
             // 2 cycles up to the longest length the format carries.
@@ -247,6 +249,7 @@ randomEvents(Rng &rng, std::size_t count)
                 c.lastPsv =
                     Psv(static_cast<std::uint16_t>(rng.below(512)));
             }
+            frontEnd(c);
             break;
           }
           default:
@@ -353,15 +356,17 @@ namespace {
  * A hand-built codec frame, for the inputs encodeChunk refuses to
  * write. Streams follow the on-disk directory order (trace_codec.cc):
  * 0 cycle delta, 1 cycle flags, 2-3 ROB head, 4-5 last-committed, 6-8
- * commit slots, 9-14 dispatch and fetch, 15 end, 16 span length.
+ * commit slots, 9-10 next fetch and dispatch seqs, 11 end, 12 span
+ * length.
  */
 struct HandFrame
 {
     static constexpr unsigned cycDelta = 0, cycFlags = 1, comSeq = 6,
-                              comPc = 7, comPsv = 8, spanLen = 16;
+                              comPc = 7, comPsv = 8, nextFetch = 9,
+                              nextDisp = 10, spanLen = 12;
 
     std::vector<std::uint8_t> kinds;
-    std::array<std::vector<std::uint8_t>, 17> streams;
+    std::array<std::vector<std::uint8_t>, 13> streams;
     std::uint32_t spans = 0;
     std::uint64_t cycles = 0;
 
@@ -392,6 +397,8 @@ struct HandFrame
             put(streams[comPc], 0);
             put(streams[comPsv], 0);
         }
+        put(streams[nextFetch], 0);
+        put(streams[nextDisp], 0);
     }
 
     void
@@ -902,14 +909,6 @@ class CallRecorder : public TraceSink
     {
         push(TraceEventKind::Cycle).p.cycle = rec;
     }
-    void onDispatch(const UopRecord &rec) override
-    {
-        push(TraceEventKind::Dispatch).p.uop = rec;
-    }
-    void onFetch(const UopRecord &rec) override
-    {
-        push(TraceEventKind::Fetch).p.uop = rec;
-    }
     void onRetire(const RetireRecord &rec) override
     {
         calls.push_back(Call{true, rec, TraceEvent{}});
@@ -947,11 +946,6 @@ class Forwarder : public TraceSink
     explicit Forwarder(TraceSink &inner) : inner_(inner) {}
 
     void onCycle(const CycleRecord &rec) override { inner_.onCycle(rec); }
-    void onDispatch(const UopRecord &rec) override
-    {
-        inner_.onDispatch(rec);
-    }
-    void onFetch(const UopRecord &rec) override { inner_.onFetch(rec); }
     void onRetire(const RetireRecord &rec) override
     {
         inner_.onRetire(rec);
@@ -1024,8 +1018,7 @@ TEST(TraceDelivery, RetiresAreTheCommitSlotsBeforeTheirCycle)
             }
             multiCommit += rec.numCommitted > 1;
         } else {
-            // Dispatch, fetch and End never split a cycle's retires
-            // from its record.
+            // End never splits a cycle's retires from its record.
             ASSERT_EQ(i, pending) << "call " << i;
         }
         pending = i + 1;
@@ -1064,7 +1057,8 @@ namespace {
 /**
  * A synthetic trace with idle spans in every state, for pinning the
  * span handlers against per-cycle delivery. Cycle stamps are dense;
- * each uop is fetched and dispatched just before the cycle it commits
+ * every record's front-end seqs name the next uop to commit, as if
+ * each uop were fetched and dispatched just before the cycle it commits
  * in, so the tagging samplers have something to tag.
  */
 struct SpanStream
@@ -1089,9 +1083,6 @@ struct SpanStream
         rec.cycle = next;
         rec.state = CommitState::Compute;
         for (InstIndex pc : pcs) {
-            push(TraceEventKind::Fetch).p.uop = UopRecord{seq, pc, next};
-            push(TraceEventKind::Dispatch).p.uop =
-                UopRecord{seq, pc, next};
             rec.committed[rec.numCommitted++] = CommittedUop{seq++, pc, psv};
             lastPc = pc;
             lastPsv = psv;
@@ -1099,6 +1090,7 @@ struct SpanStream
         rec.lastValid = true;
         rec.lastPc = lastPc;
         rec.lastPsv = lastPsv;
+        rec.nextFetchSeq = rec.nextDispatchSeq = seq;
         push(TraceEventKind::Cycle).p.cycle = rec;
         ++chunk.cycleRecords;
         ++next;
@@ -1120,6 +1112,7 @@ struct SpanStream
             rec.lastPc = lastPc;
             rec.lastPsv = lastPsv;
         }
+        rec.nextFetchSeq = rec.nextDispatchSeq = seq;
         TraceEvent &ev = push(TraceEventKind::Span);
         ev.spanCycles = n;
         ev.p.cycle = rec;

@@ -197,10 +197,20 @@ randomEvents(std::uint64_t seed, unsigned count)
     Rng rng(seed);
     std::vector<TraceEvent> evs;
     evs.reserve(count + 1);
+    // Front-end seqs: small steps with rare jumps past 2^32, so the
+    // delta streams carry wide varints too.
+    SeqNum fetch = 0;
+    SeqNum dispatch = 0;
+    const auto frontEnd = [&](CycleRecord &rec) {
+        fetch += rng.chance(0.05) ? (SeqNum{1} << 32) + rng.below(999)
+                                  : rng.below(5);
+        dispatch = std::min(fetch, dispatch + rng.below(5));
+        rec.nextFetchSeq = fetch;
+        rec.nextDispatchSeq = dispatch;
+    };
     for (unsigned i = 0; i < count; ++i) {
         TraceEvent ev;
-        switch (rng.below(5)) {
-          case 0: {
+        if (rng.below(5) != 1) {
             ev.kind = TraceEventKind::Cycle;
             CycleRecord rec;
             rec.cycle = i;
@@ -221,10 +231,9 @@ randomEvents(std::uint64_t seed, unsigned count)
             rec.lastPc = static_cast<InstIndex>(rng.below(1 << 20));
             rec.lastPsv =
                 Psv(static_cast<std::uint16_t>(rng.below(0x200)));
+            frontEnd(rec);
             ev.p.cycle = rec;
-            break;
-          }
-          case 1: {
+        } else {
             // An idle span: no commits, not Compute, >= 2 cycles.
             ev.kind = TraceEventKind::Span;
             ev.spanCycles = static_cast<std::uint32_t>(
@@ -240,17 +249,8 @@ randomEvents(std::uint64_t seed, unsigned count)
             rec.lastPc = static_cast<InstIndex>(rng.below(1 << 20));
             rec.lastPsv =
                 Psv(static_cast<std::uint16_t>(rng.below(0x200)));
+            frontEnd(rec);
             ev.p.cycle = rec;
-            break;
-          }
-          default: {
-            ev.kind = rng.chance(0.5) ? TraceEventKind::Dispatch
-                                      : TraceEventKind::Fetch;
-            ev.p.uop = UopRecord{
-                rng.next(),
-                static_cast<InstIndex>(rng.below(1 << 20)), i};
-            break;
-          }
         }
         evs.push_back(ev);
     }
