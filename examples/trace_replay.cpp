@@ -81,6 +81,9 @@ main(int argc, char **argv)
     Cycle replayed = 0;
     while (TraceChunkPtr chunk = mapped->nextChunk())
         replayed += replayChunk(*chunk, sinks);
+    if (!mapped->error().empty())
+        tea_fatal("cannot replay trace file '%s': %s", path.c_str(),
+                  mapped->error().c_str());
     std::printf("replayed %llu cycles through %zu configurations\n\n",
                 static_cast<unsigned long long>(replayed),
                 samplers.size());

@@ -188,6 +188,13 @@ InvariantAuditor::auditCycle(const CycleRecord &rec)
                              static_cast<unsigned long long>(rec.cycle),
                              static_cast<unsigned long long>(
                                  lastCommitSeq_)));
+        } else if (sawCommit_ && u.seq != lastCommitSeq_ + 1) {
+            report(strprintf("commit seq gap: seq %llu commits at cycle "
+                             "%llu after seq %llu",
+                             static_cast<unsigned long long>(u.seq),
+                             static_cast<unsigned long long>(rec.cycle),
+                             static_cast<unsigned long long>(
+                                 lastCommitSeq_)));
         }
         if (u.seq >= rec.nextDispatchSeq) {
             report(strprintf("seq %llu commits at cycle %llu but never "
@@ -225,6 +232,22 @@ InvariantAuditor::auditCycle(const CycleRecord &rec)
     if (rec.lastValid)
         checkPsv(rec.lastPsv, "last-committed snapshot", rec.cycle,
                  invalidSeqNum);
+    // Without a commit nothing can change the last-committed register.
+    if (sawCycle_ && committed == 0 &&
+        (rec.lastValid != prevLastValid_ ||
+         (rec.lastValid &&
+          (rec.lastPc != prevLastPc_ || rec.lastPsv != prevLastPsv_)))) {
+        report(strprintf("last-committed snapshot changed at cycle %llu "
+                         "without a commit (valid %d, pc %u, psv 0x%x; "
+                         "was valid %d, pc %u, psv 0x%x)",
+                         static_cast<unsigned long long>(rec.cycle),
+                         rec.lastValid, rec.lastPc, rec.lastPsv.bits(),
+                         prevLastValid_, prevLastPc_,
+                         prevLastPsv_.bits()));
+    }
+    prevLastValid_ = rec.lastValid;
+    prevLastPc_ = rec.lastPc;
+    prevLastPsv_ = rec.lastPsv;
 
     // ROB head monotonicity: the head never moves backwards and is
     // always younger than everything already committed.
@@ -239,6 +262,13 @@ InvariantAuditor::auditCycle(const CycleRecord &rec)
                 report(strprintf(
                     "ROB head seq %llu at cycle %llu is not younger "
                     "than the youngest committed seq %llu",
+                    static_cast<unsigned long long>(rec.headSeq),
+                    static_cast<unsigned long long>(rec.cycle),
+                    static_cast<unsigned long long>(lastCommitSeq_)));
+            } else if (sawCommit_ && rec.headSeq != lastCommitSeq_ + 1) {
+                report(strprintf(
+                    "ROB head seq %llu at cycle %llu is not the next "
+                    "seq to commit (youngest committed seq %llu)",
                     static_cast<unsigned long long>(rec.headSeq),
                     static_cast<unsigned long long>(rec.cycle),
                     static_cast<unsigned long long>(lastCommitSeq_)));

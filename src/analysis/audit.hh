@@ -16,14 +16,17 @@
  *    side-band fields are consistent with it (Compute iff uops
  *    committed, Stalled implies a valid ROB head, Drained/Flushed
  *    imply an empty ROB snapshot),
- *  - commit sequence numbers and each record's front-end seqs
- *    (nextDispatchSeq, nextFetchSeq) are monotone and respect pipeline
- *    order (every committed seq is below the record's
+ *  - commit sequence numbers are consecutive, and each record's
+ *    front-end seqs (nextDispatchSeq, nextFetchSeq) are monotone and
+ *    respect pipeline order (every committed seq is below the record's
  *    nextDispatchSeq, and nextDispatchSeq <= nextFetchSeq: nothing
  *    commits before dispatching, nothing dispatches before fetching;
- *    the ROB head never moves backwards),
+ *    the ROB head never moves backwards, and once anything has
+ *    committed it is the next seq to commit),
  *  - in a Compute cycle the last-committed snapshot names the
- *    youngest committed uop,
+ *    youngest committed uop, and a record without commits keeps the
+ *    previous record's (the rules core/trace_codec derives fields
+ *    from),
  *  - every PSV is restricted to the nine architectural events,
  *  - every span (an idle run, TraceSink::onSpan) is one a producer may
  *    emit: at least 2 cycles, idle (not Compute, no commits) and not
@@ -114,6 +117,9 @@ class InvariantAuditor : public TraceSink
 
     bool sawCommit_ = false;   ///< lastValid must be monotone
     SeqNum lastCommitSeq_ = 0; ///< youngest committed seq so far
+    bool prevLastValid_ = false; ///< previous record's last-committed
+    InstIndex prevLastPc_ = 0;
+    Psv prevLastPsv_;
     bool sawHead_ = false;
     SeqNum lastHeadSeq_ = 0; ///< ROB head must be monotone
 };

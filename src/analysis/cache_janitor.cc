@@ -450,8 +450,15 @@ verifyCacheDir(const std::string &dir, bool quarantine_damaged)
             auto mapped =
                 MappedTraceFile::open(f.path, fp, &why, &sys_err);
             if (mapped != nullptr) {
-                ++report.healthy;
-                continue;
+                // The CRCs held; decode every frame too, since a frame
+                // can be CRC-clean and still not decode.
+                while (mapped->nextChunk() != nullptr) {
+                }
+                if (mapped->error().empty()) {
+                    ++report.healthy;
+                    continue;
+                }
+                why = mapped->error();
             }
             std::uint32_t version = 0;
             if (peekTraceFileVersion(f.path, &version) &&

@@ -185,7 +185,8 @@ struct CacheVerifyReport
 /**
  * Open and fully validate every live entry in @p dir against the
  * fingerprint its own filename claims (header magic, codec version,
- * CRCs, frame scan — everything MappedTraceFile::open checks). An
+ * CRCs, frame scan — everything MappedTraceFile::open checks — and a
+ * decode of every frame, since a CRC-clean frame can fail to). An
  * entry whose name does not parse counts as damaged. An entry whose
  * header is intact but written by an older codec version is stale,
  * not damaged: it is left for the janitor's gc() to remove. When

@@ -98,31 +98,35 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
     const auto start = Clock::now();
     ExperimentResult res;
     res.name = workload.program.name();
-    res.golden = std::make_unique<GoldenReference>();
-    res.golden->reserveCells(workload.program.size());
-
-    std::vector<std::unique_ptr<TechniqueSampler>> samplers;
-    samplers.reserve(techniques.size());
-    for (SamplerConfig &tc : techniques) {
-        samplers.push_back(std::make_unique<TechniqueSampler>(tc));
-        samplers.back()->reserveCells(workload.program.size());
-    }
 
     // Every observer, in replay order: the golden reference, one
     // sampler per technique and, when enabled, the auditor — it sees
-    // the identical event stream the profilers see.
+    // the identical event stream the profilers see. A cache entry
+    // that fails to decode mid-replay has fed them part of a trace, so
+    // they are built by a function the fallback calls again.
+    std::vector<std::unique_ptr<TechniqueSampler>> samplers;
     std::unique_ptr<InvariantAuditor> auditor;
-    if (opts.audit > 0)
-        auditor = std::make_unique<InvariantAuditor>(
-            InvariantAuditor::Mode::FailFast);
-
     std::vector<TraceSink *> sinks;
-    sinks.reserve(samplers.size() + 2);
-    sinks.push_back(res.golden.get());
-    for (auto &s : samplers)
-        sinks.push_back(s.get());
-    if (auditor)
-        sinks.push_back(auditor.get());
+    auto buildObservers = [&] {
+        res.golden = std::make_unique<GoldenReference>();
+        res.golden->reserveCells(workload.program.size());
+        samplers.clear();
+        samplers.reserve(techniques.size());
+        for (const SamplerConfig &tc : techniques) {
+            samplers.push_back(std::make_unique<TechniqueSampler>(tc));
+            samplers.back()->reserveCells(workload.program.size());
+        }
+        if (opts.audit > 0)
+            auditor = std::make_unique<InvariantAuditor>(
+                InvariantAuditor::Mode::FailFast);
+        sinks.clear();
+        sinks.push_back(res.golden.get());
+        for (auto &s : samplers)
+            sinks.push_back(s.get());
+        if (auditor)
+            sinks.push_back(auditor.get());
+    };
+    buildObservers();
 
     // Cache lookup: the fingerprint keys on workload content, the full
     // config and the codec version, so a hit is guaranteed to replay
@@ -132,6 +136,21 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
     std::unique_ptr<MappedTraceFile> mapped;
     CacheOpStats cacheOps;
     FileLock storeLock;
+    // A miss (or a damaged entry just quarantined) is rewritten under
+    // the entry's lock: tmp+rename makes the publish atomic, but
+    // without the lock two processes would both simulate and race
+    // their renames.
+    auto lockForStore = [&] {
+        if (storeLock.acquire(TraceCache::lockPathFor(entry),
+                              opts.cacheLockTimeoutMs))
+            return true;
+        ++res.replay.lockDegrades;
+        tea_warn("trace cache: cannot lock %s within %u ms; "
+                 "simulating without storing",
+                 TraceCache::lockPathFor(entry).c_str(),
+                 opts.cacheLockTimeoutMs);
+        return false;
+    };
     if (cache.enabled()) {
         // First access in this process: reclaim crash debris (orphaned
         // tmp files, stale locks, aged quarantine) left by previous
@@ -145,25 +164,10 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
         fp = TraceCache::fingerprintOf(workload, cfg);
         entry = cache.entryPath(res.name, fp);
         mapped = cache.openEntry(entry, fp, &cacheOps);
-        if (!mapped) {
-            // Miss (or a damaged entry just quarantined): the rewrite
-            // must be serialized against concurrent processes aiming at
-            // the same entry — tmp+rename makes the publish atomic, but
-            // without the lock two processes would both simulate and
-            // race their renames.
-            if (storeLock.acquire(TraceCache::lockPathFor(entry),
-                                  opts.cacheLockTimeoutMs)) {
-                // Revalidate under the lock: whoever held it before us
-                // may have published a healthy entry while we waited.
-                mapped = cache.openEntry(entry, fp, &cacheOps);
-            } else {
-                ++res.replay.lockDegrades;
-                tea_warn("trace cache: cannot lock %s within %u ms; "
-                         "simulating without storing",
-                         TraceCache::lockPathFor(entry).c_str(),
-                         opts.cacheLockTimeoutMs);
-            }
-        }
+        // Revalidate under the lock: whoever held it before us may
+        // have published a healthy entry while we waited.
+        if (!mapped && lockForStore())
+            mapped = cache.openEntry(entry, fp, &cacheOps);
         // A hit needs no lock: the mapping pins the published file even
         // if another process later replaces or quarantines the path.
         if (mapped)
@@ -191,10 +195,26 @@ runWorkload(Workload workload, std::vector<SamplerConfig> techniques,
             ++res.replay.chunksProduced;
             res.replay.eventsCaptured += chunk->events.size();
         }
-        res.stats = mapped->coreStats();
-        res.replay.cacheHit = true;
-        res.replay.cacheBytes = mapped->fileBytes();
-    } else {
+        if (mapped->error().empty()) {
+            res.stats = mapped->coreStats();
+            res.replay.cacheHit = true;
+            res.replay.cacheBytes = mapped->fileBytes();
+        } else {
+            // A CRC-clean frame failed to decode: quarantine the entry
+            // and run the experiment as a miss on fresh observers, the
+            // path damage found at open takes.
+            tea_warn("trace cache: discarding entry %s: %s",
+                     entry.c_str(), mapped->error().c_str());
+            if (cache.quarantineEntry(entry, mapped->error()))
+                ++cacheOps.quarantined;
+            mapped.reset();
+            res.replay.chunksProduced = 0;
+            res.replay.eventsCaptured = 0;
+            buildObservers();
+            lockForStore();
+        }
+    }
+    if (!mapped) {
         // Miss (or caching off): simulate, teeing the chunk stream into
         // the cache writer so the next run with this fingerprint hits.
         // Only the lock holder stores; a runner that lost the lock race

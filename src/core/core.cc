@@ -167,11 +167,11 @@ void
 Core::closeRun()
 {
     if (runCycles_ == 1) {
-        bufferEvent(TraceEventKind::Cycle).p.cycle = run_;
+        bufferEvent(TraceEventKind::Cycle).rec = run_;
     } else {
         TraceEvent &ev = bufferEvent(TraceEventKind::Span);
         ev.spanCycles = runCycles_;
-        ev.p.cycle = run_;
+        ev.rec = run_;
     }
     runCycles_ = 0;
 }
@@ -228,8 +228,6 @@ Core::emitEnd()
     if (runCycles_ != 0)
         closeRun();
     flushTrace();
-    if (!sinks_.empty())
-        ++perf_.traceEvents;
     for (TraceSink *s : sinks_)
         s->onEnd(cycle_);
 }
@@ -452,7 +450,7 @@ Core::emitCycleRecord()
     if (rec.state == CommitState::Compute) {
         if (runCycles_ != 0)
             closeRun(); // a record with commits ends the idle run
-        bufferEvent(TraceEventKind::Cycle).p.cycle = rec;
+        bufferEvent(TraceEventKind::Cycle).rec = rec;
     } else {
         extendRun(rec, cycle_ + 1);
     }

@@ -31,9 +31,14 @@
  * Both loops fold every maximal run of two or more identical idle
  * cycle records into one span event (TraceSink::onSpan), so the
  * observable trace stays bit-identical between them. The trace is one
- * record per cycle (or span) plus the end marker: fetch and dispatch
- * emit nothing, and each record carries the next seqs they will pass
- * (CycleRecord::nextFetchSeq, nextDispatchSeq).
+ * record per cycle (or span), then the end marker (onEnd, one cycle
+ * past the last record): fetch and dispatch emit nothing, and each
+ * record carries the next seqs they will pass
+ * (CycleRecord::nextFetchSeq, nextDispatchSeq). Commits retire in seq
+ * order with no gap, a Stalled record's ROB head is the next seq to
+ * commit, and the last-committed register changes only on a commit:
+ * the trace codec (core/trace_codec.hh) derives those fields instead
+ * of storing them.
  */
 
 #ifndef TEA_CORE_CORE_HH
@@ -96,7 +101,7 @@ struct SimPerf
 {
     std::uint64_t activeCycles = 0;  ///< cycles the stages executed
     std::uint64_t skippedCycles = 0; ///< idle cycles skipped over
-    std::uint64_t traceEvents = 0;   ///< events delivered to sinks
+    std::uint64_t traceEvents = 0;   ///< cycle and span events delivered
 
     /** Fraction of simulated cycles skipped by the next-event clock. */
     double skipRatio() const

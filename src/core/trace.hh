@@ -11,9 +11,10 @@
  * per-uop events: dispatch and fetch run in seq order after the record
  * is built, so the record's two front-end seqs name the first micro-op
  * each stage passes from that cycle on. A run of identical idle cycles
- * is published once, as a span (onSpan below). All profiling
- * techniques are TraceSinks and observe the exact same cycles,
- * mirroring the paper's out-of-band methodology (Section 4).
+ * is published once, as a span (onSpan below), and the end of the
+ * program through onEnd. All profiling techniques are TraceSinks and
+ * observe the exact same cycles, mirroring the paper's out-of-band
+ * methodology (Section 4).
  */
 
 #ifndef TEA_CORE_TRACE_HH
@@ -145,15 +146,16 @@ class TraceSink
     virtual void onEnd(Cycle final_cycle) { (void)final_cycle; }
 
     /**
-     * Deliver @p n consecutive captured events in order. The default
-     * implementation (core/trace_buffer.cc) fans each event out to the
-     * per-kind callbacks above (a Span to onSpan), so sinks observe
-     * exactly the stream a record-at-a-time producer would have
-     * delivered; bulk-capable sinks (ChunkingSink) override it to
-     * append whole ranges and skip the per-record virtual dispatch.
-     * Producers batching through this hook must preserve capture order
-     * and batch every event kind but End, which keeps its dedicated
-     * onEnd call.
+     * Deliver @p n consecutive captured events (cycle records and
+     * spans) in order. The default implementation
+     * (core/trace_buffer.cc) fans each event out to the per-kind
+     * callbacks above (a Span to onSpan), so sinks observe exactly the
+     * stream a record-at-a-time producer would have delivered;
+     * bulk-capable sinks (ChunkingSink) override it to append whole
+     * ranges and skip the per-record virtual dispatch. Producers
+     * batching through this hook must preserve capture order. The end
+     * marker is not an event: it arrives through onEnd, after the last
+     * batch.
      */
     virtual void onBatch(const TraceEvent *events, std::size_t n);
 };

@@ -9,41 +9,29 @@ namespace tea {
 bool
 eventsEquivalent(const TraceEvent &a, const TraceEvent &b)
 {
-    if (a.kind != b.kind)
+    if (a.kind != b.kind ||
+        (a.kind == TraceEventKind::Span && a.spanCycles != b.spanCycles))
         return false;
-    switch (a.kind) {
-      case TraceEventKind::Span:
-        if (a.spanCycles != b.spanCycles)
+    const CycleRecord &x = a.rec;
+    const CycleRecord &y = b.rec;
+    if (x.cycle != y.cycle || x.state != y.state ||
+        x.numCommitted != y.numCommitted || x.headValid != y.headValid ||
+        x.lastValid != y.lastValid)
+        return false;
+    if (x.headValid && (x.headSeq != y.headSeq || x.headPc != y.headPc))
+        return false;
+    if (x.lastValid && (x.lastPc != y.lastPc || x.lastPsv != y.lastPsv))
+        return false;
+    if (x.nextFetchSeq != y.nextFetchSeq ||
+        x.nextDispatchSeq != y.nextDispatchSeq)
+        return false;
+    for (unsigned i = 0; i < x.numCommitted; ++i) {
+        if (x.committed[i].seq != y.committed[i].seq ||
+            x.committed[i].pc != y.committed[i].pc ||
+            x.committed[i].psv != y.committed[i].psv)
             return false;
-        [[fallthrough]];
-      case TraceEventKind::Cycle: {
-        const CycleRecord &x = a.p.cycle;
-        const CycleRecord &y = b.p.cycle;
-        if (x.cycle != y.cycle || x.state != y.state ||
-            x.numCommitted != y.numCommitted ||
-            x.headValid != y.headValid || x.lastValid != y.lastValid)
-            return false;
-        if (x.headValid &&
-            (x.headSeq != y.headSeq || x.headPc != y.headPc))
-            return false;
-        if (x.lastValid &&
-            (x.lastPc != y.lastPc || x.lastPsv != y.lastPsv))
-            return false;
-        if (x.nextFetchSeq != y.nextFetchSeq ||
-            x.nextDispatchSeq != y.nextDispatchSeq)
-            return false;
-        for (unsigned i = 0; i < x.numCommitted; ++i) {
-            if (x.committed[i].seq != y.committed[i].seq ||
-                x.committed[i].pc != y.committed[i].pc ||
-                x.committed[i].psv != y.committed[i].psv)
-                return false;
-        }
-        return true;
-      }
-      case TraceEventKind::End:
-        return a.p.end == b.p.end;
     }
-    return false;
+    return true;
 }
 
 void
@@ -67,30 +55,18 @@ std::uint64_t
 replayChunk(const TraceChunk &chunk, const std::vector<TraceSink *> &sinks)
 {
     // Sink-major batched delivery: one onBatch call per sink per
-    // End-free segment, instead of two virtual calls per (event, sink)
-    // pair. Sinks are independent observers — each still sees every
-    // event in capture order, only the interleaving across sinks
-    // changes, which no observer can detect. End events keep their
-    // dedicated onEnd call (the onBatch contract, core/trace.hh);
-    // ChunkingSink closes a chunk right after End, so the scan below
-    // almost always finds a single End-free segment.
-    const TraceEvent *const ev = chunk.events.data();
-    const std::size_t n = chunk.events.size();
-    std::size_t i = 0;
-    while (i < n) {
-        std::size_t j = i;
-        while (j < n && ev[j].kind != TraceEventKind::End)
-            ++j;
-        if (j > i) {
-            for (TraceSink *s : sinks)
-                s->onBatch(ev + i, j - i);
-        }
-        if (j < n) {
-            for (TraceSink *s : sinks)
-                s->onEnd(ev[j].p.end);
-            ++j;
-        }
-        i = j;
+    // chunk, instead of two virtual calls per (event, sink) pair.
+    // Sinks are independent observers — each still sees every event in
+    // capture order, only the interleaving across sinks changes, which
+    // no observer can detect. The end marker follows the chunk's
+    // events through its dedicated onEnd call (core/trace.hh).
+    if (!chunk.events.empty()) {
+        for (TraceSink *s : sinks)
+            s->onBatch(chunk.events.data(), chunk.events.size());
+    }
+    if (chunk.endCycle) {
+        for (TraceSink *s : sinks)
+            s->onEnd(*chunk.endCycle);
     }
     return chunk.cycleRecords;
 }
@@ -102,15 +78,20 @@ ChunkingSink::ChunkingSink(std::size_t chunk_events, Emit emit)
     tea_assert(emit_, "ChunkingSink needs an emit callback");
 }
 
-TraceEvent &
-ChunkingSink::append(TraceEventKind kind)
+TraceChunk &
+ChunkingSink::openChunk()
 {
     if (!open_) {
         open_ = std::make_shared<TraceChunk>();
         open_->events.reserve(chunkEvents_);
     }
-    open_->events.emplace_back();
-    TraceEvent &ev = open_->events.back();
+    return *open_;
+}
+
+TraceEvent &
+ChunkingSink::append(TraceEventKind kind)
+{
+    TraceEvent &ev = openChunk().events.emplace_back();
     ev.kind = kind;
     ++events_;
     return ev;
@@ -119,8 +100,7 @@ ChunkingSink::append(TraceEventKind kind)
 void
 ChunkingSink::onCycle(const CycleRecord &rec)
 {
-    TraceEvent &ev = append(TraceEventKind::Cycle);
-    ev.p.cycle = rec;
+    append(TraceEventKind::Cycle).rec = rec;
     ++open_->cycleRecords;
     if (open_->events.size() >= chunkEvents_)
         finish();
@@ -131,7 +111,7 @@ ChunkingSink::onSpan(const CycleRecord &first, std::uint32_t n)
 {
     TraceEvent &ev = append(TraceEventKind::Span);
     ev.spanCycles = n;
-    ev.p.cycle = first;
+    ev.rec = first;
     open_->cycleRecords += n;
     if (open_->events.size() >= chunkEvents_)
         finish();
@@ -140,7 +120,7 @@ ChunkingSink::onSpan(const CycleRecord &first, std::uint32_t n)
 void
 ChunkingSink::onEnd(Cycle final_cycle)
 {
-    append(TraceEventKind::End).p.end = final_cycle;
+    openChunk().endCycle = final_cycle;
     finish();
 }
 
@@ -149,31 +129,19 @@ ChunkingSink::onBatch(const TraceEvent *events, std::size_t n)
 {
     // Bulk path: append whole ranges into the open chunk. Chunk
     // boundaries are byte-identical to record-at-a-time delivery — a
-    // chunk closes exactly when it reaches chunkEvents_ events (or at
-    // an End marker), the same points finish() fires on the per-record
-    // path above.
+    // chunk closes exactly when it reaches chunkEvents_ events, the
+    // same point finish() fires on the per-record path above.
     std::size_t i = 0;
     while (i < n) {
-        if (!open_) {
-            open_ = std::make_shared<TraceChunk>();
-            open_->events.reserve(chunkEvents_);
-        }
-        std::size_t space = chunkEvents_ - open_->events.size();
-        std::size_t take = std::min(space, n - i);
-        for (std::size_t k = i; k < i + take; ++k) {
-            if (events[k].kind == TraceEventKind::End) {
-                take = k - i + 1; // close the chunk right after End
-                break;
-            }
-        }
-        open_->events.insert(open_->events.end(), events + i,
-                             events + i + take);
+        TraceChunk &c = openChunk();
+        const std::size_t take =
+            std::min(chunkEvents_ - c.events.size(), n - i);
+        c.events.insert(c.events.end(), events + i, events + i + take);
         for (std::size_t k = i; k < i + take; ++k)
-            open_->cycleRecords += cyclesCovered(events[k]);
+            c.cycleRecords += cyclesCovered(events[k]);
         events_ += take;
         i += take;
-        if (open_->events.size() >= chunkEvents_ ||
-            events[i - 1].kind == TraceEventKind::End)
+        if (c.events.size() >= chunkEvents_)
             finish();
     }
 }

@@ -2,9 +2,11 @@
  * @file
  * In-memory cycle-trace capture (the filesystem-free TraceDoctor path).
  *
- * A TraceSink records every trace event — cycle records, idle spans
- * and the end marker — into fixed-size chunks of a tagged union,
- * preserving the exact order the core produced.
+ * A TraceSink records every trace event — cycle records and idle
+ * spans — into fixed-size chunks, preserving the exact order the core
+ * produced; the chunk that closes the trace also carries the end
+ * marker's cycle (TraceChunk::endCycle), so the end marker is never an
+ * event.
  * Chunks can be replayed through any set of TraceSinks, delivering
  * byte-identical records in the original order, which is what makes
  * out-of-band replay deterministic regardless of who replays them or
@@ -23,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/trace.hh"
@@ -33,7 +36,6 @@ namespace tea {
 enum class TraceEventKind : std::uint8_t
 {
     Cycle,
-    End,
     Span, ///< a run of identical idle cycle records (TraceSink::onSpan)
 };
 
@@ -43,10 +45,10 @@ enum class TraceEventKind : std::uint8_t
  */
 inline constexpr std::uint32_t maxSpanCycles = ~std::uint32_t{0};
 
-/** One captured trace event (tagged union; all payloads are trivial). */
+/** One captured trace event: a cycle record or a span. */
 struct TraceEvent
 {
-    TraceEventKind kind = TraceEventKind::End;
+    TraceEventKind kind = TraceEventKind::Cycle;
 
     /**
      * Span only: the cycles the span covers (2..maxSpanCycles). It
@@ -55,27 +57,18 @@ struct TraceEvent
      */
     std::uint32_t spanCycles = 0;
 
-    union Payload
-    {
-        CycleRecord cycle; ///< Cycle, and a Span's first record
-        Cycle end;
-
-        Payload() : end(0) {}
-    } p;
+    CycleRecord rec; ///< the Cycle's record, or the Span's first one
 };
 
 static_assert(sizeof(TraceEvent) ==
-                  sizeof(TraceEvent::Payload) +
-                      alignof(TraceEvent::Payload),
+                  sizeof(CycleRecord) + alignof(CycleRecord),
               "the span length must fit in the padding after the kind");
 
-/** Cycles @p ev covers: 1 for a Cycle, the length for a Span, else 0. */
+/** Cycles @p ev covers: 1 for a Cycle, the length for a Span. */
 inline std::uint64_t
 cyclesCovered(const TraceEvent &ev)
 {
-    if (ev.kind == TraceEventKind::Span)
-        return ev.spanCycles;
-    return ev.kind == TraceEventKind::Cycle ? 1 : 0;
+    return ev.kind == TraceEventKind::Span ? ev.spanCycles : 1;
 }
 
 /** A batch of consecutive trace events. */
@@ -88,6 +81,13 @@ struct TraceChunk
      * replayed-cycle accounting.
      */
     std::uint64_t cycleRecords = 0;
+
+    /**
+     * Set on the chunk that closes the trace: the end marker's cycle
+     * (TraceSink::onEnd), delivered after the chunk's events. The core
+     * stamps it one past its last cycle record.
+     */
+    std::optional<Cycle> endCycle;
 };
 
 using TraceChunkPtr = std::shared_ptr<const TraceChunk>;
@@ -107,9 +107,8 @@ bool eventsEquivalent(const TraceEvent &a, const TraceEvent &b);
 /**
  * Deliver one captured event to @p sink: a Cycle event through
  * deliverCycle, so its commit slots reach onRetire first; a Span
- * through onSpan; the end marker through onEnd. Templated on the sink
- * type like deliverCycle, so a final sink's onBatch loop resolves every
- * call statically.
+ * through onSpan. Templated on the sink type like deliverCycle, so a
+ * final sink's onBatch loop resolves every call statically.
  */
 template <typename Sink>
 void
@@ -117,19 +116,17 @@ deliverEvent(const TraceEvent &ev, Sink &sink)
 {
     switch (ev.kind) {
       case TraceEventKind::Cycle:
-        deliverCycle(sink, ev.p.cycle);
+        deliverCycle(sink, ev.rec);
         break;
       case TraceEventKind::Span:
-        sink.onSpan(ev.p.cycle, ev.spanCycles);
-        break;
-      case TraceEventKind::End:
-        sink.onEnd(ev.p.end);
+        sink.onSpan(ev.rec, ev.spanCycles);
         break;
     }
 }
 
 /**
- * Replay every event of @p chunk through @p sinks in capture order.
+ * Replay every event of @p chunk through @p sinks in capture order,
+ * then, when the chunk closes the trace, its end marker (onEnd).
  * @return number of cycle records delivered
  */
 std::uint64_t replayChunk(const TraceChunk &chunk,
@@ -137,10 +134,11 @@ std::uint64_t replayChunk(const TraceChunk &chunk,
 
 /**
  * TraceSink that batches events into chunks of @c chunkEvents and hands
- * each completed chunk to a callback. The final (possibly partial) chunk
- * is emitted by finish(), which the owner must call after the simulation
- * completes (onEnd alone does not flush: the core may legally emit no
- * end marker when it hits a cycle limit).
+ * each completed chunk to a callback. onEnd stamps the open chunk (an
+ * empty one if none is open) with the end marker's cycle and emits it.
+ * Otherwise the final (possibly partial) chunk is emitted by finish(),
+ * which the owner must call after the simulation completes: the core
+ * may legally emit no end marker when it hits a cycle limit.
  */
 class ChunkingSink : public TraceSink
 {
@@ -169,6 +167,7 @@ class ChunkingSink : public TraceSink
 
   private:
     TraceEvent &append(TraceEventKind kind);
+    TraceChunk &openChunk();
 
     std::size_t chunkEvents_;
     Emit emit_;

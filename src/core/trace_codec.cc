@@ -1,9 +1,9 @@
 #include "core/trace_codec.hh"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <tuple>
 
@@ -17,54 +17,54 @@ namespace {
 
 /**
  * The field streams of one frame, in on-disk order. Each stream holds
- * one field of one event kind across the whole chunk (SoA), so runs of
- * similar values sit together and delta-varint coding stays tight.
+ * one field across the whole chunk (SoA), so runs of similar values
+ * sit together and delta-varint coding stays tight. Cycle stamps,
+ * commit and ROB-head seqs and the last-committed fields are not
+ * stored: the decoder rebuilds them from the frame's entry state.
  */
 enum Stream : unsigned
 {
-    CycDelta = 0, ///< CycleRecord.cycle of Cycle and Span (zigzag delta)
-    CycFlags,     ///< packed state/numCommitted/headValid/lastValid
-    HeadSeq,      ///< headSeq, present iff headValid (zigzag delta)
+    CycFlags = 0, ///< packed state/numCommitted/headValid/span
     HeadPc,       ///< headPc, present iff headValid (zigzag delta)
-    LastPc,       ///< lastPc, present iff lastValid (zigzag delta)
-    LastPsv,      ///< lastPsv bits, present iff lastValid (varint)
-    ComSeq,       ///< committed[i].seq (zigzag delta)
     ComPc,        ///< committed[i].pc (zigzag delta)
     ComPsv,       ///< committed[i].psv bits (varint)
     NextFetch,    ///< nextFetchSeq (zigzag delta)
     NextDisp,     ///< nextDispatchSeq (zigzag delta)
-    EndCycle, ///< final cycle of End events (varint)
-    SpanLen,  ///< cycles each Span covers (varint)
+    SpanLen,      ///< cycles each Span covers (varint)
     NumStreams,
 };
 
 // CycFlags packing: 2 bits state, 4 bits numCommitted (<= 8), then the
-// two validity flags.
+// ROB-head validity flag and the span flag.
 constexpr unsigned flagStateShift = 6;
 constexpr unsigned flagCountShift = 2;
 constexpr unsigned flagHeadValid = 0x2;
-constexpr unsigned flagLastValid = 0x1;
+constexpr unsigned flagSpan = 0x1;
+
+// Entry-state flags (the byte after the first cycle and next seq).
+constexpr unsigned entryLastValid = 0x1; ///< last-committed pc/PSV follow
+constexpr unsigned entryEndsTrace = 0x2; ///< the end marker follows
+constexpr unsigned entryKnownFlags = entryLastValid | entryEndsTrace;
 
 // Frame-layout lock (enforced by tea_lint's codec-version-lock rule):
-// the stream directory, the flag packing and the frame header are the
-// on-disk contract. Changing any of them invalidates every cached
-// trace, so the change must come with a traceCodecVersion bump — update
-// the pinned values here in the same commit that bumps the version.
-static_assert(traceCodecVersion == 4,
+// the stream directory, the flag packing, the entry state and the
+// frame header are the on-disk contract. Changing any of them
+// invalidates every cached trace, so the change must come with a
+// traceCodecVersion bump — update the pinned values here in the same
+// commit that bumps the version.
+static_assert(traceCodecVersion == 5,
               "codec version changed: re-pin the layout asserts below");
 static_assert(sizeof(ChunkFrameHeader) == 24,
               "ChunkFrameHeader layout changed: bump traceCodecVersion");
-static_assert(NumStreams == 13,
+static_assert(NumStreams == 7,
               "stream directory changed: bump traceCodecVersion");
-static_assert(static_cast<unsigned>(TraceEventKind::Cycle) == 0 &&
-                  static_cast<unsigned>(TraceEventKind::End) == 1 &&
-                  static_cast<unsigned>(TraceEventKind::Span) == 2,
-              "trace event kinds changed: bump traceCodecVersion");
 static_assert(maxSpanCycles == 0xFFFFFFFFu,
               "span length bound changed: bump traceCodecVersion");
 static_assert(flagStateShift == 6 && flagCountShift == 2 &&
-                  flagHeadValid == 0x2 && flagLastValid == 0x1,
+                  flagHeadValid == 0x2 && flagSpan == 0x1,
               "CycFlags packing changed: bump traceCodecVersion");
+static_assert(entryLastValid == 0x1 && entryEndsTrace == 0x2,
+              "entry-state flags changed: bump traceCodecVersion");
 static_assert(std::tuple_size_v<decltype(CycleRecord{}.committed)> <=
                   0xF,
               "commit snapshot exceeds the 4-bit CycFlags count field");
@@ -105,16 +105,9 @@ struct DeltaState
         prev = v;
         return z;
     }
-
-    std::uint64_t
-    decode(std::uint64_t z)
-    {
-        prev += static_cast<std::uint64_t>(unzigzag(z));
-        return prev;
-    }
 };
 
-/** Bounds-checked reader over one stream of a mapped frame. */
+/** Bounds-checked reader over a mapped frame's payload. */
 struct Cursor
 {
     const std::uint8_t *p = nullptr;
@@ -162,96 +155,131 @@ fail(std::string *why, const char *msg)
 void
 encodeChunk(const TraceChunk &chunk, std::vector<std::uint8_t> &out)
 {
-    std::array<std::vector<std::uint8_t>, NumStreams> streams;
-    DeltaState cycD, headSeqD, headPcD, lastPcD, comSeqD, comPcD;
-    DeltaState fetchD, dispD;
-    std::uint32_t spans = 0;
-    std::uint64_t covered = 0;
+    const std::vector<TraceEvent> &events = chunk.events;
 
-    std::vector<std::uint8_t> kinds;
-    kinds.reserve(chunk.events.size());
-
-    for (const TraceEvent &ev : chunk.events) {
-        kinds.push_back(static_cast<std::uint8_t>(ev.kind));
-        covered += cyclesCovered(ev);
-        switch (ev.kind) {
-          case TraceEventKind::Span: {
-            // The decoder rejects what no producer emits; writing it
-            // would store a CRC-clean frame that cannot be replayed.
-            const CycleRecord &r = ev.p.cycle;
-            tea_assert(ev.spanCycles >= 2 &&
-                           r.state != CommitState::Compute &&
-                           r.numCommitted == 0 &&
-                           r.cycle + ev.spanCycles > r.cycle,
-                       "illegal span (cycle %llu, %u cycles, state %u, "
-                       "%u commits)",
-                       static_cast<unsigned long long>(r.cycle),
-                       ev.spanCycles, static_cast<unsigned>(r.state),
-                       r.numCommitted);
-            putVarint(streams[SpanLen], ev.spanCycles);
-            ++spans;
-            [[fallthrough]]; // its first record goes to the cycle streams
-          }
-          case TraceEventKind::Cycle: {
-            const CycleRecord &r = ev.p.cycle;
-            tea_assert(r.numCommitted <= r.committed.size(),
-                       "numCommitted %u overflows the committed array",
-                       r.numCommitted);
-            putVarint(streams[CycDelta], cycD.encode(r.cycle));
-            std::uint8_t flags = static_cast<std::uint8_t>(
-                (static_cast<unsigned>(r.state) << flagStateShift) |
-                (static_cast<unsigned>(r.numCommitted)
-                 << flagCountShift) |
-                (r.headValid ? flagHeadValid : 0u) |
-                (r.lastValid ? flagLastValid : 0u));
-            streams[CycFlags].push_back(flags);
-            if (r.headValid) {
-                putVarint(streams[HeadSeq], headSeqD.encode(r.headSeq));
-                putVarint(streams[HeadPc], headPcD.encode(r.headPc));
-            }
-            if (r.lastValid) {
-                putVarint(streams[LastPc], lastPcD.encode(r.lastPc));
-                putVarint(streams[LastPsv], r.lastPsv.bits());
-            }
-            for (unsigned i = 0; i < r.numCommitted; ++i) {
-                const CommittedUop &c = r.committed[i];
-                putVarint(streams[ComSeq], comSeqD.encode(c.seq));
-                putVarint(streams[ComPc], comPcD.encode(c.pc));
-                putVarint(streams[ComPsv], c.psv.bits());
-            }
-            putVarint(streams[NextFetch], fetchD.encode(r.nextFetchSeq));
-            putVarint(streams[NextDisp], dispD.encode(r.nextDispatchSeq));
-            break;
-          }
-          case TraceEventKind::End:
-            putVarint(streams[EndCycle], ev.p.end);
+    // The entry state: what the first record needs that no earlier
+    // frame may supply. The next commit seq is the first commit slot's
+    // or ROB head's; a frame with neither has no seq to rebuild.
+    const Cycle first = events.empty() ? chunk.endCycle.value_or(0)
+                                       : events.front().rec.cycle;
+    SeqNum seq = 0;
+    for (const TraceEvent &ev : events) {
+        const CycleRecord &r = ev.rec;
+        if (r.numCommitted != 0 || r.headValid) {
+            seq = r.numCommitted != 0 ? r.committed[0].seq : r.headSeq;
             break;
         }
     }
+    bool lastValid = !events.empty() && events.front().rec.lastValid;
+    InstIndex lastPc = lastValid ? events.front().rec.lastPc : 0;
+    Psv lastPsv = lastValid ? events.front().rec.lastPsv : Psv{};
 
-    // Assemble the payload: kinds, then length-prefixed streams.
     std::vector<std::uint8_t> payload;
-    std::size_t payload_guess = kinds.size();
-    for (const auto &s : streams)
-        payload_guess += s.size() + 4;
-    payload.reserve(payload_guess);
-    payload.insert(payload.end(), kinds.begin(), kinds.end());
-    for (const auto &s : streams) {
-        putVarint(payload, s.size());
-        payload.insert(payload.end(), s.begin(), s.end());
+    putVarint(payload, first);
+    putVarint(payload, seq);
+    payload.push_back(static_cast<std::uint8_t>(
+        (lastValid ? entryLastValid : 0u) |
+        (chunk.endCycle ? entryEndsTrace : 0u)));
+    if (lastValid) {
+        putVarint(payload, lastPc);
+        putVarint(payload, lastPsv.bits());
     }
 
-    tea_assert(covered == chunk.cycleRecords,
+    // Every field the decoder rebuilds is asserted here instead of
+    // stored: a record breaking a rule would be written as a CRC-clean
+    // frame that replays a different trace, or none.
+    std::array<std::vector<std::uint8_t>, NumStreams> streams;
+    DeltaState headPcD, comPcD, fetchD, dispD;
+    std::uint32_t spans = 0;
+    Cycle cycle = first;
+    for (const TraceEvent &ev : events) {
+        const CycleRecord &r = ev.rec;
+        const auto at = static_cast<unsigned long long>(r.cycle);
+        tea_assert(r.cycle == cycle,
+                   "cycle %llu follows a record ending at cycle %llu "
+                   "(the codec stores dense cycles only)",
+                   at, static_cast<unsigned long long>(cycle));
+        tea_assert(r.numCommitted <= r.committed.size(),
+                   "numCommitted %u overflows the committed array",
+                   r.numCommitted);
+        const bool span = ev.kind == TraceEventKind::Span;
+        if (span) {
+            // The decoder rejects what no producer emits.
+            tea_assert(ev.spanCycles >= 2 &&
+                           r.state != CommitState::Compute &&
+                           r.numCommitted == 0,
+                       "illegal span (cycle %llu, %u cycles, state %u, "
+                       "%u commits)",
+                       at, ev.spanCycles, static_cast<unsigned>(r.state),
+                       r.numCommitted);
+            putVarint(streams[SpanLen], ev.spanCycles);
+            ++spans;
+        }
+        cycle += cyclesCovered(ev);
+        streams[CycFlags].push_back(static_cast<std::uint8_t>(
+            (static_cast<unsigned>(r.state) << flagStateShift) |
+            (static_cast<unsigned>(r.numCommitted) << flagCountShift) |
+            (r.headValid ? flagHeadValid : 0u) | (span ? flagSpan : 0u)));
+        if (r.headValid) {
+            tea_assert(r.headSeq == seq,
+                       "ROB head seq %llu at cycle %llu is not the next "
+                       "seq to commit (%llu)",
+                       static_cast<unsigned long long>(r.headSeq), at,
+                       static_cast<unsigned long long>(seq));
+            putVarint(streams[HeadPc], headPcD.encode(r.headPc));
+        }
+        for (unsigned i = 0; i < r.numCommitted; ++i) {
+            const CommittedUop &c = r.committed[i];
+            tea_assert(c.seq == seq,
+                       "commit seq %llu at cycle %llu, want %llu (the "
+                       "codec stores consecutive commits only)",
+                       static_cast<unsigned long long>(c.seq), at,
+                       static_cast<unsigned long long>(seq));
+            ++seq;
+            putVarint(streams[ComPc], comPcD.encode(c.pc));
+            putVarint(streams[ComPsv], c.psv.bits());
+            lastValid = true;
+            lastPc = c.pc;
+            lastPsv = c.psv;
+        }
+        tea_assert(r.lastValid == lastValid &&
+                       (!lastValid ||
+                        (r.lastPc == lastPc && r.lastPsv == lastPsv)),
+                   "last-committed snapshot at cycle %llu is not the "
+                   "latest commit slot's",
+                   at);
+        putVarint(streams[NextFetch], fetchD.encode(r.nextFetchSeq));
+        putVarint(streams[NextDisp], dispD.encode(r.nextDispatchSeq));
+    }
+    tea_assert(cycle >= first,
+               "records from cycle %llu run past the last cycle",
+               static_cast<unsigned long long>(first));
+    tea_assert(cycle - first == chunk.cycleRecords,
                "chunk claims %llu cycles, its events cover %llu",
                static_cast<unsigned long long>(chunk.cycleRecords),
-               static_cast<unsigned long long>(covered));
+               static_cast<unsigned long long>(cycle - first));
+    tea_assert(!chunk.endCycle || *chunk.endCycle == cycle,
+               "end marker at cycle %llu, want %llu (one past the last "
+               "record)",
+               static_cast<unsigned long long>(chunk.endCycle.value_or(0)),
+               static_cast<unsigned long long>(cycle));
+
+    // The length-prefixed streams follow the entry state.
+    std::size_t bytes = payload.size();
+    for (const auto &st : streams)
+        bytes += st.size() + 4;
+    payload.reserve(bytes);
+    for (const auto &st : streams) {
+        putVarint(payload, st.size());
+        payload.insert(payload.end(), st.begin(), st.end());
+    }
 
     ChunkFrameHeader hdr;
     hdr.frameBytes = static_cast<std::uint32_t>(sizeof(ChunkFrameHeader) +
                                                 payload.size());
-    hdr.eventCount = static_cast<std::uint32_t>(chunk.events.size());
+    hdr.eventCount = static_cast<std::uint32_t>(events.size());
     hdr.spanEvents = spans;
-    hdr.cycleRecords = covered;
+    hdr.cycleRecords = chunk.cycleRecords;
     hdr.payloadCrc = crc32(0, payload.data(), payload.size());
     tea_assert(hdr.frameBytes <= maxChunkFrameBytes,
                "trace chunk frame exceeds %u bytes", maxChunkFrameBytes);
@@ -301,6 +329,44 @@ verifyFrame(const std::uint8_t *data, std::size_t avail, std::string *why)
     return true;
 }
 
+namespace {
+
+/** The state entering a frame, read from the start of its payload. */
+struct FrameEntry
+{
+    Cycle cycle = 0; ///< the first record's cycle
+    SeqNum seq = 0;  ///< the next seq to commit
+    bool lastValid = false;
+    bool endsTrace = false;
+    InstIndex lastPc = 0;
+    Psv lastPsv;
+};
+
+bool
+readEntry(Cursor &cur, FrameEntry *e, std::string *why)
+{
+    std::uint8_t flags = 0;
+    if (!cur.readVarint(&e->cycle) || !cur.readVarint(&e->seq) ||
+        !cur.readByte(&flags))
+        return fail(why, "truncated frame entry state");
+    if (flags & ~entryKnownFlags)
+        return fail(why, "unknown frame header flags");
+    e->lastValid = flags & entryLastValid;
+    e->endsTrace = flags & entryEndsTrace;
+    if (e->lastValid) {
+        std::uint64_t pc = 0, psv = 0;
+        if (!cur.readVarint(&pc) || !cur.readVarint(&psv))
+            return fail(why, "truncated frame entry state");
+        if (pc > std::numeric_limits<InstIndex>::max() || psv > 0xFFFFu)
+            return fail(why, "implausible frame entry state");
+        e->lastPc = static_cast<InstIndex>(pc);
+        e->lastPsv = Psv(static_cast<std::uint16_t>(psv));
+    }
+    return true;
+}
+
+} // namespace
+
 /**
  * Per-stream decoded-value lanes, reused across frames. CycFlags is the
  * one raw-byte stream; its lane stays empty and stage 2 reads the
@@ -312,17 +378,6 @@ struct ChunkDecoder::Impl
     std::array<std::size_t, NumStreams> cap{};
     std::array<std::size_t, NumStreams> count{};
 
-    static constexpr unsigned numKinds =
-        static_cast<unsigned>(TraceEventKind::Span) + 1;
-
-    /**
-     * Event index lists, filled by assemble's position pass: one per
-     * kind, except that Cycle and Span events share the Cycle list in
-     * event order, because they share the cycle streams.
-     */
-    std::array<std::unique_ptr<std::uint32_t[]>, numKinds - 1> pos;
-    std::size_t posCap = 0;
-
     void
     ensure(unsigned s, std::size_t need)
     {
@@ -333,95 +388,43 @@ struct ChunkDecoder::Impl
         cap[s] = grown;
     }
 
-    void
-    ensurePos(std::size_t need)
-    {
-        if (posCap >= need)
-            return;
-        const std::size_t grown =
-            std::bit_ceil(std::max<std::size_t>(need, 1));
-        for (auto &list : pos)
-            list = std::make_unique_for_overwrite<std::uint32_t[]>(grown);
-        posCap = grown;
-    }
-
-    bool assemble(const ChunkFrameHeader &hdr, const std::uint8_t *kinds,
+    bool assemble(const ChunkFrameHeader &hdr, const FrameEntry &entry,
                   const std::uint8_t *cflags, TraceChunk &out,
                   std::string *why);
 };
 
-// Stage 2 runs kind-grouped instead of event-at-a-time: a position
-// pass splits the kind array into per-kind event index lists and
-// validates every stream's length once, then one tight homogeneous
-// write loop per kind assembles events straight from the lanes — no
-// per-event switch to mispredict and no per-field bounds checks in
-// the hot loops.
+// Stage 2 validates every stream's length once, then one tight loop
+// assembles the records in order straight from the lanes, rebuilding
+// the cycle stamps, seqs and last-committed fields from the entry
+// state as it goes — no per-field bounds checks in the hot loop.
 // tea_lint: hot
 bool
 ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
-                             const std::uint8_t *kinds,
+                             const FrameEntry &entry,
                              const std::uint8_t *cflags, TraceChunk &out,
                              std::string *why)
 {
-    // Resize only when the count actually changes: every always-valid
-    // field is overwritten below and gated leftovers are unspecified by
-    // contract, so re-running element constructors on a reused chunk of
-    // the same size (the steady replay state) would be pure churn — and
-    // measurably dominated decode time when it was done per frame.
-    if (out.events.size() != hdr.eventCount)
-        out.events.resize(hdr.eventCount);
-
-    ensurePos(hdr.eventCount);
-    // Pointer cursors rather than per-kind counters: an index store
-    // through std::uint32_t* may alias integer counters, forcing the
-    // compiler to spill and reload them every iteration; pointers are a
-    // distinct type the stores provably cannot touch.
-    constexpr unsigned spanKind =
-        static_cast<unsigned>(TraceEventKind::Span);
-    constexpr unsigned cycleKind =
-        static_cast<unsigned>(TraceEventKind::Cycle);
-    std::uint32_t *cur[numKinds - 1];
-    for (unsigned k = 0; k < numKinds - 1; ++k)
-        cur[k] = pos[k].get();
-    std::uint32_t nSpan = 0;
-    for (std::uint32_t i = 0; i < hdr.eventCount; ++i) {
-        const std::uint8_t k = kinds[i];
-        if (k >= numKinds)
-            return fail(why, "unknown trace event kind");
-        const bool span = k == spanKind;
-        nSpan += span;
-        *cur[span ? cycleKind : k]++ = i;
-    }
-    const auto kindCount = [&](TraceEventKind k) {
-        const auto u = static_cast<unsigned>(k);
-        return static_cast<std::uint32_t>(cur[u] - pos[u].get());
-    };
-    // Cycle-stream records: the Cycle events and the spans' first ones.
-    const std::uint32_t nCyc = kindCount(TraceEventKind::Cycle);
-    const std::uint32_t nEnd = kindCount(TraceEventKind::End);
-    if (nSpan != hdr.spanEvents)
-        return fail(why, "span count mismatch");
-    if (count[CycFlags] != nCyc)
-        return fail(why, count[CycFlags] < nCyc
-                             ? "truncated cycle stream"
-                             : "unconsumed stream bytes");
+    const std::uint32_t n = hdr.eventCount;
+    if (count[CycFlags] != n)
+        return fail(why, count[CycFlags] < n ? "truncated cycle stream"
+                                             : "unconsumed stream bytes");
 
     // Tally the gated-field populations from the flag bytes, eight
-    // flag bytes per step (SWAR): the valid bits are popcounts over a
-    // bit column, the commit counts are a nibble column summed with
-    // the multiply-shift byte-sum trick (8 nibbles <= 120, no carry),
-    // and an implausible count (> 8) is detected by the carry into
-    // bit 4 of nc + 7, OR-accumulated and checked once.
-    std::size_t nHead = 0, nLast = 0, nCom = 0;
+    // flag bytes per step (SWAR): the head and span bits are popcounts
+    // over a bit column, the commit counts are a nibble column summed
+    // with the multiply-shift byte-sum trick (8 nibbles <= 120, no
+    // carry), and an implausible count (> 8) is detected by the carry
+    // into bit 4 of nc + 7, OR-accumulated and checked once.
+    std::size_t nHead = 0, nSpan = 0, nCom = 0;
     {
         constexpr std::uint64_t lsb = 0x0101010101010101ull;
         std::uint64_t bad = 0;
         std::uint32_t j = 0;
-        for (; j + 8 <= nCyc; j += 8) {
+        for (; j + 8 <= n; j += 8) {
             std::uint64_t x;
             std::memcpy(&x, cflags + j, 8);
-            nLast += static_cast<unsigned>(
-                __builtin_popcountll(x & lsb)); // flagLastValid
+            nSpan += static_cast<unsigned>(
+                __builtin_popcountll(x & lsb)); // flagSpan
             nHead += static_cast<unsigned>(
                 __builtin_popcountll(x & (lsb << 1))); // flagHeadValid
             const std::uint64_t t =
@@ -429,14 +432,14 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
             bad |= (t + lsb * 0x07) & (lsb * 0x10);
             nCom += (t * lsb) >> 56;
         }
-        for (; j < nCyc; ++j) {
+        for (; j < n; ++j) {
             const std::uint8_t f = cflags[j];
             const unsigned nc = (f >> flagCountShift) & 0xFu;
             if (nc > 8)
                 bad = 1;
             nCom += nc;
             nHead += (f >> 1) & 1u; // flagHeadValid
-            nLast += f & 1u;        // flagLastValid
+            nSpan += f & 1u;        // flagSpan
         }
         static_assert(
             std::tuple_size_v<decltype(CycleRecord{}.committed)> == 8,
@@ -444,28 +447,24 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
         if (bad)
             return fail(why, "implausible commit count");
     }
+    if (nSpan != hdr.spanEvents)
+        return fail(why, "span count mismatch");
 
-    // One exact-length check per stream replaces the old per-event
-    // bounds checks: a short stream is truncation, a long one trailing
-    // unconsumed values — either rejects the frame before any of the
-    // unchecked write loops below runs.
+    // One exact-length check per stream replaces per-record bounds
+    // checks: a short stream is truncation, a long one trailing
+    // unconsumed values — either rejects the frame before the
+    // unchecked write loop below runs.
     const struct
     {
         unsigned s;
         std::size_t expect;
         const char *short_msg;
     } lengths[] = {
-        {CycDelta, nCyc, "truncated cycle stream"},
-        {HeadSeq, nHead, "truncated head stream"},
         {HeadPc, nHead, "truncated head stream"},
-        {LastPc, nLast, "truncated last-commit stream"},
-        {LastPsv, nLast, "truncated last-commit stream"},
-        {ComSeq, nCom, "truncated committed stream"},
         {ComPc, nCom, "truncated committed stream"},
         {ComPsv, nCom, "truncated committed stream"},
-        {NextFetch, nCyc, "truncated front-end stream"},
-        {NextDisp, nCyc, "truncated front-end stream"},
-        {EndCycle, nEnd, "truncated end stream"},
+        {NextFetch, n, "truncated front-end stream"},
+        {NextDisp, n, "truncated front-end stream"},
         {SpanLen, nSpan, "truncated span stream"},
     };
     for (const auto &l : lengths) {
@@ -475,122 +474,104 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
                                  : "unconsumed stream bytes");
     }
 
+    // Resize only when the count actually changes: every always-valid
+    // field is overwritten below and gated leftovers are unspecified by
+    // contract, so re-running element constructors on a reused chunk of
+    // the same size (the steady replay state) would be pure churn — and
+    // measurably dominated decode time when it was done per frame.
+    if (out.events.size() != n)
+        out.events.resize(n);
     TraceEvent *const events = out.events.data();
 
-    // The write loops below rebuild absolute values from the zigzag
-    // deltas inline: each lane is consumed in exactly the order the
-    // encoder produced it (event order within a kind, commit order
-    // within a cycle), so one running accumulator per delta stream
-    // replaces a separate prefix-sum pass over every lane.
+    // The loop rebuilds absolute values from the zigzag deltas inline:
+    // each lane is consumed in exactly the order the encoder produced
+    // it (record order, commit order within a record), so one running
+    // accumulator per delta stream replaces a separate prefix-sum pass
+    // over every lane. The derived fields run the same way: the cycle
+    // advances by each record's length, the next commit seq by its
+    // commits, and last-committed follows the latest commit slot.
+    const std::uint64_t *hpc = lanes[HeadPc].get();
+    const std::uint64_t *cpc = lanes[ComPc].get();
+    const std::uint64_t *cpsv = lanes[ComPsv].get();
+    const std::uint64_t *slen = lanes[SpanLen].get();
+    const std::uint64_t *nfetch = lanes[NextFetch].get();
+    const std::uint64_t *ndisp = lanes[NextDisp].get();
+    Cycle cycle = entry.cycle;
+    SeqNum seq = entry.seq;
+    bool lastValid = entry.lastValid;
+    InstIndex lastPc = entry.lastPc;
+    Psv lastPsv = entry.lastPsv;
+    std::uint64_t hpcPrev = 0, cpcPrev = 0, fetchPrev = 0, dispPrev = 0;
     std::uint64_t covered = 0;
-    {
-        const std::uint32_t *P = pos[cycleKind].get();
-        const std::uint64_t *cyc = lanes[CycDelta].get();
-        const std::uint64_t *hseq = lanes[HeadSeq].get();
-        const std::uint64_t *hpc = lanes[HeadPc].get();
-        const std::uint64_t *lpc = lanes[LastPc].get();
-        const std::uint64_t *lpsv = lanes[LastPsv].get();
-        const std::uint64_t *cseq = lanes[ComSeq].get();
-        const std::uint64_t *cpc = lanes[ComPc].get();
-        const std::uint64_t *cpsv = lanes[ComPsv].get();
-        const std::uint64_t *slen = lanes[SpanLen].get();
-        const std::uint64_t *nfetch = lanes[NextFetch].get();
-        const std::uint64_t *ndisp = lanes[NextDisp].get();
-        std::uint64_t cycPrev = 0, hseqPrev = 0, hpcPrev = 0;
-        std::uint64_t lpcPrev = 0, cseqPrev = 0, cpcPrev = 0;
-        std::uint64_t fetchPrev = 0, dispPrev = 0;
-        std::size_t hs = 0, ls = 0, cs = 0, ss = 0;
-        // The span rules, each OR-accumulated without a branch and
-        // checked once after the loop.
-        bool shortSpan = false, longSpan = false, busySpan = false,
-             wrapSpan = false;
-        for (std::uint32_t j = 0; j < nCyc; ++j) {
-            TraceEvent &ev = events[P[j]];
-            const bool span = kinds[P[j]] == spanKind;
-            ev.kind = span ? TraceEventKind::Span : TraceEventKind::Cycle;
-            CycleRecord &r = ev.p.cycle;
-            const std::uint8_t f = cflags[j];
-            cycPrev += static_cast<std::uint64_t>(unzigzag(cyc[j]));
-            r.cycle = cycPrev;
-            r.state = static_cast<CommitState>(f >> flagStateShift);
-            const unsigned nc = (f >> flagCountShift) & 0xFu;
-            // Like the gated fields below: the span lane is read at the
-            // cursor every time (it is sized one slot past its count)
-            // and the cursor advances only on a span.
-            const std::uint64_t len = span ? slen[ss] : 1;
-            ss += span;
-            ev.spanCycles = static_cast<std::uint32_t>(span ? len : 0);
-            covered += len;
-            shortSpan |= span & (len < 2);
-            longSpan |= len > maxSpanCycles;
-            busySpan |=
-                span & ((nc != 0) | (r.state == CommitState::Compute));
-            wrapSpan |= span & (cycPrev + len < cycPrev);
-            r.numCommitted = static_cast<std::uint8_t>(nc);
-            const bool hv = f & flagHeadValid;
-            const bool lv = f & flagLastValid;
-            r.headValid = hv;
-            r.lastValid = lv;
-            // Branchless gated fields: the delta is masked to zero and
-            // the cursor does not advance when the flag is clear, so
-            // the unconditional store writes unspecified-but-harmless
-            // contents (allowed by the decode contract) instead of
-            // costing a hard-to-predict branch per record. Stage 1
-            // sizes each lane one slot past its value count so the
-            // read at the final cursor position stays in bounds.
-            const std::uint64_t hm = -static_cast<std::uint64_t>(hv);
-            hseqPrev +=
-                static_cast<std::uint64_t>(unzigzag(hseq[hs])) & hm;
-            hpcPrev +=
-                static_cast<std::uint64_t>(unzigzag(hpc[hs])) & hm;
-            r.headSeq = hseqPrev;
-            r.headPc = static_cast<InstIndex>(hpcPrev);
-            hs += hv;
-            const std::uint64_t lm = -static_cast<std::uint64_t>(lv);
-            lpcPrev +=
-                static_cast<std::uint64_t>(unzigzag(lpc[ls])) & lm;
-            r.lastPc = static_cast<InstIndex>(lpcPrev);
-            r.lastPsv = Psv(static_cast<std::uint16_t>(lpsv[ls]));
-            ls += lv;
-            fetchPrev += static_cast<std::uint64_t>(unzigzag(nfetch[j]));
-            dispPrev += static_cast<std::uint64_t>(unzigzag(ndisp[j]));
-            r.nextFetchSeq = fetchPrev;
-            r.nextDispatchSeq = dispPrev;
-            for (unsigned c = 0; c < nc; ++c) {
-                cseqPrev +=
-                    static_cast<std::uint64_t>(unzigzag(cseq[cs + c]));
-                cpcPrev +=
-                    static_cast<std::uint64_t>(unzigzag(cpc[cs + c]));
-                r.committed[c] = CommittedUop{
-                    cseqPrev, static_cast<InstIndex>(cpcPrev),
-                    Psv(static_cast<std::uint16_t>(cpsv[cs + c]))};
-            }
-            cs += nc;
+    std::size_t hs = 0, cs = 0, ss = 0;
+    // The span rules, each OR-accumulated without a branch and checked
+    // once after the loop.
+    bool shortSpan = false, longSpan = false, busySpan = false;
+    for (std::uint32_t j = 0; j < n; ++j) {
+        TraceEvent &ev = events[j];
+        CycleRecord &r = ev.rec;
+        const std::uint8_t f = cflags[j];
+        const bool span = f & flagSpan;
+        ev.kind = span ? TraceEventKind::Span : TraceEventKind::Cycle;
+        // Like the gated fields below: the span lane is read at the
+        // cursor every time (it is sized one slot past its count) and
+        // the cursor advances only on a span.
+        const std::uint64_t len = span ? slen[ss] : 1;
+        ss += span;
+        ev.spanCycles = static_cast<std::uint32_t>(span ? len : 0);
+        r.cycle = cycle;
+        cycle += len;
+        covered += len;
+        r.state = static_cast<CommitState>(f >> flagStateShift);
+        const unsigned nc = (f >> flagCountShift) & 0xFu;
+        shortSpan |= span & (len < 2);
+        longSpan |= len > maxSpanCycles;
+        busySpan |= span & ((nc != 0) | (r.state == CommitState::Compute));
+        r.numCommitted = static_cast<std::uint8_t>(nc);
+        // Branchless gated field: the delta is masked to zero and the
+        // cursor does not advance when the flag is clear, so the
+        // unconditional store writes unspecified-but-harmless contents
+        // (allowed by the decode contract) instead of costing a
+        // hard-to-predict branch per record. Stage 1 sizes each lane
+        // one slot past its value count so the read at the final
+        // cursor position stays in bounds.
+        const bool hv = f & flagHeadValid;
+        r.headValid = hv;
+        r.headSeq = seq;
+        hpcPrev += static_cast<std::uint64_t>(unzigzag(hpc[hs])) &
+                   -static_cast<std::uint64_t>(hv);
+        r.headPc = static_cast<InstIndex>(hpcPrev);
+        hs += hv;
+        fetchPrev += static_cast<std::uint64_t>(unzigzag(nfetch[j]));
+        dispPrev += static_cast<std::uint64_t>(unzigzag(ndisp[j]));
+        r.nextFetchSeq = fetchPrev;
+        r.nextDispatchSeq = dispPrev;
+        for (unsigned c = 0; c < nc; ++c) {
+            cpcPrev += static_cast<std::uint64_t>(unzigzag(cpc[cs + c]));
+            lastPc = static_cast<InstIndex>(cpcPrev);
+            lastPsv = Psv(static_cast<std::uint16_t>(cpsv[cs + c]));
+            r.committed[c] = CommittedUop{seq + c, lastPc, lastPsv};
         }
-        if (shortSpan)
-            return fail(why, "span shorter than 2 cycles");
-        if (longSpan)
-            return fail(why, "span longer than maxSpanCycles");
-        if (busySpan)
-            return fail(why, "span of a Compute record or with commits");
-        if (wrapSpan)
-            return fail(why, "span runs past the last cycle");
+        cs += nc;
+        seq += nc;
+        lastValid |= nc != 0;
+        r.lastValid = lastValid;
+        r.lastPc = lastPc;
+        r.lastPsv = lastPsv;
     }
+    if (shortSpan)
+        return fail(why, "span shorter than 2 cycles");
+    if (longSpan)
+        return fail(why, "span longer than maxSpanCycles");
+    if (busySpan)
+        return fail(why, "span of a Compute record or with commits");
     if (covered != hdr.cycleRecords)
         return fail(why, "cycle-record count mismatch");
 
-    {
-        const std::uint32_t *P =
-            pos[static_cast<unsigned>(TraceEventKind::End)].get();
-        const std::uint64_t *ec = lanes[EndCycle].get();
-        for (std::uint32_t j = 0; j < nEnd; ++j) {
-            TraceEvent &ev = events[P[j]];
-            ev.kind = TraceEventKind::End;
-            ev.p.end = ec[j];
-        }
-    }
-
     out.cycleRecords = covered;
+    out.endCycle.reset();
+    if (entry.endsTrace)
+        out.endCycle = cycle;
     return true;
 }
 
@@ -608,33 +589,30 @@ ChunkDecoder::decode(const std::uint8_t *data, std::size_t avail,
     if (!peekFrame(data, avail, &hdr, why))
         return false;
 
-    const std::uint8_t *p = data + sizeof(hdr);
-    const std::uint8_t *frame_end = data + hdr.frameBytes;
-    if (frame_end - p <
-        static_cast<std::ptrdiff_t>(hdr.eventCount))
-        return fail(why, "kind array extends past frame");
-    const std::uint8_t *kinds = p;
-    p += hdr.eventCount;
+    Cursor cur{data + sizeof(hdr), data + hdr.frameBytes};
+    FrameEntry entry;
+    if (!readEntry(cur, &entry, why))
+        return false;
+    // The cycle after the frame's last record (the end marker's, when
+    // the frame closes the trace) must be representable.
+    if (entry.cycle + hdr.cycleRecords < entry.cycle)
+        return fail(why, "frame runs past the last cycle");
 
     // Slice out the length-prefixed streams.
     std::array<const std::uint8_t *, NumStreams> sdata{};
     std::array<std::size_t, NumStreams> slen{};
-    {
-        Cursor directory{p, frame_end};
-        for (unsigned s = 0; s < NumStreams; ++s) {
-            std::uint64_t len = 0;
-            if (!directory.readVarint(&len))
-                return fail(why, "truncated stream directory");
-            if (len > static_cast<std::uint64_t>(directory.end -
-                                                 directory.p))
-                return fail(why, "stream extends past frame");
-            sdata[s] = directory.p;
-            slen[s] = static_cast<std::size_t>(len);
-            directory.p += len;
-        }
-        if (!directory.exhausted())
-            return fail(why, "trailing bytes after last stream");
+    for (unsigned s = 0; s < NumStreams; ++s) {
+        std::uint64_t len = 0;
+        if (!cur.readVarint(&len))
+            return fail(why, "truncated stream directory");
+        if (len > static_cast<std::uint64_t>(cur.end - cur.p))
+            return fail(why, "stream extends past frame");
+        sdata[s] = cur.p;
+        slen[s] = static_cast<std::size_t>(len);
+        cur.p += len;
     }
+    if (!cur.exhausted())
+        return fail(why, "trailing bytes after last stream");
 
     // Stage 1: bulk-decode every varint stream into its lane
     // (decodeVarints). Lanes hold the raw zigzag deltas;
@@ -657,7 +635,7 @@ ChunkDecoder::decode(const std::uint8_t *data, std::size_t avail,
             return fail(why, "malformed varint stream");
     }
 
-    if (!im.assemble(hdr, kinds, sdata[CycFlags], out, why))
+    if (!im.assemble(hdr, entry, sdata[CycFlags], out, why))
         return false;
     *consumed = hdr.frameBytes;
     return true;

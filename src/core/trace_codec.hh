@@ -3,26 +3,39 @@
  * Compact structure-of-arrays codec for trace chunks.
  *
  * One TraceChunk is encoded as one self-contained *frame*: a fixed
- * header (sizes, event and cycle counts, payload CRC-32) followed by
- * the event kind array and a fixed set of length-prefixed field
- * streams. Within a stream, values of the same field are stored
- * back-to-back (structure-of-arrays), delta-encoded against the
- * previous value of the same stream and written as zigzag LEB128
- * varints — cycles and sequence numbers are near-monotonic, PCs loop
- * over small ranges, so most values fit in one byte (~10x smaller than
- * the in-memory events).
+ * header (sizes, record and cycle counts, payload CRC-32), then the
+ * payload: the entry state (the state entering the frame) and a fixed
+ * set of length-prefixed field streams. Within a stream, values of the
+ * same field are stored back-to-back (structure-of-arrays),
+ * delta-encoded against the previous value of the same stream and
+ * written as zigzag LEB128 varints — PCs loop over small ranges and a
+ * record's front-end seqs (nextFetchSeq, nextDispatchSeq) advance by
+ * at most the fetch or dispatch width, so most values fit in one byte.
  *
- * The trace has three event kinds: Cycle, Span and End. A cycle
- * record's front-end seqs (nextFetchSeq, nextDispatchSeq) advance by at
- * most the fetch or dispatch width per record, so their delta streams
- * cost about one byte each per record.
+ * The frame stores only what the decoder cannot derive. The core's
+ * trace obeys five rules, and the encoder asserts each of them:
+ *  - cycles are dense: each record starts where the previous one ended;
+ *  - commit seqs are consecutive;
+ *  - a valid ROB head (a Stalled record's) is the next seq to commit;
+ *  - last-committed is the latest commit slot, and a record without
+ *    commits keeps the previous record's;
+ *  - the end marker is one cycle past the last record.
+ * So no cycle stamp, seq or last-committed field is stored, and the end
+ * marker is one flag. The entry state holds what the frame's first
+ * record needs: the first cycle, the next commit seq (the first commit
+ * slot's or ROB head's, 0 if the frame has neither), the first record's
+ * last-committed valid flag, pc and PSV, and whether the trace ends
+ * after this frame; the end cycle is the first cycle plus the cycles
+ * covered.
  *
- * A Span event (an idle run, TraceSink::onSpan) is its first cycle
- * record plus a length. The record travels in the cycle streams, in
- * event order with the Cycle events, and the length in a stream of its
- * own. The decoder rejects a span that no producer can emit: shorter
- * than 2 cycles, longer than maxSpanCycles, in the Compute state, with
- * commits, or running past the last representable cycle.
+ * Seven streams follow: the packed per-record flags (state, commit
+ * count, ROB-head valid, span), the ROB-head pc, the commit slots' pcs
+ * and PSVs, the two front-end seqs and the span lengths. A Span event
+ * (an idle run, TraceSink::onSpan) is its first cycle record plus a
+ * length, so the span flag needs no kind array. The decoder rejects a
+ * span that no producer can emit (shorter than 2 cycles, longer than
+ * maxSpanCycles, in the Compute state or with commits) and a frame
+ * whose cycles run past the last representable cycle.
  *
  * Frames are independent (all delta state resets per frame), so a file
  * of concatenated frames supports chunk-at-a-time streaming decode
@@ -57,13 +70,13 @@ namespace tea {
  * cached trace file embeds (CoreStats layout, header layout). Bump on
  * any change; stale files then fail validation and are re-simulated.
  */
-inline constexpr std::uint32_t traceCodecVersion = 4;
+inline constexpr std::uint32_t traceCodecVersion = 5;
 
 /** Fixed per-frame header (little-endian, packed by construction). */
 struct ChunkFrameHeader
 {
     std::uint32_t frameBytes = 0; ///< total frame size incl. header
-    std::uint32_t eventCount = 0; ///< events in the chunk
+    std::uint32_t eventCount = 0; ///< events (records) in the chunk
     std::uint32_t spanEvents = 0; ///< Span events among them
     std::uint32_t payloadCrc = 0; ///< CRC-32 of the payload bytes
     /**
@@ -77,7 +90,11 @@ struct ChunkFrameHeader
 /** Hard upper bound on one frame (sanity check against corruption). */
 inline constexpr std::uint32_t maxChunkFrameBytes = 1u << 30;
 
-/** Encode @p chunk as one frame appended to @p out. */
+/**
+ * Encode @p chunk as one frame appended to @p out. The chunk must obey
+ * the rules in the file comment; a chunk that breaks one is an internal
+ * error (tea_assert), never a frame written with a wrong trace in it.
+ */
 void encodeChunk(const TraceChunk &chunk, std::vector<std::uint8_t> &out);
 
 /**
@@ -99,16 +116,15 @@ bool verifyFrame(const std::uint8_t *data, std::size_t avail,
  * Reusable frame decoder.
  *
  * Decoding runs in two stages: first every varint stream of the frame
- * is bulk-decoded into a per-stream value lane (core/varint); then
- * kind-grouped assembly loops write each event's fields in place,
- * rebuilding absolute values from the zigzag deltas as each lane is
- * consumed in encode order.
+ * is bulk-decoded into a per-stream value lane (core/varint); then one
+ * assembly loop writes the records in order, rebuilding absolute
+ * values from the zigzag deltas as each lane is consumed in encode
+ * order and the derived fields from the entry state.
  * The lanes are owned by the decoder and grow to the largest frame
  * seen, so a decoder held across a replay loop allocates only on the
  * first few frames.
  *
- * Not thread-safe; use one decoder per thread. Results are identical
- * to the original event-at-a-time decoder.
+ * Not thread-safe; use one decoder per thread.
  */
 class ChunkDecoder
 {

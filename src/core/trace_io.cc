@@ -384,7 +384,6 @@ MappedTraceFile::open(const std::string &path,
         new MappedTraceFile); // tea_lint: allow(naked-new)
     f->base_ = static_cast<const std::uint8_t *>(map);
     f->size_ = size;
-    f->path_ = path;
 
     TraceFileHeader hdr;
     std::memcpy(&hdr, f->base_, sizeof(hdr));
@@ -420,7 +419,7 @@ MappedTraceFile::open(const std::string &path,
                                     hdr.payloadBytes)));
 
     // CRC-verify every frame up front: no event is ever delivered from
-    // a file with so much as one bad byte in it.
+    // a file with a flipped or truncated byte in it.
     f->payloadOffset_ = sizeof(hdr) + hdr.statsBytes;
     std::size_t at = f->payloadOffset_;
     std::uint64_t chunks = 0, events = 0, cycles = 0;
@@ -447,14 +446,13 @@ MappedTraceFile::open(const std::string &path,
     f->chunkCount_ = chunks;
     f->eventCount_ = events;
     f->cycleCount_ = cycles;
-    f->rewind();
     return f;
 }
 
 TraceChunkPtr
 MappedTraceFile::nextChunk()
 {
-    if (nextFrame_ >= frameOffsets_.size())
+    if (nextFrame_ >= frameOffsets_.size() || !error_.empty())
         return nullptr;
     // Reuse chunk storage once its consumer has dropped it:
     // chunk-sized event vectors sit above malloc's mmap threshold, so
@@ -476,7 +474,17 @@ MappedTraceFile::nextChunk()
         scratch_.push_back(out);
         scratchNext_ = 0;
     }
-    decodeFrameInto(nextFrame_++, *out);
+    const std::size_t at = frameOffsets_[nextFrame_];
+    std::size_t consumed = 0;
+    std::string why;
+    if (!decoder_.decode(base_ + at, size_ - at, *out, &consumed, &why)) {
+        // The frame passed its CRC at open(), so the damage resealed
+        // it or a writer broke the codec's rules: either way the trace
+        // cannot be replayed, and the caller falls back to simulating.
+        error_ = strprintf("chunk %zu: %s", nextFrame_, why.c_str());
+        return nullptr;
+    }
+    ++nextFrame_;
     // Software-pipeline the source bytes: start pulling the next
     // frame's encoded streams toward the cache now, so they arrive
     // while the consumer replays this chunk instead of stalling the
@@ -485,36 +493,18 @@ MappedTraceFile::nextChunk()
     // loops are fast enough that refilling on demand is a measurable
     // slice of warm-replay decode time.
     if (nextFrame_ < frameOffsets_.size()) {
-        const std::size_t at = frameOffsets_[nextFrame_];
+        const std::size_t next = frameOffsets_[nextFrame_];
         const std::size_t frameEnd = nextFrame_ + 1 < frameOffsets_.size()
                                          ? frameOffsets_[nextFrame_ + 1]
                                          : size_;
         // Cap the touch: a pathologically large frame would otherwise
         // blow the very cache this is trying to keep warm.
         const std::size_t stop =
-            std::min(frameEnd, at + (std::size_t{64} << 10));
-        for (std::size_t p = at; p < stop; p += 64)
+            std::min(frameEnd, next + (std::size_t{64} << 10));
+        for (std::size_t p = next; p < stop; p += 64)
             __builtin_prefetch(base_ + p, 0 /*read*/, 3 /*keep*/);
     }
     return out;
-}
-
-void
-MappedTraceFile::decodeFrameInto(std::size_t index, TraceChunk &out)
-{
-    tea_assert(index < frameOffsets_.size(),
-               "frame index %zu out of range (%zu frames)", index,
-               frameOffsets_.size());
-    const std::size_t at = frameOffsets_[index];
-    std::size_t consumed = 0;
-    std::string why;
-    if (!decoder_.decode(base_ + at, size_ - at, out, &consumed, &why)) {
-        // Every frame passed CRC validation at open(); failing to
-        // decode now means the codec itself is inconsistent.
-        tea_panic("trace cache '%s': CRC-clean frame failed to decode "
-                  "(%s)",
-                  path_.c_str(), why.c_str());
-    }
 }
 
 } // namespace tea

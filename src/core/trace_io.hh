@@ -112,14 +112,16 @@ class CompactTraceWriter
 /**
  * Memory-mapped, zero-copy reader of the compact trace-cache format.
  *
- * open() maps the file and validates *everything* up front — magic,
+ * open() maps the file and validates the whole file up front — magic,
  * codec version, header CRC, fingerprint, CoreStats CRC, and the CRC
  * and bounds of every chunk frame — before a single event can be
- * delivered, so a corrupted or truncated file can never poison an
- * observer mid-replay: it simply fails to open (with a reason) and the
- * caller falls back to simulation. After open() succeeds, chunks are
- * decoded on demand straight out of the mapping (no read buffers, no
- * up-front materialization of the trace).
+ * delivered, so a corrupted or truncated file simply fails to open
+ * (with a reason) and the caller falls back to simulation. After
+ * open() succeeds, chunks are decoded on demand straight out of the
+ * mapping (no read buffers, no up-front materialization of the trace).
+ * A CRC-clean frame can still fail to decode (damage that resealed the
+ * CRC, or a writer bug): nextChunk() then stops with a reason, and the
+ * caller discards what it replayed so far (see error()).
  */
 class MappedTraceFile
 {
@@ -155,28 +157,28 @@ class MappedTraceFile
     /** Size of the mapped file in bytes. */
     std::uint64_t fileBytes() const { return size_; }
 
-    /** Reset the chunk cursor to the first chunk. */
-    void rewind() { nextFrame_ = 0; }
-
     /**
-     * Decode and return the next chunk, or nullptr after the last one.
-     * The file was fully CRC-verified at open(), so a decode failure
-     * here is an internal invariant violation (panic), not a user
-     * error. Uses the file's own decoder; not thread-safe.
+     * Decode and return the next chunk, or nullptr after the last one
+     * or when a frame fails to decode; error() tells the two apart.
+     * Uses the file's own decoder; not thread-safe.
      */
     TraceChunkPtr nextChunk();
 
+    /**
+     * Why the last nextChunk() returned nullptr early: the frame that
+     * failed to decode and the decoder's reason. Empty while every
+     * frame so far decoded. Once set, nextChunk() returns nullptr.
+     */
+    const std::string &error() const { return error_; }
+
   private:
     MappedTraceFile() = default;
-
-    /** Decode frame @p index into @p out (replaced); panics on failure. */
-    void decodeFrameInto(std::size_t index, TraceChunk &out);
 
     const std::uint8_t *base_ = nullptr;
     std::size_t size_ = 0;
     std::size_t payloadOffset_ = 0;
     std::size_t nextFrame_ = 0; ///< nextChunk() cursor (frame index)
-    std::string path_;
+    std::string error_;         ///< decode failure (see error())
     CoreStats stats_{};
     std::uint64_t chunkCount_ = 0;
     std::uint64_t eventCount_ = 0;

@@ -1,5 +1,5 @@
 // Seeded violation for tea_lint's enum-switch rule, checked against the
-// real tree's TraceEventKind (Cycle, End, Span).
+// real tree's TraceEventKind (Cycle, Span).
 // Never compiled into the project.
 #include "core/trace_buffer.hh"
 
@@ -23,10 +23,9 @@ complete(TraceEventKind k)
 {
     switch (k) {
     case TraceEventKind::Cycle:
-    case TraceEventKind::Span:
         return 1;
-    case TraceEventKind::End:
-        return 0;
+    case TraceEventKind::Span:
+        return 2;
     }
     return 0;
 }

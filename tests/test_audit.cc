@@ -151,6 +151,54 @@ TEST(Audit, DetectsNonMonotonicCommitSeq)
         << a.violations().front();
 }
 
+TEST(Audit, DetectsCommitSeqGap)
+{
+    InvariantAuditor a = collector();
+    a.onCycle(computeCycle(0, 5, 1));
+    a.onCycle(computeCycle(1, 7, 2)); // seq 6 never committed
+    ASSERT_FALSE(a.clean());
+    EXPECT_TRUE(violationNaming(a, {"commit seq gap", "seq 7",
+                                    "cycle 1", "after seq 5"}))
+        << a.violations().front();
+}
+
+TEST(Audit, DetectsRobHeadPastTheNextCommit)
+{
+    InvariantAuditor a = collector();
+    a.onCycle(computeCycle(0, 5, 1));
+    CycleRecord stalled = idleCycle(1, CommitState::Stalled, 9, 9);
+    stalled.headValid = true;
+    stalled.headSeq = 7; // seq 6 is next to commit
+    stalled.headPc = 2;
+    stalled.lastValid = true;
+    stalled.lastPc = 1;
+    a.onCycle(stalled);
+    ASSERT_FALSE(a.clean());
+    EXPECT_TRUE(violationNaming(a, {"ROB head seq 7", "cycle 1",
+                                    "not the next seq to commit",
+                                    "youngest committed seq 5"}))
+        << a.violations().front();
+}
+
+TEST(Audit, DetectsLastCommittedChangeWithoutCommit)
+{
+    // Each of the three fields, changed by a record without commits.
+    for (int field = 0; field < 3; ++field) {
+        SCOPED_TRACE(field);
+        InvariantAuditor a = collector();
+        a.onCycle(computeCycle(0, 1, 5, Psv(0x1)));
+        CycleRecord drained = idleCycle(1, CommitState::Drained, 2, 2);
+        drained.lastValid = field != 0;
+        drained.lastPc = field == 1 ? 6 : 5;
+        drained.lastPsv = Psv(field == 2 ? 0x2 : 0x1);
+        a.onCycle(drained);
+        ASSERT_FALSE(a.clean());
+        EXPECT_TRUE(violationNaming(a, {"last-committed snapshot changed",
+                                        "cycle 1", "without a commit"}))
+            << a.violations().front();
+    }
+}
+
 TEST(Audit, DetectsNonMonotonicDispatchSeq)
 {
     InvariantAuditor a = collector();

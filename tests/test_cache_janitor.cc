@@ -616,6 +616,37 @@ TEST_F(CacheJanitorTest, VerifyDetectsAndQuarantinesDamage)
     EXPECT_EQ(after.checked, 1u);
 }
 
+TEST_F(CacheJanitorTest, VerifyDecodesEveryFrame)
+{
+    // A frame whose CRC holds but which the decoder rejects opens fine;
+    // only decoding it shows the damage. verify must decode every frame
+    // and count such an entry damaged, not healthy.
+    TempCacheDir dir;
+    ASSERT_TRUE(runOnce(cachedOptions(dir), 200).replay.cacheStored);
+    ASSERT_TRUE(runOnce(cachedOptions(dir), 300).replay.cacheStored);
+    std::vector<std::string> entries = dir.entries();
+    ASSERT_EQ(entries.size(), 2u);
+    const std::string victim = dir.path() + "/" + entries[0];
+    ASSERT_TRUE(spliceUndecodableFrame(victim));
+
+    CacheVerifyReport found = verifyCacheDir(dir.path(), false);
+    EXPECT_EQ(found.checked, 2u);
+    EXPECT_EQ(found.healthy, 1u);
+    EXPECT_EQ(found.damaged, 1u);
+    ASSERT_EQ(found.damagedPaths.size(), 1u);
+    EXPECT_NE(found.damagedPaths[0].find(victim), std::string::npos);
+    EXPECT_NE(found.damagedPaths[0].find("unknown frame header flags"),
+              std::string::npos)
+        << found.damagedPaths[0];
+    EXPECT_EQ(dir.entries().size(), 2u);
+
+    CacheVerifyReport repaired = verifyCacheDir(dir.path(), true);
+    EXPECT_EQ(repaired.damaged, 1u);
+    EXPECT_EQ(dir.entries().size(), 1u);
+    EXPECT_TRUE(dir.anyWithSuffix(".reason"));
+    EXPECT_TRUE(verifyCacheDir(dir.path(), false).clean());
+}
+
 TEST_F(CacheJanitorTest, OlderCodecEntriesAreStaleAndCollected)
 {
     // After a codec-version bump the old entries can never be hit again

@@ -6,7 +6,7 @@
  * the widest accepted encoding, bits past 63 dropped, continuation past
  * 64 bits and truncated tails rejected, and randomized canonical
  * encodings round-tripping at misaligned heap offsets. Whole chunk
- * frames with extreme delta patterns must round-trip too, alone and
+ * frames with extreme values must round-trip too, alone and
  * concatenated at misaligned offsets.
  *
  * The suite names (SimdVarint, SimdCodec) date from when the decoder
@@ -163,68 +163,37 @@ TEST(SimdVarint, MisalignedBuffers)
 namespace {
 
 /**
- * A structurally valid chunk whose field values are chosen to make the
- * codec's delta streams pathological: cycles and sequence numbers jump
- * between tiny and near-2^64 values, so the zigzag deltas exercise
- * every varint width up to the 10-byte maximum, back to back.
+ * A chunk that obeys the codec's rules (trace_codec.hh) but makes its
+ * streams pathological: the entry state's first cycle and next seq sit
+ * near 2^64, pcs swing between tiny and near-2^32 values, and the next
+ * fetch seq swings by ~2^63, so the varints exercise every width up to
+ * the 10-byte maximum, back to back.
  */
 TraceChunk
 extremeChunk(Rng &rng, std::size_t count)
 {
     TraceChunk c;
     c.events.reserve(count);
-    Cycle cycle = 0;
-    SeqNum seq = 1;
+    Cycle cycle = ~Cycle{0} - (Cycle{1} << 50) - rng.below(1024);
+    SeqNum seq = ~SeqNum{0} - (SeqNum{1} << 20) - rng.below(1024);
+    bool lastValid = false;
+    InstIndex lastPc = 0;
+    Psv lastPsv;
     bool swing = false;
     auto wildPc = [&]() {
         return static_cast<InstIndex>(
             swing ? 0xfffffff0u - rng.below(8) : rng.below(64));
     };
-    // The front-end seqs ride on the swinging seq, so their delta
-    // streams hit every width too.
-    auto frontEnd = [&](CycleRecord &r) {
-        r.nextDispatchSeq = seq;
-        r.nextFetchSeq = seq + (swing ? 0x7ffffffffull : rng.below(8));
-    };
     for (std::size_t i = 0; i < count; ++i) {
         swing = !swing;
-        cycle += swing ? (0x7fffffffffffffull + rng.below(1024)) : 1;
-        seq += swing ? (0x3fffffffffffffull + rng.below(1024)) : 1;
         TraceEvent ev;
-        switch (rng.below(5)) {
-          case 0:
-          case 1:
-          case 2: {
+        CycleRecord &r = ev.rec;
+        r.cycle = cycle;
+        if (rng.below(5) != 3) {
             ev.kind = TraceEventKind::Cycle;
-            ev.p.cycle = CycleRecord{};
-            CycleRecord &r = ev.p.cycle;
-            r.cycle = cycle;
             r.state = static_cast<CommitState>(rng.below(4));
-            r.numCommitted =
-                r.state == CommitState::Compute
-                    ? static_cast<std::uint8_t>(rng.range(1, 8))
-                    : 0;
-            for (unsigned u = 0; u < r.numCommitted; ++u) {
-                r.committed[u].seq = seq += 0x1fffffffffffull;
-                r.committed[u].pc = wildPc();
-                r.committed[u].psv =
-                    Psv(static_cast<std::uint16_t>(rng.below(512)));
-            }
-            r.headValid = r.state == CommitState::Stalled;
-            if (r.headValid) {
-                r.headSeq = seq + 0x7ffffffffull;
-                r.headPc = wildPc();
-            }
-            r.lastValid = rng.chance(0.9);
-            if (r.lastValid) {
-                r.lastPc = wildPc();
-                r.lastPsv =
-                    Psv(static_cast<std::uint16_t>(rng.below(512)));
-            }
-            frontEnd(r);
-            break;
-          }
-          case 3: {
+            ++cycle;
+        } else {
             // An idle span whose length swings between the shortest
             // and the longest the format carries.
             ev.kind = TraceEventKind::Span;
@@ -232,34 +201,47 @@ extremeChunk(Rng &rng, std::size_t count)
                                                         rng.below(4))
                                   : static_cast<std::uint32_t>(
                                         2 + rng.below(4));
-            ev.p.cycle = CycleRecord{};
-            CycleRecord &r = ev.p.cycle;
-            r.cycle = cycle;
-            cycle += ev.spanCycles - 1;
             r.state = static_cast<CommitState>(1 + rng.below(3));
-            r.headValid = r.state == CommitState::Stalled;
-            if (r.headValid) {
-                r.headSeq = seq + 0x7ffffffffull;
-                r.headPc = wildPc();
-            }
-            r.lastValid = rng.chance(0.9);
-            if (r.lastValid) {
-                r.lastPc = wildPc();
-                r.lastPsv =
-                    Psv(static_cast<std::uint16_t>(rng.below(512)));
-            }
-            frontEnd(r);
-            break;
-          }
-          default:
-            ev.kind = TraceEventKind::End;
-            ev.p.end = cycle;
-            break;
+            cycle += ev.spanCycles;
         }
+        r.numCommitted = r.state == CommitState::Compute
+                             ? static_cast<std::uint8_t>(rng.range(1, 8))
+                             : 0;
+        for (unsigned u = 0; u < r.numCommitted; ++u) {
+            lastPc = wildPc();
+            lastPsv = Psv(static_cast<std::uint16_t>(rng.below(512)));
+            r.committed[u] = CommittedUop{seq++, lastPc, lastPsv};
+            lastValid = true;
+        }
+        r.headValid = r.state == CommitState::Stalled;
+        if (r.headValid) {
+            r.headSeq = seq;
+            r.headPc = wildPc();
+        }
+        r.lastValid = lastValid;
+        r.lastPc = lastPc;
+        r.lastPsv = lastPsv;
+        r.nextDispatchSeq = seq;
+        r.nextFetchSeq = seq + (swing ? 0x7fffffffffffffffull : rng.below(8));
         c.cycleRecords += cyclesCovered(ev);
         c.events.push_back(ev);
     }
+    if (rng.chance(0.5))
+        c.endCycle = cycle;
     return c;
+}
+
+/** True when @p frame holds a 10-byte varint (9 continuation bytes). */
+bool
+hasTenByteVarint(const std::vector<std::uint8_t> &frame)
+{
+    unsigned run = 0;
+    for (std::uint8_t b : frame) {
+        run = (b & 0x80u) ? run + 1 : 0;
+        if (run == 9)
+            return true;
+    }
+    return false;
 }
 
 } // namespace
@@ -271,6 +253,7 @@ TEST(SimdCodec, ExtremeDeltaChunksRoundTripUnderEveryKernel)
         TraceChunk chunk = extremeChunk(rng, 64 + rng.below(512));
         std::vector<std::uint8_t> frame;
         encodeChunk(chunk, frame);
+        EXPECT_TRUE(hasTenByteVarint(frame));
 
         ChunkDecoder decoder;
         TraceChunk back;
@@ -281,6 +264,7 @@ TEST(SimdCodec, ExtremeDeltaChunksRoundTripUnderEveryKernel)
             << why;
         EXPECT_EQ(consumed, frame.size());
         EXPECT_EQ(back.cycleRecords, chunk.cycleRecords);
+        EXPECT_EQ(back.endCycle, chunk.endCycle);
         ASSERT_EQ(back.events.size(), chunk.events.size());
         for (std::size_t i = 0; i < chunk.events.size(); ++i)
             ASSERT_TRUE(eventsEquivalent(chunk.events[i], back.events[i]))

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -169,97 +170,88 @@ cachedOptions(const TempCacheDir &dir)
     return o;
 }
 
-/** Pseudo-random but structurally valid trace event stream. */
+/**
+ * Pseudo-random trace event stream that obeys the codec's rules
+ * (trace_codec.hh): dense cycles, consecutive commit seqs, the ROB head
+ * at the next seq to commit, and last-committed at the latest commit
+ * slot. It may open after earlier commits (lastValid already set) or
+ * before any. @p end is set to the cycle after the last event.
+ */
 std::vector<TraceEvent>
-randomEvents(Rng &rng, std::size_t count)
+randomEvents(Rng &rng, std::size_t count, Cycle *end = nullptr)
 {
     std::vector<TraceEvent> events;
     events.reserve(count);
-    Cycle cycle = 0;
-    SeqNum seq = 1;
+    Cycle cycle = rng.below(1000);
+    SeqNum seq = 1 + rng.below(1000);
+    bool lastValid = rng.chance(0.5);
+    InstIndex lastPc = static_cast<InstIndex>(rng.below(4096));
+    Psv lastPsv(static_cast<std::uint16_t>(rng.below(512)));
     // Front-end seqs: small steps with rare jumps past 2^32, so the
     // delta streams carry wide varints too.
     SeqNum fetch = 1;
     SeqNum dispatch = 1;
-    const auto frontEnd = [&](CycleRecord &c) {
-        fetch += rng.chance(0.02) ? (SeqNum{1} << 32) + rng.below(999)
-                                  : rng.below(5);
-        dispatch = std::min(fetch, dispatch + rng.below(5));
-        c.nextFetchSeq = fetch;
-        c.nextDispatchSeq = dispatch;
-    };
     for (std::size_t i = 0; i < count; ++i) {
         TraceEvent ev;
-        switch (rng.below(5)) {
-          case 0:
-          case 1:
-          case 2: {
+        CycleRecord &c = ev.rec;
+        c.cycle = cycle;
+        if (rng.below(4) != 3) {
             ev.kind = TraceEventKind::Cycle;
-            ev.p.cycle = CycleRecord{};
-            CycleRecord &c = ev.p.cycle;
-            cycle += rng.range(1, 5);
-            c.cycle = cycle;
             c.state = static_cast<CommitState>(rng.below(4));
-            c.numCommitted =
-                c.state == CommitState::Compute
-                    ? static_cast<std::uint8_t>(rng.range(1, 8))
-                    : 0;
-            for (unsigned u = 0; u < c.numCommitted; ++u) {
-                c.committed[u].seq = seq++;
-                c.committed[u].pc =
-                    static_cast<InstIndex>(rng.below(4096));
-                c.committed[u].psv =
-                    Psv(static_cast<std::uint16_t>(rng.below(512)));
-            }
-            c.headValid = c.state == CommitState::Stalled;
-            if (c.headValid) {
-                c.headSeq = seq + rng.below(16);
-                c.headPc = static_cast<InstIndex>(rng.below(4096));
-            }
-            c.lastValid = rng.chance(0.9);
-            if (c.lastValid) {
-                c.lastPc = static_cast<InstIndex>(rng.below(4096));
-                c.lastPsv =
-                    Psv(static_cast<std::uint16_t>(rng.below(512)));
-            }
-            frontEnd(c);
-            break;
-          }
-          case 3: {
+            ++cycle;
+        } else {
             // An idle span: one of the three idle states, no commits,
             // 2 cycles up to the longest length the format carries.
             ev.kind = TraceEventKind::Span;
             ev.spanCycles = static_cast<std::uint32_t>(
                 rng.chance(0.05) ? maxSpanCycles - rng.below(4)
                                  : rng.range(2, 500));
-            ev.p.cycle = CycleRecord{};
-            CycleRecord &c = ev.p.cycle;
-            cycle += rng.range(1, 5);
-            c.cycle = cycle;
-            cycle += ev.spanCycles - 1;
             c.state = static_cast<CommitState>(rng.range(1, 3));
-            c.headValid = c.state == CommitState::Stalled;
-            if (c.headValid) {
-                c.headSeq = seq + rng.below(16);
-                c.headPc = static_cast<InstIndex>(rng.below(4096));
-            }
-            c.lastValid = rng.chance(0.9);
-            if (c.lastValid) {
-                c.lastPc = static_cast<InstIndex>(rng.below(4096));
-                c.lastPsv =
-                    Psv(static_cast<std::uint16_t>(rng.below(512)));
-            }
-            frontEnd(c);
-            break;
-          }
-          default:
-            ev.kind = TraceEventKind::End;
-            ev.p.end = cycle;
-            break;
+            cycle += ev.spanCycles;
         }
+        c.numCommitted = c.state == CommitState::Compute
+                             ? static_cast<std::uint8_t>(rng.range(1, 8))
+                             : 0;
+        for (unsigned u = 0; u < c.numCommitted; ++u) {
+            lastPc = static_cast<InstIndex>(rng.below(4096));
+            lastPsv = Psv(static_cast<std::uint16_t>(rng.below(512)));
+            c.committed[u] = CommittedUop{seq++, lastPc, lastPsv};
+            lastValid = true;
+        }
+        c.headValid = c.state == CommitState::Stalled;
+        if (c.headValid) {
+            c.headSeq = seq;
+            c.headPc = static_cast<InstIndex>(rng.below(4096));
+        }
+        c.lastValid = lastValid;
+        if (lastValid) {
+            c.lastPc = lastPc;
+            c.lastPsv = lastPsv;
+        }
+        fetch += rng.chance(0.02) ? (SeqNum{1} << 32) + rng.below(999)
+                                  : rng.below(5);
+        dispatch = std::min(fetch, dispatch + rng.below(5));
+        c.nextFetchSeq = fetch;
+        c.nextDispatchSeq = dispatch;
         events.push_back(ev);
     }
+    if (end)
+        *end = cycle;
     return events;
+}
+
+/** A chunk of @p count random events; @p ends marks it the last one. */
+TraceChunk
+randomChunk(Rng &rng, std::size_t count, bool ends)
+{
+    TraceChunk chunk;
+    Cycle end = 0;
+    chunk.events = randomEvents(rng, count, &end);
+    for (const TraceEvent &ev : chunk.events)
+        chunk.cycleRecords += cyclesCovered(ev);
+    if (ends)
+        chunk.endCycle = end;
+    return chunk;
 }
 
 /** Encode → decode must reproduce an observer-equivalent chunk. */
@@ -279,6 +271,7 @@ expectRoundTrips(const TraceChunk &chunk)
         << why;
     EXPECT_EQ(consumed, frame.size());
     EXPECT_EQ(back.cycleRecords, chunk.cycleRecords);
+    EXPECT_EQ(back.endCycle, chunk.endCycle);
     ASSERT_EQ(back.events.size(), chunk.events.size());
     for (std::size_t i = 0; i < chunk.events.size(); ++i) {
         EXPECT_TRUE(eventsEquivalent(chunk.events[i], back.events[i]))
@@ -294,26 +287,47 @@ TEST(TraceCodec, RandomStreamsRoundTripBitIdentical)
     Rng rng(0xc0dec);
     for (unsigned round = 0; round < 20; ++round) {
         SCOPED_TRACE(round);
-        TraceChunk chunk;
-        chunk.events = randomEvents(rng, rng.range(1, 3000));
-        for (const TraceEvent &ev : chunk.events)
-            chunk.cycleRecords += cyclesCovered(ev);
-        expectRoundTrips(chunk);
+        expectRoundTrips(
+            randomChunk(rng, rng.range(1, 3000), round % 4 == 3));
     }
 }
 
 TEST(TraceCodec, RealTraceRoundTrips)
 {
-    Workload w = workloads::orderingViolator(500);
-    TraceBuffer buf(512);
-    CoreRun run = makeCore(std::move(w));
-    run->addSink(&buf);
-    run->run();
-    buf.finish();
+    // Every frame size cuts the trace somewhere else, so frames open
+    // inside an idle run, right after a commit and before the first
+    // commit: each needs its entry state.
+    bool inIdleRun = false, afterCommit = false, beforeFirstCommit = false;
+    for (std::size_t frame : {1u, 2u, 3u, 7u, 4096u}) {
+        SCOPED_TRACE(frame);
+        TraceBuffer buf(frame);
+        CoreRun run = makeCore(workloads::orderingViolator(500));
+        run->addSink(&buf);
+        run->run();
+        buf.finish();
 
-    ASSERT_FALSE(buf.chunks().empty());
-    for (const TraceChunkPtr &chunk : buf.chunks())
-        expectRoundTrips(*chunk);
+        ASSERT_FALSE(buf.chunks().empty());
+        const TraceEvent *prev = nullptr;
+        for (const TraceChunkPtr &chunk : buf.chunks()) {
+            expectRoundTrips(*chunk);
+            if (chunk->events.empty())
+                continue;
+            const CycleRecord &first = chunk->events.front().rec;
+            if (prev) {
+                inIdleRun |= prev->rec.state != CommitState::Compute &&
+                             first.state != CommitState::Compute;
+                afterCommit |= prev->rec.numCommitted != 0;
+            }
+            beforeFirstCommit |=
+                !first.lastValid && first.numCommitted == 0;
+            prev = &chunk->events.back();
+        }
+        EXPECT_EQ(buf.chunks().back()->endCycle,
+                  std::optional<Cycle>(run->stats().cycles));
+    }
+    EXPECT_TRUE(inIdleRun);
+    EXPECT_TRUE(afterCommit);
+    EXPECT_TRUE(beforeFirstCommit);
 }
 
 TEST(TraceCodec, EmptyChunkRoundTrips)
@@ -322,15 +336,108 @@ TEST(TraceCodec, EmptyChunkRoundTrips)
     expectRoundTrips(chunk);
 }
 
+TEST(TraceCodec, EndOnlyChunkRoundTrips)
+{
+    // A trace whose last chunk closed exactly at a frame boundary ends
+    // with a frame that holds only the end marker.
+    TraceChunk chunk;
+    chunk.endCycle = 123456789;
+    expectRoundTrips(chunk);
+}
+
+namespace {
+
+/**
+ * A small chunk that obeys every codec rule: a Compute cycle 10
+ * committing seq 5 at pc 7, then a Stalled cycle 11 whose ROB head is
+ * seq 6, ending the trace at cycle 12.
+ */
+TraceChunk
+wellFormedChunk()
+{
+    TraceChunk chunk;
+    chunk.events.resize(2);
+    CycleRecord &c = chunk.events[0].rec;
+    c.cycle = 10;
+    c.state = CommitState::Compute;
+    c.numCommitted = 1;
+    c.committed[0] = CommittedUop{5, 7, Psv(0x3)};
+    c.lastValid = true;
+    c.lastPc = 7;
+    c.lastPsv = Psv(0x3);
+    c.nextFetchSeq = c.nextDispatchSeq = 6;
+    CycleRecord &s = chunk.events[1].rec;
+    s = c;
+    s.cycle = 11;
+    s.state = CommitState::Stalled;
+    s.numCommitted = 0;
+    s.headValid = true;
+    s.headSeq = 6;
+    s.headPc = 8;
+    chunk.cycleRecords = 2;
+    chunk.endCycle = 12;
+    return chunk;
+}
+
+/** Encode @p chunk (the death tests expect encodeChunk to refuse it). */
+void
+encode(const TraceChunk &chunk)
+{
+    std::vector<std::uint8_t> frame;
+    encodeChunk(chunk, frame);
+}
+
+} // namespace
+
+TEST(TraceCodec, WellFormedChunkRoundTrips)
+{
+    expectRoundTrips(wellFormedChunk());
+}
+
+TEST(TraceCodecDeathTest, EncodeRefusesACycleGap)
+{
+    TraceChunk chunk = wellFormedChunk();
+    chunk.events[1].rec.cycle = 12;
+    chunk.endCycle = 13;
+    EXPECT_DEATH(encode(chunk), "dense cycles only");
+}
+
+TEST(TraceCodecDeathTest, EncodeRefusesACommitSeqGap)
+{
+    TraceChunk chunk = wellFormedChunk();
+    CycleRecord &c = chunk.events[0].rec;
+    c.numCommitted = 2;
+    c.committed[1] = CommittedUop{7, 7, Psv(0x3)}; // seq 6 skipped
+    chunk.events[1].rec.headSeq = 8;
+    EXPECT_DEATH(encode(chunk), "consecutive commits only");
+}
+
+TEST(TraceCodecDeathTest, EncodeRefusesAHeadOtherThanTheNextCommit)
+{
+    TraceChunk chunk = wellFormedChunk();
+    chunk.events[1].rec.headSeq = 7;
+    EXPECT_DEATH(encode(chunk), "not the next seq to commit");
+}
+
+TEST(TraceCodecDeathTest, EncodeRefusesLastCommittedChangingWithoutACommit)
+{
+    TraceChunk chunk = wellFormedChunk();
+    chunk.events[1].rec.lastPc = 9;
+    EXPECT_DEATH(encode(chunk), "latest commit slot");
+}
+
+TEST(TraceCodecDeathTest, EncodeRefusesAnEndOtherThanTheNextCycle)
+{
+    TraceChunk chunk = wellFormedChunk();
+    chunk.endCycle = 13;
+    EXPECT_DEATH(encode(chunk), "one past the last record");
+}
+
 TEST(TraceCodec, DecodeRejectsCorruptedFrames)
 {
     Rng rng(7);
-    TraceChunk chunk;
-    chunk.events = randomEvents(rng, 500);
-    for (const TraceEvent &ev : chunk.events)
-        chunk.cycleRecords += cyclesCovered(ev);
     std::vector<std::uint8_t> frame;
-    encodeChunk(chunk, frame);
+    encodeChunk(randomChunk(rng, 500, true), frame);
 
     // Flipping any single byte must fail CRC verification (sampled).
     for (std::size_t at = 0; at < frame.size();
@@ -354,19 +461,22 @@ namespace {
 
 /**
  * A hand-built codec frame, for the inputs encodeChunk refuses to
- * write. Streams follow the on-disk directory order (trace_codec.cc):
- * 0 cycle delta, 1 cycle flags, 2-3 ROB head, 4-5 last-committed, 6-8
- * commit slots, 9-10 next fetch and dispatch seqs, 11 end, 12 span
- * length.
+ * write. The payload follows the on-disk layout (trace_codec.cc): the
+ * entry state (first cycle, next seq, flags), then the streams in
+ * directory order: 0 cycle flags, 1 ROB-head pc, 2-3 commit slots, 4-5
+ * next fetch and dispatch seqs, 6 span length.
  */
 struct HandFrame
 {
-    static constexpr unsigned cycDelta = 0, cycFlags = 1, comSeq = 6,
-                              comPc = 7, comPsv = 8, nextFetch = 9,
-                              nextDisp = 10, spanLen = 12;
+    static constexpr unsigned cycFlags = 0, comPc = 2, comPsv = 3,
+                              nextFetch = 4, nextDisp = 5, spanLen = 6;
 
-    std::vector<std::uint8_t> kinds;
-    std::array<std::vector<std::uint8_t>, 13> streams;
+    Cycle first = 0;
+    /** Entry-state flags: 0x1 last-committed follows, 0x2 trace ends. */
+    std::uint8_t flags = 0;
+    std::uint64_t lastPc = 0, lastPsv = 0; ///< written when flags & 0x1
+    std::array<std::vector<std::uint8_t>, 7> streams;
+    std::uint32_t records = 0;
     std::uint32_t spans = 0;
     std::uint64_t cycles = 0;
 
@@ -380,20 +490,15 @@ struct HandFrame
         out.push_back(static_cast<std::uint8_t>(v));
     }
 
-    /** Append a cycle record's stamp and flags (no head, no last). */
+    /** Append a record's flags and fields (no head, no last). */
     void
-    record(TraceEventKind kind, std::int64_t cycleDelta,
-           CommitState state, unsigned commits)
+    record(bool span, CommitState state, unsigned commits)
     {
-        kinds.push_back(static_cast<std::uint8_t>(kind));
-        put(streams[cycDelta], (static_cast<std::uint64_t>(cycleDelta)
-                                << 1) ^
-                                   static_cast<std::uint64_t>(
-                                       cycleDelta >> 63));
+        ++records;
         streams[cycFlags].push_back(static_cast<std::uint8_t>(
-            (static_cast<unsigned>(state) << 6) | (commits << 2)));
+            (static_cast<unsigned>(state) << 6) | (commits << 2) |
+            (span ? 1u : 0u)));
         for (unsigned i = 0; i < commits; ++i) {
-            put(streams[comSeq], 2 * (i + 1)); // zigzag delta +1
             put(streams[comPc], 0);
             put(streams[comPsv], 0);
         }
@@ -402,17 +507,16 @@ struct HandFrame
     }
 
     void
-    cycle(std::int64_t delta, CommitState state, unsigned commits = 0)
+    cycle(CommitState state, unsigned commits = 0)
     {
-        record(TraceEventKind::Cycle, delta, state, commits);
+        record(false, state, commits);
         ++cycles;
     }
 
     void
-    span(std::int64_t delta, CommitState state, std::uint64_t n,
-         unsigned commits = 0)
+    span(CommitState state, std::uint64_t n, unsigned commits = 0)
     {
-        record(TraceEventKind::Span, delta, state, commits);
+        record(true, state, commits);
         put(streams[spanLen], n);
         ++spans;
         cycles += n;
@@ -421,7 +525,14 @@ struct HandFrame
     std::vector<std::uint8_t>
     bytes() const
     {
-        std::vector<std::uint8_t> payload = kinds;
+        std::vector<std::uint8_t> payload;
+        put(payload, first);
+        put(payload, 0); // next seq
+        payload.push_back(flags);
+        if (flags & 0x1) {
+            put(payload, lastPc);
+            put(payload, lastPsv);
+        }
         for (const auto &st : streams) {
             put(payload, st.size());
             payload.insert(payload.end(), st.begin(), st.end());
@@ -429,7 +540,7 @@ struct HandFrame
         ChunkFrameHeader hdr;
         hdr.frameBytes =
             static_cast<std::uint32_t>(sizeof(hdr) + payload.size());
-        hdr.eventCount = static_cast<std::uint32_t>(kinds.size());
+        hdr.eventCount = records;
         hdr.spanEvents = spans;
         hdr.payloadCrc = crc32(0, payload.data(), payload.size());
         hdr.cycleRecords = cycles;
@@ -461,9 +572,11 @@ TEST(TraceCodec, HandBuiltSpanDecodes)
 {
     // The builder itself is sound: a legal span decodes to what it says.
     HandFrame f;
-    f.cycle(7, CommitState::Compute, 1);
-    f.span(1, CommitState::Drained, 5);
-    f.cycle(5, CommitState::Flushed);
+    f.first = 7;
+    f.flags = 0x2; // the trace ends after this frame
+    f.cycle(CommitState::Compute, 1);
+    f.span(CommitState::Drained, 5);
+    f.cycle(CommitState::Flushed);
     TraceChunk chunk;
     ASSERT_EQ(decodeError(f, &chunk), "");
     ASSERT_EQ(chunk.events.size(), 3u);
@@ -471,9 +584,10 @@ TEST(TraceCodec, HandBuiltSpanDecodes)
     const TraceEvent &sp = chunk.events[1];
     EXPECT_EQ(sp.kind, TraceEventKind::Span);
     EXPECT_EQ(sp.spanCycles, 5u);
-    EXPECT_EQ(sp.p.cycle.cycle, 8u);
-    EXPECT_EQ(sp.p.cycle.state, CommitState::Drained);
-    EXPECT_EQ(chunk.events[2].p.cycle.cycle, 13u);
+    EXPECT_EQ(sp.rec.cycle, 8u);
+    EXPECT_EQ(sp.rec.state, CommitState::Drained);
+    EXPECT_EQ(chunk.events[2].rec.cycle, 13u);
+    EXPECT_EQ(chunk.endCycle, std::optional<Cycle>(14));
 }
 
 TEST(TraceCodec, DecodeRejectsSpanShorterThanTwoCycles)
@@ -483,9 +597,9 @@ TEST(TraceCodec, DecodeRejectsSpanShorterThanTwoCycles)
         // Padding Cycle events keep the header's cycle total plausible,
         // so the rejection comes from the span rule itself.
         HandFrame f;
-        f.span(0, CommitState::Drained, n);
-        f.cycle(1, CommitState::Drained);
-        f.cycle(1, CommitState::Drained);
+        f.span(CommitState::Drained, n);
+        f.cycle(CommitState::Drained);
+        f.cycle(CommitState::Drained);
         EXPECT_EQ(decodeError(f), "span shorter than 2 cycles");
     }
 }
@@ -493,37 +607,84 @@ TEST(TraceCodec, DecodeRejectsSpanShorterThanTwoCycles)
 TEST(TraceCodec, DecodeRejectsSpanLongerThanTheLengthField)
 {
     HandFrame f;
-    f.span(0, CommitState::Drained, std::uint64_t{maxSpanCycles} + 1);
-    f.span(1, CommitState::Drained, 2);
+    f.span(CommitState::Drained, std::uint64_t{maxSpanCycles} + 1);
+    f.span(CommitState::Drained, 2);
     EXPECT_EQ(decodeError(f), "span longer than maxSpanCycles");
 }
 
 TEST(TraceCodec, DecodeRejectsComputeSpan)
 {
     HandFrame f;
-    f.span(0, CommitState::Compute, 4);
+    f.span(CommitState::Compute, 4);
     EXPECT_EQ(decodeError(f), "span of a Compute record or with commits");
 }
 
 TEST(TraceCodec, DecodeRejectsSpanWithCommits)
 {
     HandFrame f;
-    f.span(0, CommitState::Stalled, 4, 1);
+    f.span(CommitState::Stalled, 4, 1);
     EXPECT_EQ(decodeError(f), "span of a Compute record or with commits");
 }
 
 TEST(TraceCodec, DecodeRejectsSpanRunningPastTheLastCycle)
 {
-    // Starts at 2^64 - 2 (a -2 delta from 0) and covers 3 cycles.
+    // Starts at 2^64 - 2 and covers 3 cycles.
     HandFrame f;
-    f.span(-2, CommitState::Flushed, 3);
-    EXPECT_EQ(decodeError(f), "span runs past the last cycle");
+    f.first = ~Cycle{0} - 1;
+    f.span(CommitState::Flushed, 3);
+    EXPECT_EQ(decodeError(f), "frame runs past the last cycle");
+}
+
+TEST(TraceCodec, DecodeRejectsFrameRunningPastTheLastCycle)
+{
+    // Two records from 2^64 - 1: the second cycle wraps to 0.
+    HandFrame f;
+    f.first = ~Cycle{0};
+    f.cycle(CommitState::Drained);
+    f.cycle(CommitState::Drained);
+    EXPECT_EQ(decodeError(f), "frame runs past the last cycle");
+}
+
+TEST(TraceCodec, DecodeRejectsUnknownHeaderFlags)
+{
+    for (unsigned bit = 0x4; bit <= 0x80; bit <<= 1) {
+        SCOPED_TRACE(bit);
+        HandFrame f;
+        f.flags = static_cast<std::uint8_t>(bit);
+        f.cycle(CommitState::Drained);
+        EXPECT_EQ(decodeError(f), "unknown frame header flags");
+    }
+}
+
+TEST(TraceCodec, DecodeRejectsEntryStateOutOfRange)
+{
+    // A last-committed pc or PSV wider than its field would be
+    // truncated into another instruction or event set.
+    for (int field = 0; field < 2; ++field) {
+        SCOPED_TRACE(field);
+        HandFrame f;
+        f.flags = 0x1;
+        f.lastPc = field == 0 ? std::uint64_t{1} << 32 : 5;
+        f.lastPsv = field == 1 ? 0x10000 : 3;
+        f.cycle(CommitState::Drained);
+        EXPECT_EQ(decodeError(f), "implausible frame entry state");
+    }
+    HandFrame ok;
+    ok.flags = 0x1;
+    ok.lastPc = 5;
+    ok.lastPsv = 3;
+    ok.cycle(CommitState::Drained);
+    TraceChunk chunk;
+    ASSERT_EQ(decodeError(ok, &chunk), "");
+    EXPECT_TRUE(chunk.events[0].rec.lastValid);
+    EXPECT_EQ(chunk.events[0].rec.lastPc, 5u);
+    EXPECT_EQ(chunk.events[0].rec.lastPsv, Psv(3));
 }
 
 TEST(TraceCodec, DecodeRejectsFrameWhoseCycleTotalDisagrees)
 {
     HandFrame f;
-    f.span(0, CommitState::Drained, 6);
+    f.span(CommitState::Drained, 6);
     f.cycles += 1;
     EXPECT_EQ(decodeError(f), "cycle-record count mismatch");
 }
@@ -820,6 +981,37 @@ TEST(TraceCache, CorruptEntryFallsBackAndRewrites)
     EXPECT_EQ(warm.stats.cycles, cold.stats.cycles);
 }
 
+TEST(TraceCache, CrcCleanUndecodableEntryFallsBackAndRewrites)
+{
+    // A frame whose CRC holds but which the decoder rejects is found
+    // only mid-replay, after the observers have seen every earlier
+    // chunk. The run must not abort: it quarantines the entry, replays
+    // nothing of it, simulates on fresh observers and stores anew.
+    TempCacheDir dir;
+    const ExperimentResult uncached =
+        runBenchmark("nab", standardTechniques(), RunnerOptions{});
+    ExperimentResult cold =
+        runBenchmark("nab", standardTechniques(), cachedOptions(dir));
+    ASSERT_TRUE(cold.replay.cacheStored);
+    ASSERT_GT(cold.replay.chunksProduced, 1u);
+    ASSERT_EQ(dir.entries().size(), 1u);
+    ASSERT_TRUE(spliceUndecodableFrame(dir.path() + "/" +
+                                       dir.entries()[0]));
+
+    ExperimentResult again =
+        runBenchmark("nab", standardTechniques(), cachedOptions(dir));
+    EXPECT_FALSE(again.replay.cacheHit);
+    EXPECT_EQ(again.replay.quarantined, 1u);
+    EXPECT_TRUE(again.replay.cacheStored);
+    expectExperimentsIdentical(uncached, again);
+
+    ExperimentResult warm =
+        runBenchmark("nab", standardTechniques(), cachedOptions(dir));
+    EXPECT_TRUE(warm.replay.cacheHit);
+    EXPECT_EQ(warm.replay.quarantined, 0u);
+    expectExperimentsIdentical(uncached, warm);
+}
+
 TEST(TraceCache, SuiteRunnerSharesTheCache)
 {
     TempCacheDir dir;
@@ -897,36 +1089,31 @@ namespace {
 class CallRecorder : public TraceSink
 {
   public:
-    /** One callback: a retire, or any other call kept as its event. */
+    /** One callback: a retire, a cycle record or the end marker. */
     struct Call
     {
         bool isRetire = false;
         RetireRecord retire;
         TraceEvent event;
+        std::optional<Cycle> end;
     };
 
     void onCycle(const CycleRecord &rec) override
     {
-        push(TraceEventKind::Cycle).p.cycle = rec;
+        calls.push_back(Call{});
+        calls.back().event.rec = rec;
     }
     void onRetire(const RetireRecord &rec) override
     {
-        calls.push_back(Call{true, rec, TraceEvent{}});
+        calls.push_back(Call{true, rec, TraceEvent{}, std::nullopt});
     }
     void onEnd(Cycle final_cycle) override
     {
-        push(TraceEventKind::End).p.end = final_cycle;
+        calls.push_back(Call{});
+        calls.back().end = final_cycle;
     }
 
     std::vector<Call> calls;
-
-  private:
-    TraceEvent &push(TraceEventKind kind)
-    {
-        calls.push_back(Call{});
-        calls.back().event.kind = kind;
-        return calls.back().event;
-    }
 };
 
 bool
@@ -993,6 +1180,7 @@ TEST(TraceDelivery, RetiresAreTheCommitSlotsBeforeTheirCycle)
         const CallRecorder::Call &a = live.calls[i];
         const CallRecorder::Call &b = hit.calls[i];
         ASSERT_EQ(a.isRetire, b.isRetire);
+        ASSERT_EQ(a.end, b.end);
         EXPECT_TRUE(a.isRetire ? sameRetire(a.retire, b.retire)
                                : eventsEquivalent(a.event, b.event));
     }
@@ -1005,8 +1193,8 @@ TEST(TraceDelivery, RetiresAreTheCommitSlotsBeforeTheirCycle)
             ++retires;
             continue;
         }
-        if (c.event.kind == TraceEventKind::Cycle) {
-            const CycleRecord &rec = c.event.p.cycle;
+        if (!c.end) {
+            const CycleRecord &rec = c.event.rec;
             ASSERT_EQ(i - pending, rec.numCommitted)
                 << "cycle " << rec.cycle;
             for (unsigned s = 0; s < rec.numCommitted; ++s) {
@@ -1091,7 +1279,7 @@ struct SpanStream
         rec.lastPc = lastPc;
         rec.lastPsv = lastPsv;
         rec.nextFetchSeq = rec.nextDispatchSeq = seq;
-        push(TraceEventKind::Cycle).p.cycle = rec;
+        push(TraceEventKind::Cycle).rec = rec;
         ++chunk.cycleRecords;
         ++next;
     }
@@ -1115,12 +1303,12 @@ struct SpanStream
         rec.nextFetchSeq = rec.nextDispatchSeq = seq;
         TraceEvent &ev = push(TraceEventKind::Span);
         ev.spanCycles = n;
-        ev.p.cycle = rec;
+        ev.rec = rec;
         chunk.cycleRecords += n;
         next += n;
     }
 
-    void end() { push(TraceEventKind::End).p.end = next; }
+    void end() { chunk.endCycle = next; }
 };
 
 void

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <gtest/gtest.h>
+#include <optional>
 #include <vector>
 
 #include <dirent.h>
@@ -97,6 +98,7 @@ replayFile(const std::string &path, const std::vector<TraceSink *> &sinks)
             break;
         cycles += replayChunk(*chunk, sinks);
     }
+    EXPECT_EQ(mapped ? mapped->error() : "", "");
     return cycles;
 }
 
@@ -187,78 +189,69 @@ TEST(TraceIo, CyclesReturnedMatchesSimulation)
 namespace {
 
 /**
- * A seeded random event sequence and the TraceSink calls that produce
- * it. Cycle records only populate committed[0, numCommitted) — exactly
- * what the core emits and what the on-disk format preserves.
+ * A seeded random event sequence that obeys the codec's rules
+ * (trace_codec.hh): dense cycles, consecutive commit seqs from a random
+ * start, a valid ROB head at the next seq to commit and last-committed
+ * at the latest commit slot. Commits, heads and states are otherwise
+ * independent. Cycle records only populate committed[0, numCommitted)
+ * — exactly what the core emits and what the on-disk format preserves.
+ * @p end is set to the cycle after the last event.
  */
 std::vector<TraceEvent>
-randomEvents(std::uint64_t seed, unsigned count)
+randomEvents(std::uint64_t seed, unsigned count, Cycle *end = nullptr)
 {
     Rng rng(seed);
     std::vector<TraceEvent> evs;
-    evs.reserve(count + 1);
+    evs.reserve(count);
+    Cycle cycle = rng.below(1 << 20);
+    SeqNum seq = rng.next();
+    bool lastValid = false;
+    InstIndex lastPc = 0;
+    Psv lastPsv;
     // Front-end seqs: small steps with rare jumps past 2^32, so the
     // delta streams carry wide varints too.
     SeqNum fetch = 0;
     SeqNum dispatch = 0;
-    const auto frontEnd = [&](CycleRecord &rec) {
-        fetch += rng.chance(0.05) ? (SeqNum{1} << 32) + rng.below(999)
-                                  : rng.below(5);
-        dispatch = std::min(fetch, dispatch + rng.below(5));
-        rec.nextFetchSeq = fetch;
-        rec.nextDispatchSeq = dispatch;
-    };
     for (unsigned i = 0; i < count; ++i) {
         TraceEvent ev;
+        CycleRecord &rec = ev.rec;
+        rec.cycle = cycle;
         if (rng.below(5) != 1) {
             ev.kind = TraceEventKind::Cycle;
-            CycleRecord rec;
-            rec.cycle = i;
             rec.state = static_cast<CommitState>(rng.below(4));
-            rec.numCommitted =
-                static_cast<std::uint8_t>(rng.below(9));
-            for (unsigned u = 0; u < rec.numCommitted; ++u) {
-                rec.committed[u] = CommittedUop{
-                    rng.next(),
-                    static_cast<InstIndex>(rng.below(1 << 20)),
-                    Psv(static_cast<std::uint16_t>(
-                        rng.below(0x200)))};
-            }
+            rec.numCommitted = static_cast<std::uint8_t>(rng.below(9));
             rec.headValid = rng.chance(0.5);
-            rec.headSeq = rng.next();
-            rec.headPc = static_cast<InstIndex>(rng.below(1 << 20));
-            rec.lastValid = rng.chance(0.5);
-            rec.lastPc = static_cast<InstIndex>(rng.below(1 << 20));
-            rec.lastPsv =
-                Psv(static_cast<std::uint16_t>(rng.below(0x200)));
-            frontEnd(rec);
-            ev.p.cycle = rec;
+            ++cycle;
         } else {
             // An idle span: no commits, not Compute, >= 2 cycles.
             ev.kind = TraceEventKind::Span;
             ev.spanCycles = static_cast<std::uint32_t>(
                 rng.chance(0.1) ? maxSpanCycles - rng.below(2)
                                 : rng.range(2, 1000));
-            CycleRecord rec;
-            rec.cycle = i;
             rec.state = static_cast<CommitState>(rng.range(1, 3));
             rec.headValid = rec.state == CommitState::Stalled;
-            rec.headSeq = rng.next();
-            rec.headPc = static_cast<InstIndex>(rng.below(1 << 20));
-            rec.lastValid = rng.chance(0.5);
-            rec.lastPc = static_cast<InstIndex>(rng.below(1 << 20));
-            rec.lastPsv =
-                Psv(static_cast<std::uint16_t>(rng.below(0x200)));
-            frontEnd(rec);
-            ev.p.cycle = rec;
+            cycle += ev.spanCycles;
         }
+        rec.headSeq = seq;
+        rec.headPc = static_cast<InstIndex>(rng.below(1 << 20));
+        for (unsigned u = 0; u < rec.numCommitted; ++u) {
+            lastPc = static_cast<InstIndex>(rng.below(1 << 20));
+            lastPsv = Psv(static_cast<std::uint16_t>(rng.below(0x200)));
+            rec.committed[u] = CommittedUop{seq++, lastPc, lastPsv};
+            lastValid = true;
+        }
+        rec.lastValid = lastValid;
+        rec.lastPc = lastPc;
+        rec.lastPsv = lastPsv;
+        fetch += rng.chance(0.05) ? (SeqNum{1} << 32) + rng.below(999)
+                                  : rng.below(5);
+        dispatch = std::min(fetch, dispatch + rng.below(5));
+        rec.nextFetchSeq = fetch;
+        rec.nextDispatchSeq = dispatch;
         evs.push_back(ev);
     }
-    // A run ends with its End marker.
-    TraceEvent end;
-    end.kind = TraceEventKind::End;
-    end.p.end = count;
-    evs.push_back(end);
+    if (end)
+        *end = cycle;
     return evs;
 }
 
@@ -272,11 +265,14 @@ TEST_P(TraceIoRoundTrip, RandomizedEventSequenceSurvivesRoundTrip)
 {
     const std::uint64_t seed = GetParam();
     TempFile tmp(("roundtrip" + std::to_string(seed) + ".bin").c_str());
-    std::vector<TraceEvent> written = randomEvents(seed, 2000);
+    Cycle end = 0;
+    std::vector<TraceEvent> written = randomEvents(seed, 2000, &end);
 
+    // A run ends with its end marker.
     CompactRecorder recorder(tmp.path);
     for (const TraceEvent &ev : written)
         deliverEvent(ev, recorder);
+    recorder.onEnd(end);
     EXPECT_EQ(recorder.eventsCaptured(), written.size());
     ASSERT_TRUE(recorder.commit(CoreStats{}));
 
@@ -287,6 +283,8 @@ TEST_P(TraceIoRoundTrip, RandomizedEventSequenceSurvivesRoundTrip)
     std::vector<TraceEvent> got;
     for (const TraceChunkPtr &c : replayed.chunks())
         got.insert(got.end(), c->events.begin(), c->events.end());
+    ASSERT_FALSE(replayed.chunks().empty());
+    EXPECT_EQ(replayed.chunks().back()->endCycle, std::optional(end));
 
     ASSERT_EQ(got.size(), written.size()); // count and ordering
     for (std::size_t i = 0; i < written.size(); ++i) {

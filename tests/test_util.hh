@@ -6,10 +6,17 @@
 #ifndef TEA_TESTS_TEST_UTIL_HH
 #define TEA_TESTS_TEST_UTIL_HH
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "common/fingerprint.hh"
 #include "core/core.hh"
+#include "core/trace_codec.hh"
 #include "isa/executor.hh"
 #include "workloads/workload.hh"
 
@@ -68,6 +75,53 @@ runFunctional(const Program &prog, ArchState st,
         pc = r.nextPc;
     }
     return st;
+}
+
+/**
+ * Make the last frame of the trace-cache entry at @p path CRC-clean but
+ * undecodable: set an unknown bit in its entry-state flags (the byte
+ * after the first cycle and next seq, trace_codec.cc) and reseal the
+ * frame's payload CRC. The file header's CRC covers no frame, so the
+ * entry still opens; only decoding that frame fails.
+ * @return false when the file cannot be read or rewritten
+ */
+inline bool
+spliceUndecodableFrame(const std::string &path)
+{
+    std::vector<std::uint8_t> bytes;
+    if (std::FILE *f = std::fopen(path.c_str(), "rb")) {
+        int c;
+        while ((c = std::fgetc(f)) != EOF)
+            bytes.push_back(static_cast<std::uint8_t>(c));
+        std::fclose(f);
+    }
+    // The file header is 64 bytes and the CoreStats snapshot follows.
+    std::size_t at = 64 + sizeof(CoreStats), last = at;
+    ChunkFrameHeader hdr;
+    while (at + sizeof(hdr) <= bytes.size()) {
+        std::memcpy(&hdr, bytes.data() + at, sizeof(hdr));
+        last = at;
+        at += hdr.frameBytes;
+    }
+    if (at != bytes.size() || last + sizeof(hdr) >= bytes.size())
+        return false;
+    std::memcpy(&hdr, bytes.data() + last, sizeof(hdr));
+    std::size_t p = last + sizeof(hdr);
+    for (int varint = 0; varint < 2; ++varint) {
+        while (bytes[p] & 0x80u)
+            ++p;
+        ++p;
+    }
+    bytes[p] |= 0x80u;
+    hdr.payloadCrc = crc32(0, bytes.data() + last + sizeof(hdr),
+                           hdr.frameBytes - sizeof(hdr));
+    std::memcpy(bytes.data() + last, &hdr, sizeof(hdr));
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    if (!f)
+        return false;
+    const bool ok =
+        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+    return std::fclose(f) == 0 && ok;
 }
 
 } // namespace tea::test
