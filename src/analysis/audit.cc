@@ -121,17 +121,6 @@ InvariantAuditor::auditCycle(const CycleRecord &rec)
                          static_cast<unsigned long long>(rec.cycle),
                          rec.numCommitted));
     }
-    if (rec.state == CommitState::Stalled && !rec.headValid) {
-        report(strprintf("Stalled cycle %llu without a valid ROB head",
-                         static_cast<unsigned long long>(rec.cycle)));
-    }
-    if (rec.state != CommitState::Stalled && rec.headValid) {
-        report(strprintf("%s cycle %llu carries a ROB head snapshot "
-                         "(only Stalled cycles may)",
-                         commitStateName(rec.state),
-                         static_cast<unsigned long long>(rec.cycle)));
-    }
-
     // Front-end seqs: each stage passes uops once, in seq order, and
     // dispatch never overtakes fetch.
     const auto at = static_cast<unsigned long long>(rec.cycle);
@@ -209,80 +198,33 @@ InvariantAuditor::auditCycle(const CycleRecord &rec)
         sawCommit_ = true;
     }
 
-    // Last-committed side-band: valid from the first commit on, and in
-    // a Compute cycle it names the youngest uop of this very cycle.
-    if (sawCommit_ && !rec.lastValid) {
-        report(strprintf("lastValid regressed at cycle %llu after an "
-                         "earlier commit",
-                         static_cast<unsigned long long>(rec.cycle)));
-    }
-    if (compute && committed > 0 && rec.lastValid) {
-        const CommittedUop &y = rec.committed[committed - 1];
-        if (rec.lastPc != y.pc || rec.lastPsv != y.psv) {
-            report(strprintf("last-committed snapshot (pc %u, psv "
-                             "0x%x) at cycle %llu disagrees with the "
-                             "youngest committed uop (seq %llu, pc %u, "
-                             "psv 0x%x)",
-                             rec.lastPc, rec.lastPsv.bits(),
-                             static_cast<unsigned long long>(rec.cycle),
-                             static_cast<unsigned long long>(y.seq),
-                             y.pc, y.psv.bits()));
-        }
-    }
-    if (rec.lastValid)
-        checkPsv(rec.lastPsv, "last-committed snapshot", rec.cycle,
-                 invalidSeqNum);
-    // Without a commit nothing can change the last-committed register.
-    if (sawCycle_ && committed == 0 &&
-        (rec.lastValid != prevLastValid_ ||
-         (rec.lastValid &&
-          (rec.lastPc != prevLastPc_ || rec.lastPsv != prevLastPsv_)))) {
-        report(strprintf("last-committed snapshot changed at cycle %llu "
-                         "without a commit (valid %d, pc %u, psv 0x%x; "
-                         "was valid %d, pc %u, psv 0x%x)",
-                         static_cast<unsigned long long>(rec.cycle),
-                         rec.lastValid, rec.lastPc, rec.lastPsv.bits(),
-                         prevLastValid_, prevLastPc_,
-                         prevLastPsv_.bits()));
-    }
-    prevLastValid_ = rec.lastValid;
-    prevLastPc_ = rec.lastPc;
-    prevLastPsv_ = rec.lastPsv;
-
-    // ROB head monotonicity: the head never moves backwards and is
-    // always younger than everything already committed.
-    if (rec.headValid) {
-        if (rec.headSeq == invalidSeqNum) {
-            report(strprintf("Stalled cycle %llu with an uninitialized "
-                             "ROB head seq",
+    // ROB occupancy: the ROB holds every dispatched, uncommitted uop,
+    // the seqs from the next to commit up to nextDispatchSeq. So a
+    // Stalled cycle has a head (dispatch is past the next commit), and
+    // a Drained or Flushed one an empty ROB (dispatch is at it). For a
+    // Compute cycle this is the never-dispatched check above. Before
+    // the first commit the next seq to commit is unknown.
+    if (sawCommit_ && committed == 0) {
+        const SeqNum next = lastCommitSeq_ + 1;
+        const bool stalled = rec.state == CommitState::Stalled;
+        const bool empty = rec.state == CommitState::Drained ||
+                           rec.state == CommitState::Flushed;
+        if (stalled && rec.nextDispatchSeq <= next) {
+            report(strprintf("Stalled cycle %llu without a ROB head: "
+                             "next dispatch seq %llu, next seq to "
+                             "commit %llu",
+                             at,
                              static_cast<unsigned long long>(
-                                 rec.cycle)));
-        } else {
-            if (sawCommit_ && rec.headSeq <= lastCommitSeq_) {
-                report(strprintf(
-                    "ROB head seq %llu at cycle %llu is not younger "
-                    "than the youngest committed seq %llu",
-                    static_cast<unsigned long long>(rec.headSeq),
-                    static_cast<unsigned long long>(rec.cycle),
-                    static_cast<unsigned long long>(lastCommitSeq_)));
-            } else if (sawCommit_ && rec.headSeq != lastCommitSeq_ + 1) {
-                report(strprintf(
-                    "ROB head seq %llu at cycle %llu is not the next "
-                    "seq to commit (youngest committed seq %llu)",
-                    static_cast<unsigned long long>(rec.headSeq),
-                    static_cast<unsigned long long>(rec.cycle),
-                    static_cast<unsigned long long>(lastCommitSeq_)));
-            }
-            if (sawHead_ && rec.headSeq < lastHeadSeq_) {
-                report(strprintf(
-                    "ROB head moved backwards at cycle %llu: seq %llu "
-                    "after seq %llu",
-                    static_cast<unsigned long long>(rec.cycle),
-                    static_cast<unsigned long long>(rec.headSeq),
-                    static_cast<unsigned long long>(lastHeadSeq_)));
-            }
-            lastHeadSeq_ = rec.headSeq;
-            sawHead_ = true;
+                                 rec.nextDispatchSeq),
+                             static_cast<unsigned long long>(next)));
+        }
+        if (empty && rec.nextDispatchSeq != next) {
+            report(strprintf("%s cycle %llu with a non-empty ROB: next "
+                             "dispatch seq %llu, next seq to commit %llu",
+                             commitStateName(rec.state), at,
+                             static_cast<unsigned long long>(
+                                 rec.nextDispatchSeq),
+                             static_cast<unsigned long long>(next)));
         }
     }
 

@@ -12,21 +12,17 @@
  *
  *  - cycle numbers are dense and monotonic (no dropped or duplicated
  *    cycle records),
- *  - every commit state is one of the paper's four states and its
- *    side-band fields are consistent with it (Compute iff uops
- *    committed, Stalled implies a valid ROB head, Drained/Flushed
- *    imply an empty ROB snapshot),
+ *  - every commit state is one of the paper's four states and is
+ *    Compute iff uops committed,
  *  - commit sequence numbers are consecutive, and each record's
  *    front-end seqs (nextDispatchSeq, nextFetchSeq) are monotone and
  *    respect pipeline order (every committed seq is below the record's
  *    nextDispatchSeq, and nextDispatchSeq <= nextFetchSeq: nothing
- *    commits before dispatching, nothing dispatches before fetching;
- *    the ROB head never moves backwards, and once anything has
- *    committed it is the next seq to commit),
- *  - in a Compute cycle the last-committed snapshot names the
- *    youngest committed uop, and a record without commits keeps the
- *    previous record's (the rules core/trace_codec derives fields
- *    from),
+ *    commits before dispatching, nothing dispatches before fetching),
+ *  - once anything has committed, the commit state agrees with the ROB
+ *    occupancy the front end implies: with n the next seq to commit,
+ *    a Stalled record has nextDispatchSeq > n (a ROB head exists) and
+ *    a Drained or Flushed one nextDispatchSeq == n (the ROB is empty),
  *  - every PSV is restricted to the nine architectural events,
  *  - every span (an idle run, TraceSink::onSpan) is one a producer may
  *    emit: at least 2 cycles, idle (not Compute, no commits) and not
@@ -115,13 +111,8 @@ class InvariantAuditor : public TraceSink
     bool sawEnd_ = false;
     Cycle endCycle_ = 0;
 
-    bool sawCommit_ = false;   ///< lastValid must be monotone
+    bool sawCommit_ = false;   ///< anything committed so far
     SeqNum lastCommitSeq_ = 0; ///< youngest committed seq so far
-    bool prevLastValid_ = false; ///< previous record's last-committed
-    InstIndex prevLastPc_ = 0;
-    Psv prevLastPsv_;
-    bool sawHead_ = false;
-    SeqNum lastHeadSeq_ = 0; ///< ROB head must be monotone
 };
 
 /**

@@ -179,21 +179,18 @@ Core::closeRun()
 /**
  * Add the idle cycles [rec.cycle, @p until), whose records all equal
  * @p rec but for the stamp, to the open run. A record that differs in
- * anything an observer reads (state, ROB head, last-committed, the
- * front-end seqs) closes the run and opens a new one; so does reaching
- * maxSpanCycles. Both loops emit idle cycles through here, one at a
- * time or a skipped stretch at once, and the split points depend only
- * on the records, so both produce the same spans.
+ * anything an idle record carries (state, the front-end seqs) closes
+ * the run and opens a new one; so does reaching maxSpanCycles. Both
+ * loops emit idle cycles through here, one at a time or a skipped
+ * stretch at once, and the split points depend only on the records, so
+ * both produce the same spans.
  */
 // tea_lint: hot
 void
 Core::extendRun(const CycleRecord &rec, Cycle until)
 {
     if (runCycles_ != 0 &&
-        (run_.state != rec.state || run_.headSeq != rec.headSeq ||
-         run_.headPc != rec.headPc || run_.lastValid != rec.lastValid ||
-         run_.lastPc != rec.lastPc || run_.lastPsv != rec.lastPsv ||
-         run_.nextFetchSeq != rec.nextFetchSeq ||
+        (run_.state != rec.state || run_.nextFetchSeq != rec.nextFetchSeq ||
          run_.nextDispatchSeq != rec.nextDispatchSeq))
         closeRun();
     for (Cycle at = rec.cycle; at < until;) {
@@ -387,9 +384,6 @@ Core::commitStage()
         committedThisCycle_[numCommitted_] = CommittedUop{h.seq, h.pc,
                                                           h.psv};
         ++numCommitted_;
-        lastValid_ = true;
-        lastPc_ = h.pc;
-        lastPsv_ = h.psv;
 
         retireUop(h);
         h.inRob = false;
@@ -417,9 +411,6 @@ Core::cycleRecord() const
     rec.cycle = cycle_;
     rec.numCommitted = numCommitted_;
     rec.committed = committedThisCycle_;
-    rec.lastValid = lastValid_;
-    rec.lastPc = lastPc_;
-    rec.lastPsv = lastPsv_;
     rec.nextFetchSeq = nextSeq_;
     rec.nextDispatchSeq =
         fetchBuffer_.empty() ? nextSeq_ : fetchBuffer_.front().seq;
@@ -428,10 +419,6 @@ Core::cycleRecord() const
         rec.state = CommitState::Compute;
     } else if (robCount_ > 0) {
         rec.state = CommitState::Stalled;
-        const DynUop &h = rob_[robHead_ % rob_.size()];
-        rec.headValid = true;
-        rec.headSeq = h.seq;
-        rec.headPc = h.pc;
     } else {
         rec.state =
             flushShadow_ ? CommitState::Flushed : CommitState::Drained;
@@ -1019,8 +1006,8 @@ Core::step()
 /**
  * Cover the provably idle cycles [cycle_, until) and jump the clock to
  * @p until. Everything a cycle record exposes is constant while no
- * stage runs (no commits, same ROB head, same last-committed
- * register), so the whole stretch extends the open idle run at once:
+ * stage runs (no commits, same state, same front-end seqs), so the
+ * whole stretch extends the open idle run at once:
  * the same spans the reference loop builds one record at a time.
  */
 // tea_lint: hot

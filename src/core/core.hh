@@ -11,9 +11,12 @@
  *
  * The model implements everything TEA needs to observe: the four commit
  * states, PSV tracking for all in-flight micro-ops (2-bit front-end PSV,
- * 9-bit ROB PSV, ST-TLB in the LSU, last-committed PSV register),
- * mispredict/flush barriers, memory-ordering violation squashes, DR-SQ
- * store-queue backpressure, and the full cache/TLB hierarchy.
+ * 9-bit ROB PSV, ST-TLB in the LSU), mispredict/flush barriers,
+ * memory-ordering violation squashes, DR-SQ store-queue backpressure,
+ * and the full cache/TLB hierarchy. TEA's last-committed PSV register
+ * is not modelled here: it only repeats the latest commit, so the
+ * observers that read it (profilers/golden, profilers/sampler) keep it
+ * from their retire callbacks.
  *
  * Wrong-path fetch is modelled as fetch bubbles rather than dead
  * micro-ops (see DESIGN.md): on a mispredicted branch or an
@@ -35,10 +38,9 @@
  * past the last record): fetch and dispatch emit nothing, and each
  * record carries the next seqs they will pass
  * (CycleRecord::nextFetchSeq, nextDispatchSeq). Commits retire in seq
- * order with no gap, a Stalled record's ROB head is the next seq to
- * commit, and the last-committed register changes only on a commit:
- * the trace codec (core/trace_codec.hh) derives those fields instead
- * of storing them.
+ * order with no gap, so the trace codec (core/trace_codec.hh) derives
+ * the commit seqs instead of storing them, and the ROB holds exactly
+ * the seqs from the next to commit up to nextDispatchSeq.
  */
 
 #ifndef TEA_CORE_CORE_HH
@@ -325,9 +327,6 @@ class Core
     SeqNum pendingSquash_ = invalidSeqNum;
 
     // Commit-state bookkeeping.
-    bool lastValid_ = false;
-    InstIndex lastPc_ = invalidInstIndex;
-    Psv lastPsv_;
     bool flushShadow_ = false; ///< ROB empty because of a flush
 
     // Per-cycle commit info for trace emission.

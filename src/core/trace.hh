@@ -2,19 +2,24 @@
  * @file
  * Cycle-by-cycle trace interface (the in-process TraceDoctor equivalent).
  *
- * The core publishes, for every simulated cycle, one record: the commit
- * state, the committing micro-ops and their PSVs, the head-of-ROB
- * micro-op, the last-committed instruction's PSV, and the next
- * micro-ops to dispatch and to fetch. Each commit is recorded once, in
- * its cycle record: observers' retire callbacks are derived from the
- * record's commit slots (deliverCycle below). The front end emits no
- * per-uop events: dispatch and fetch run in seq order after the record
- * is built, so the record's two front-end seqs name the first micro-op
- * each stage passes from that cycle on. A run of identical idle cycles
- * is published once, as a span (onSpan below), and the end of the
- * program through onEnd. All profiling techniques are TraceSinks and
- * observe the exact same cycles, mirroring the paper's out-of-band
- * methodology (Section 4).
+ * The core publishes, for every simulated cycle, one record of what
+ * happened in that cycle: the commit state, the committing micro-ops
+ * and their PSVs, and the next micro-ops to dispatch and to fetch.
+ * Each commit is recorded once, in its cycle record: observers' retire
+ * callbacks are derived from the record's commit slots (deliverCycle
+ * below). Nothing that an observer can rebuild from earlier commits is
+ * repeated: commit is in order, so a Stalled cycle's ROB head is the
+ * next micro-op to retire, and the last-committed instruction a
+ * Flushed cycle is charged to is the latest retire. Observers that
+ * need the latter keep it as their own register, set in onRetire and
+ * cleared in onEnd. The front end emits no per-uop events: dispatch
+ * and fetch run in seq order after the record is built, so the
+ * record's two front-end seqs name the first micro-op each stage
+ * passes from that cycle on. A run of identical idle cycles is
+ * published once, as a span (onSpan below), and the end of the program
+ * through onEnd. All profiling techniques are TraceSinks and observe
+ * the exact same cycles, mirroring the paper's out-of-band methodology
+ * (Section 4).
  */
 
 #ifndef TEA_CORE_TRACE_HH
@@ -56,22 +61,15 @@ struct CycleRecord
     /** Micro-ops committed this cycle (state == Compute). */
     std::uint8_t numCommitted = 0;
 
-    /** Head of the ROB (valid in the Stalled state). */
-    bool headValid = false;
-    SeqNum headSeq = invalidSeqNum;
-    InstIndex headPc = invalidInstIndex;
-
-    /** Last-committed instruction (valid once anything committed). */
-    bool lastValid = false;
-    InstIndex lastPc = invalidInstIndex;
-    Psv lastPsv;
-
     /**
      * Front-end position when the record is built (after this cycle's
      * commits, before its dispatch and fetch): the seq the next fetched
      * micro-op gets, and the seq of the next one to dispatch (the
      * fetch-buffer head, or nextFetchSeq when the buffer is empty).
-     * Both never decrease, and nextDispatchSeq <= nextFetchSeq.
+     * Both never decrease, and nextDispatchSeq <= nextFetchSeq. With
+     * n the next seq to commit, the ROB holds [n, nextDispatchSeq):
+     * a Stalled record has nextDispatchSeq > n, a Drained or Flushed
+     * one nextDispatchSeq == n.
      */
     SeqNum nextFetchSeq = 0;
     SeqNum nextDispatchSeq = 0;

@@ -15,14 +15,8 @@ eventsEquivalent(const TraceEvent &a, const TraceEvent &b)
     const CycleRecord &x = a.rec;
     const CycleRecord &y = b.rec;
     if (x.cycle != y.cycle || x.state != y.state ||
-        x.numCommitted != y.numCommitted || x.headValid != y.headValid ||
-        x.lastValid != y.lastValid)
-        return false;
-    if (x.headValid && (x.headSeq != y.headSeq || x.headPc != y.headPc))
-        return false;
-    if (x.lastValid && (x.lastPc != y.lastPc || x.lastPsv != y.lastPsv))
-        return false;
-    if (x.nextFetchSeq != y.nextFetchSeq ||
+        x.numCommitted != y.numCommitted ||
+        x.nextFetchSeq != y.nextFetchSeq ||
         x.nextDispatchSeq != y.nextDispatchSeq)
         return false;
     for (unsigned i = 0; i < x.numCommitted; ++i) {

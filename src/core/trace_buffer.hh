@@ -96,11 +96,10 @@ using TraceChunkPtr = std::shared_ptr<const TraceChunk>;
  * True when @p a and @p b are indistinguishable to any TraceSink: same
  * kind, same span length and same values in every field an observer
  * may legally read.
- * Fields gated by a validity flag (ROB head, last-committed, committed
- * slots at index >= numCommitted) are compared only when valid — the
- * core reuses its working buffers, so invalid slots can hold stale
- * bytes that a canonicalizing round trip (e.g. the on-disk codec)
- * legitimately normalizes away.
+ * Commit slots at index >= numCommitted are not compared — the core
+ * reuses its working buffers, so those slots can hold stale bytes that
+ * a canonicalizing round trip (e.g. the on-disk codec) legitimately
+ * normalizes away.
  */
 bool eventsEquivalent(const TraceEvent &a, const TraceEvent &b);
 

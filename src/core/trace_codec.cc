@@ -18,14 +18,13 @@ namespace {
 /**
  * The field streams of one frame, in on-disk order. Each stream holds
  * one field across the whole chunk (SoA), so runs of similar values
- * sit together and delta-varint coding stays tight. Cycle stamps,
- * commit and ROB-head seqs and the last-committed fields are not
- * stored: the decoder rebuilds them from the frame's entry state.
+ * sit together and delta-varint coding stays tight. Cycle stamps and
+ * commit seqs are not stored: the decoder rebuilds them from the
+ * frame's entry state.
  */
 enum Stream : unsigned
 {
-    CycFlags = 0, ///< packed state/numCommitted/headValid/span
-    HeadPc,       ///< headPc, present iff headValid (zigzag delta)
+    CycFlags = 0, ///< packed state/numCommitted/span
     ComPc,        ///< committed[i].pc (zigzag delta)
     ComPsv,       ///< committed[i].psv bits (varint)
     NextFetch,    ///< nextFetchSeq (zigzag delta)
@@ -34,17 +33,15 @@ enum Stream : unsigned
     NumStreams,
 };
 
-// CycFlags packing: 2 bits state, 4 bits numCommitted (<= 8), then the
-// ROB-head validity flag and the span flag.
+// CycFlags packing: 2 bits state, 4 bits numCommitted (<= 8), one
+// unused bit that must be clear, then the span flag.
 constexpr unsigned flagStateShift = 6;
 constexpr unsigned flagCountShift = 2;
-constexpr unsigned flagHeadValid = 0x2;
+constexpr unsigned flagUnused = 0x2;
 constexpr unsigned flagSpan = 0x1;
 
 // Entry-state flags (the byte after the first cycle and next seq).
-constexpr unsigned entryLastValid = 0x1; ///< last-committed pc/PSV follow
-constexpr unsigned entryEndsTrace = 0x2; ///< the end marker follows
-constexpr unsigned entryKnownFlags = entryLastValid | entryEndsTrace;
+constexpr unsigned entryEndsTrace = 0x1; ///< the end marker follows
 
 // Frame-layout lock (enforced by tea_lint's codec-version-lock rule):
 // the stream directory, the flag packing, the entry state and the
@@ -52,18 +49,18 @@ constexpr unsigned entryKnownFlags = entryLastValid | entryEndsTrace;
 // invalidates every cached trace, so the change must come with a
 // traceCodecVersion bump — update the pinned values here in the same
 // commit that bumps the version.
-static_assert(traceCodecVersion == 5,
+static_assert(traceCodecVersion == 6,
               "codec version changed: re-pin the layout asserts below");
 static_assert(sizeof(ChunkFrameHeader) == 24,
               "ChunkFrameHeader layout changed: bump traceCodecVersion");
-static_assert(NumStreams == 7,
+static_assert(NumStreams == 6,
               "stream directory changed: bump traceCodecVersion");
 static_assert(maxSpanCycles == 0xFFFFFFFFu,
               "span length bound changed: bump traceCodecVersion");
 static_assert(flagStateShift == 6 && flagCountShift == 2 &&
-                  flagHeadValid == 0x2 && flagSpan == 0x1,
+                  flagUnused == 0x2 && flagSpan == 0x1,
               "CycFlags packing changed: bump traceCodecVersion");
-static_assert(entryLastValid == 0x1 && entryEndsTrace == 0x2,
+static_assert(entryEndsTrace == 0x1,
               "entry-state flags changed: bump traceCodecVersion");
 static_assert(std::tuple_size_v<decltype(CycleRecord{}.committed)> <=
                   0xF,
@@ -158,38 +155,29 @@ encodeChunk(const TraceChunk &chunk, std::vector<std::uint8_t> &out)
     const std::vector<TraceEvent> &events = chunk.events;
 
     // The entry state: what the first record needs that no earlier
-    // frame may supply. The next commit seq is the first commit slot's
-    // or ROB head's; a frame with neither has no seq to rebuild.
+    // frame may supply. The next commit seq is the first commit slot's;
+    // a frame without commits has no seq to rebuild.
     const Cycle first = events.empty() ? chunk.endCycle.value_or(0)
                                        : events.front().rec.cycle;
     SeqNum seq = 0;
     for (const TraceEvent &ev : events) {
-        const CycleRecord &r = ev.rec;
-        if (r.numCommitted != 0 || r.headValid) {
-            seq = r.numCommitted != 0 ? r.committed[0].seq : r.headSeq;
+        if (ev.rec.numCommitted != 0) {
+            seq = ev.rec.committed[0].seq;
             break;
         }
     }
-    bool lastValid = !events.empty() && events.front().rec.lastValid;
-    InstIndex lastPc = lastValid ? events.front().rec.lastPc : 0;
-    Psv lastPsv = lastValid ? events.front().rec.lastPsv : Psv{};
 
     std::vector<std::uint8_t> payload;
     putVarint(payload, first);
     putVarint(payload, seq);
-    payload.push_back(static_cast<std::uint8_t>(
-        (lastValid ? entryLastValid : 0u) |
-        (chunk.endCycle ? entryEndsTrace : 0u)));
-    if (lastValid) {
-        putVarint(payload, lastPc);
-        putVarint(payload, lastPsv.bits());
-    }
+    payload.push_back(
+        static_cast<std::uint8_t>(chunk.endCycle ? entryEndsTrace : 0u));
 
     // Every field the decoder rebuilds is asserted here instead of
     // stored: a record breaking a rule would be written as a CRC-clean
     // frame that replays a different trace, or none.
     std::array<std::vector<std::uint8_t>, NumStreams> streams;
-    DeltaState headPcD, comPcD, fetchD, dispD;
+    DeltaState comPcD, fetchD, dispD;
     std::uint32_t spans = 0;
     Cycle cycle = first;
     for (const TraceEvent &ev : events) {
@@ -219,15 +207,7 @@ encodeChunk(const TraceChunk &chunk, std::vector<std::uint8_t> &out)
         streams[CycFlags].push_back(static_cast<std::uint8_t>(
             (static_cast<unsigned>(r.state) << flagStateShift) |
             (static_cast<unsigned>(r.numCommitted) << flagCountShift) |
-            (r.headValid ? flagHeadValid : 0u) | (span ? flagSpan : 0u)));
-        if (r.headValid) {
-            tea_assert(r.headSeq == seq,
-                       "ROB head seq %llu at cycle %llu is not the next "
-                       "seq to commit (%llu)",
-                       static_cast<unsigned long long>(r.headSeq), at,
-                       static_cast<unsigned long long>(seq));
-            putVarint(streams[HeadPc], headPcD.encode(r.headPc));
-        }
+            (span ? flagSpan : 0u)));
         for (unsigned i = 0; i < r.numCommitted; ++i) {
             const CommittedUop &c = r.committed[i];
             tea_assert(c.seq == seq,
@@ -238,16 +218,7 @@ encodeChunk(const TraceChunk &chunk, std::vector<std::uint8_t> &out)
             ++seq;
             putVarint(streams[ComPc], comPcD.encode(c.pc));
             putVarint(streams[ComPsv], c.psv.bits());
-            lastValid = true;
-            lastPc = c.pc;
-            lastPsv = c.psv;
         }
-        tea_assert(r.lastValid == lastValid &&
-                       (!lastValid ||
-                        (r.lastPc == lastPc && r.lastPsv == lastPsv)),
-                   "last-committed snapshot at cycle %llu is not the "
-                   "latest commit slot's",
-                   at);
         putVarint(streams[NextFetch], fetchD.encode(r.nextFetchSeq));
         putVarint(streams[NextDisp], dispD.encode(r.nextDispatchSeq));
     }
@@ -336,10 +307,7 @@ struct FrameEntry
 {
     Cycle cycle = 0; ///< the first record's cycle
     SeqNum seq = 0;  ///< the next seq to commit
-    bool lastValid = false;
     bool endsTrace = false;
-    InstIndex lastPc = 0;
-    Psv lastPsv;
 };
 
 bool
@@ -349,19 +317,9 @@ readEntry(Cursor &cur, FrameEntry *e, std::string *why)
     if (!cur.readVarint(&e->cycle) || !cur.readVarint(&e->seq) ||
         !cur.readByte(&flags))
         return fail(why, "truncated frame entry state");
-    if (flags & ~entryKnownFlags)
+    if (flags & ~entryEndsTrace)
         return fail(why, "unknown frame header flags");
-    e->lastValid = flags & entryLastValid;
     e->endsTrace = flags & entryEndsTrace;
-    if (e->lastValid) {
-        std::uint64_t pc = 0, psv = 0;
-        if (!cur.readVarint(&pc) || !cur.readVarint(&psv))
-            return fail(why, "truncated frame entry state");
-        if (pc > std::numeric_limits<InstIndex>::max() || psv > 0xFFFFu)
-            return fail(why, "implausible frame entry state");
-        e->lastPc = static_cast<InstIndex>(pc);
-        e->lastPsv = Psv(static_cast<std::uint16_t>(psv));
-    }
     return true;
 }
 
@@ -395,8 +353,8 @@ struct ChunkDecoder::Impl
 
 // Stage 2 validates every stream's length once, then one tight loop
 // assembles the records in order straight from the lanes, rebuilding
-// the cycle stamps, seqs and last-committed fields from the entry
-// state as it goes — no per-field bounds checks in the hot loop.
+// the cycle stamps and commit seqs from the entry state as it goes —
+// no per-field bounds checks in the hot loop.
 // tea_lint: hot
 bool
 ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
@@ -410,23 +368,22 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
                                              : "unconsumed stream bytes");
 
     // Tally the gated-field populations from the flag bytes, eight
-    // flag bytes per step (SWAR): the head and span bits are popcounts
-    // over a bit column, the commit counts are a nibble column summed
-    // with the multiply-shift byte-sum trick (8 nibbles <= 120, no
-    // carry), and an implausible count (> 8) is detected by the carry
-    // into bit 4 of nc + 7, OR-accumulated and checked once.
-    std::size_t nHead = 0, nSpan = 0, nCom = 0;
+    // flag bytes per step (SWAR): the span bits are a popcount over a
+    // bit column, the commit counts are a nibble column summed with the
+    // multiply-shift byte-sum trick (8 nibbles <= 120, no carry), and
+    // an implausible count (> 8) is detected by the carry into bit 4 of
+    // nc + 7. It and the unused bit are OR-accumulated and checked once.
+    std::size_t nSpan = 0, nCom = 0;
     {
         constexpr std::uint64_t lsb = 0x0101010101010101ull;
-        std::uint64_t bad = 0;
+        std::uint64_t bad = 0, unused = 0;
         std::uint32_t j = 0;
         for (; j + 8 <= n; j += 8) {
             std::uint64_t x;
             std::memcpy(&x, cflags + j, 8);
             nSpan += static_cast<unsigned>(
-                __builtin_popcountll(x & lsb)); // flagSpan
-            nHead += static_cast<unsigned>(
-                __builtin_popcountll(x & (lsb << 1))); // flagHeadValid
+                __builtin_popcountll(x & (lsb * flagSpan)));
+            unused |= x & (lsb * flagUnused);
             const std::uint64_t t =
                 (x >> flagCountShift) & (lsb * 0x0F);
             bad |= (t + lsb * 0x07) & (lsb * 0x10);
@@ -438,14 +395,16 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
             if (nc > 8)
                 bad = 1;
             nCom += nc;
-            nHead += (f >> 1) & 1u; // flagHeadValid
-            nSpan += f & 1u;        // flagSpan
+            nSpan += f & flagSpan;
+            unused |= f & flagUnused;
         }
         static_assert(
             std::tuple_size_v<decltype(CycleRecord{}.committed)> == 8,
             "commit-count plausibility bound is hardwired to 8");
         if (bad)
             return fail(why, "implausible commit count");
+        if (unused)
+            return fail(why, "unknown record flag bit");
     }
     if (nSpan != hdr.spanEvents)
         return fail(why, "span count mismatch");
@@ -460,7 +419,6 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
         std::size_t expect;
         const char *short_msg;
     } lengths[] = {
-        {HeadPc, nHead, "truncated head stream"},
         {ComPc, nCom, "truncated committed stream"},
         {ComPsv, nCom, "truncated committed stream"},
         {NextFetch, n, "truncated front-end stream"},
@@ -488,9 +446,8 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
     // it (record order, commit order within a record), so one running
     // accumulator per delta stream replaces a separate prefix-sum pass
     // over every lane. The derived fields run the same way: the cycle
-    // advances by each record's length, the next commit seq by its
-    // commits, and last-committed follows the latest commit slot.
-    const std::uint64_t *hpc = lanes[HeadPc].get();
+    // advances by each record's length and the next commit seq by its
+    // commits.
     const std::uint64_t *cpc = lanes[ComPc].get();
     const std::uint64_t *cpsv = lanes[ComPsv].get();
     const std::uint64_t *slen = lanes[SpanLen].get();
@@ -498,24 +455,25 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
     const std::uint64_t *ndisp = lanes[NextDisp].get();
     Cycle cycle = entry.cycle;
     SeqNum seq = entry.seq;
-    bool lastValid = entry.lastValid;
-    InstIndex lastPc = entry.lastPc;
-    Psv lastPsv = entry.lastPsv;
-    std::uint64_t hpcPrev = 0, cpcPrev = 0, fetchPrev = 0, dispPrev = 0;
+    std::uint64_t cpcPrev = 0, fetchPrev = 0, dispPrev = 0;
     std::uint64_t covered = 0;
-    std::size_t hs = 0, cs = 0, ss = 0;
-    // The span rules, each OR-accumulated without a branch and checked
-    // once after the loop.
+    std::size_t cs = 0, ss = 0;
+    // The span rules and the commit slots' field widths, each
+    // OR-accumulated without a branch and checked once after the loop:
+    // a pc past InstIndex or a PSV bit past the nine events would
+    // otherwise be truncated into another instruction or event set.
     bool shortSpan = false, longSpan = false, busySpan = false;
+    std::uint64_t widePc = 0, widePsv = 0;
     for (std::uint32_t j = 0; j < n; ++j) {
         TraceEvent &ev = events[j];
         CycleRecord &r = ev.rec;
         const std::uint8_t f = cflags[j];
         const bool span = f & flagSpan;
         ev.kind = span ? TraceEventKind::Span : TraceEventKind::Cycle;
-        // Like the gated fields below: the span lane is read at the
-        // cursor every time (it is sized one slot past its count) and
-        // the cursor advances only on a span.
+        // Branchless: the span lane is read at the cursor every time
+        // (stage 1 sizes it one slot past its count, so the read at the
+        // final cursor stays in bounds) and the cursor advances only on
+        // a span.
         const std::uint64_t len = span ? slen[ss] : 1;
         ss += span;
         ev.spanCycles = static_cast<std::uint32_t>(span ? len : 0);
@@ -528,37 +486,26 @@ ChunkDecoder::Impl::assemble(const ChunkFrameHeader &hdr,
         longSpan |= len > maxSpanCycles;
         busySpan |= span & ((nc != 0) | (r.state == CommitState::Compute));
         r.numCommitted = static_cast<std::uint8_t>(nc);
-        // Branchless gated field: the delta is masked to zero and the
-        // cursor does not advance when the flag is clear, so the
-        // unconditional store writes unspecified-but-harmless contents
-        // (allowed by the decode contract) instead of costing a
-        // hard-to-predict branch per record. Stage 1 sizes each lane
-        // one slot past its value count so the read at the final
-        // cursor position stays in bounds.
-        const bool hv = f & flagHeadValid;
-        r.headValid = hv;
-        r.headSeq = seq;
-        hpcPrev += static_cast<std::uint64_t>(unzigzag(hpc[hs])) &
-                   -static_cast<std::uint64_t>(hv);
-        r.headPc = static_cast<InstIndex>(hpcPrev);
-        hs += hv;
         fetchPrev += static_cast<std::uint64_t>(unzigzag(nfetch[j]));
         dispPrev += static_cast<std::uint64_t>(unzigzag(ndisp[j]));
         r.nextFetchSeq = fetchPrev;
         r.nextDispatchSeq = dispPrev;
         for (unsigned c = 0; c < nc; ++c) {
             cpcPrev += static_cast<std::uint64_t>(unzigzag(cpc[cs + c]));
-            lastPc = static_cast<InstIndex>(cpcPrev);
-            lastPsv = Psv(static_cast<std::uint16_t>(cpsv[cs + c]));
-            r.committed[c] = CommittedUop{seq + c, lastPc, lastPsv};
+            const std::uint64_t psv = cpsv[cs + c];
+            widePc |= cpcPrev >> std::numeric_limits<InstIndex>::digits;
+            widePsv |= psv >> numEvents;
+            r.committed[c] =
+                CommittedUop{seq + c, static_cast<InstIndex>(cpcPrev),
+                             Psv(static_cast<std::uint16_t>(psv))};
         }
         cs += nc;
         seq += nc;
-        lastValid |= nc != 0;
-        r.lastValid = lastValid;
-        r.lastPc = lastPc;
-        r.lastPsv = lastPsv;
     }
+    if (widePc)
+        return fail(why, "commit pc past the instruction index");
+    if (widePsv)
+        return fail(why, "commit PSV bits past the nine events");
     if (shortSpan)
         return fail(why, "span shorter than 2 cycles");
     if (longSpan)
@@ -628,7 +575,7 @@ ChunkDecoder::decode(const std::uint8_t *data, std::size_t avail,
             continue;
         }
         // One slot past the value count (<= slen bytes) so assemble's
-        // branchless gated-field reads may touch lane[count] safely.
+        // branchless span-length read may touch lane[count] safely.
         im.ensure(s, slen[s] + 1);
         if (!decodeVarints(sdata[s], slen[s], im.lanes[s].get(),
                            &im.count[s]))

@@ -13,43 +13,37 @@
  * at most the fetch or dispatch width, so most values fit in one byte.
  *
  * The frame stores only what the decoder cannot derive. The core's
- * trace obeys five rules, and the encoder asserts each of them:
+ * trace obeys three rules, and the encoder asserts each of them:
  *  - cycles are dense: each record starts where the previous one ended;
  *  - commit seqs are consecutive;
- *  - a valid ROB head (a Stalled record's) is the next seq to commit;
- *  - last-committed is the latest commit slot, and a record without
- *    commits keeps the previous record's;
  *  - the end marker is one cycle past the last record.
- * So no cycle stamp, seq or last-committed field is stored, and the end
- * marker is one flag. The entry state holds what the frame's first
- * record needs: the first cycle, the next commit seq (the first commit
- * slot's or ROB head's, 0 if the frame has neither), the first record's
- * last-committed valid flag, pc and PSV, and whether the trace ends
- * after this frame; the end cycle is the first cycle plus the cycles
- * covered.
+ * So no cycle stamp or seq is stored, and the end marker is one flag.
+ * The entry state holds what the frame's first record needs: the
+ * first cycle, the next commit seq (the first commit slot's, 0 if the
+ * frame has none) and whether the trace ends after this frame; the end
+ * cycle is the first cycle plus the cycles covered.
  *
- * Seven streams follow: the packed per-record flags (state, commit
- * count, ROB-head valid, span), the ROB-head pc, the commit slots' pcs
- * and PSVs, the two front-end seqs and the span lengths. A Span event
- * (an idle run, TraceSink::onSpan) is its first cycle record plus a
- * length, so the span flag needs no kind array. The decoder rejects a
- * span that no producer can emit (shorter than 2 cycles, longer than
- * maxSpanCycles, in the Compute state or with commits) and a frame
- * whose cycles run past the last representable cycle.
+ * Six streams follow: the packed per-record flags (state, commit
+ * count, span), the commit slots' pcs and PSVs, the two front-end seqs
+ * and the span lengths. A Span event (an idle run, TraceSink::onSpan)
+ * is its first cycle record plus a length, so the span flag needs no
+ * kind array. The decoder rejects what no producer can emit: a span
+ * shorter than 2 cycles, longer than maxSpanCycles, in the Compute
+ * state or with commits; a commit pc past InstIndex or a PSV bit past
+ * the nine events; an unknown flag bit; and a frame whose cycles run
+ * past the last representable cycle.
  *
  * Frames are independent (all delta state resets per frame), so a file
  * of concatenated frames supports chunk-at-a-time streaming decode
  * straight out of a memory-mapped region, and a corrupted frame is
  * detectable (CRC) without touching its neighbours.
  *
- * Fields gated by a validity flag (ROB head, last-committed, committed
- * slots beyond numCommitted) are encoded only when valid, and decode
- * writes only the valid ones back: gated fields whose flag is clear
- * hold unspecified contents in a decoded record. Every consumer must
- * honor the validity flags — which TraceSink observers and
- * eventsEquivalent() (trace_buffer.hh) do already — so replay through
- * the codec is observationally identical to in-memory replay while
- * decode touches a fraction of the record's bytes.
+ * Committed slots beyond numCommitted are not encoded, and decode
+ * leaves them unspecified. Every consumer must honor numCommitted —
+ * which TraceSink observers and eventsEquivalent() (trace_buffer.hh)
+ * do already — so replay through the codec is observationally
+ * identical to in-memory replay while decode touches a fraction of the
+ * record's bytes.
  */
 
 #ifndef TEA_CORE_TRACE_CODEC_HH
@@ -70,7 +64,7 @@ namespace tea {
  * cached trace file embeds (CoreStats layout, header layout). Bump on
  * any change; stale files then fail validation and are re-simulated.
  */
-inline constexpr std::uint32_t traceCodecVersion = 5;
+inline constexpr std::uint32_t traceCodecVersion = 6;
 
 /** Fixed per-frame header (little-endian, packed by construction). */
 struct ChunkFrameHeader

@@ -116,8 +116,8 @@ GoldenReference::onCycle(const CycleRecord &rec)
         pendingCycles_ += 1.0;
         break;
       case CommitState::Flushed:
-        if (rec.lastValid) {
-            add(rec.lastPc, rec.lastPsv, 1.0);
+        if (lastValid_) {
+            add(lastPc_, lastPsv_, 1.0);
         } else {
             pendingCycles_ += 1.0; // start-up before any commit
         }
@@ -141,12 +141,12 @@ GoldenReference::onSpan(const CycleRecord &first, std::uint32_t n)
         pendingCycles_ += static_cast<double>(n);
         break;
       case CommitState::Flushed:
-        if (first.lastValid) {
+        if (lastValid_) {
             // A cell and the total may hold fractions (Compute shares),
             // and floating-point sums are not associative: 1/3 + 1.0 +
             // 1.0 is not 1/3 + 2.0. Keep the n adds onCycle would make.
             for (std::uint32_t i = 0; i < n; ++i)
-                add(first.lastPc, first.lastPsv, 1.0);
+                add(lastPc_, lastPsv_, 1.0);
         } else {
             pendingCycles_ += static_cast<double>(n);
         }
@@ -176,6 +176,9 @@ GoldenReference::onRetire(const RetireRecord &rec)
         if (rec.psv.test(static_cast<Event>(i)))
             ++counts[i];
     }
+    lastValid_ = true;
+    lastPc_ = rec.pc;
+    lastPsv_ = rec.psv;
 }
 
 // tea_lint: hot
@@ -194,6 +197,7 @@ GoldenReference::onEnd(Cycle final_cycle)
     (void)final_cycle;
     dropped_ = pendingCycles_;
     pendingCycles_ = 0.0;
+    lastValid_ = false;
     // The one hash-table build of the run: every cell is final here.
     pics_ = Pics::fromCells(cells_, total_, reservedCells_);
 }

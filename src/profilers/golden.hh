@@ -5,6 +5,11 @@
  * require streaming PSVs for every dynamic instruction) but exact, and
  * therefore the baseline every sampling technique is scored against.
  *
+ * A Flushed cycle is charged to the last-committed instruction. The
+ * cycle record does not carry it: the reference keeps TEA's
+ * last-committed register itself, set by every retire and cleared at
+ * the end of each trace.
+ *
  * It additionally records per-static-instruction event counts (for the
  * Fig 7 event-count-vs-impact correlation) and the distribution of
  * per-dynamic-instruction stall/drain attributions keyed by signature
@@ -133,6 +138,16 @@ class GoldenReference final : public TraceSink
 
     Pics pics_;
     double pendingCycles_ = 0.0; ///< stalled/drained cycles to attribute
+
+    /**
+     * The last-committed register: the latest retire of this trace,
+     * which Flushed cycles are charged to. Set in onRetire and cleared
+     * in onEnd, so a further trace starts without one.
+     */
+    bool lastValid_ = false;
+    InstIndex lastPc_ = 0;
+    Psv lastPsv_;
+
     double dropped_ = 0.0;
     std::vector<EventCounts> eventCounts_;
     StallHistograms stallHist_;

@@ -193,12 +193,11 @@ TechniqueSampler::takeSample(const CycleRecord &rec)
             break;
           case CommitState::Flushed:
             if (cfg_.policy == SamplePolicy::TimeProportional &&
-                rec.lastValid) {
-                pics_.add(rec.lastPc, rec.lastPsv.masked(cfg_.eventMask),
+                lastValid_) {
+                pics_.add(lastPc_, lastPsv_.masked(cfg_.eventMask),
                           weight);
-                std::uint64_t addr = rec.lastPc;
-                std::uint16_t psv =
-                    rec.lastPsv.masked(cfg_.eventMask).bits();
+                std::uint64_t addr = lastPc_;
+                std::uint16_t psv = lastPsv_.masked(cfg_.eventMask).bits();
                 emitRecord(rec.cycle, CommitState::Flushed, 1, &addr,
                            &psv);
                 ++samplesTaken_;
@@ -252,6 +251,9 @@ TechniqueSampler::onRetire(const RetireRecord &rec)
         taggedSeq_ = invalidSeqNum;
         ++samplesTaken_;
     }
+    lastValid_ = true;
+    lastPc_ = rec.pc;
+    lastPsv_ = rec.psv;
 }
 
 // tea_lint: hot
@@ -276,6 +278,7 @@ TechniqueSampler::onEnd(Cycle final_cycle)
     pendingWeight_ = 0.0;
     pendingCount_ = 0;
     taggedSeq_ = invalidSeqNum;
+    lastValid_ = false;
     nextFire_ = cfg_.phase; // a further trace starts its fires afresh
 }
 

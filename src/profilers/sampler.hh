@@ -9,7 +9,9 @@
  *  - TimeProportional (TEA, TIP): TIP attribution. Compute cycles split
  *    across committing micro-ops; Stalled/Drained samples delayed until
  *    the next commit so the PSV is final; Flushed samples attributed to
- *    the last-committed instruction.
+ *    the last-committed instruction, which the sampler keeps as its
+ *    own register from the retires it sees (the cycle record does not
+ *    carry it).
  *  - NextCommitting (NCI-TEA, Intel PEBS style): as above, but Flushed
  *    samples go to the next-committing instruction, which misattributes
  *    flush cycles.
@@ -150,6 +152,15 @@ class TechniqueSampler final : public TraceSink
     double pendingWeight_ = 0.0;       ///< TP/NCI delayed sample weight
     std::uint64_t pendingCount_ = 0;   ///< fires folded into the weight
     SeqNum taggedSeq_ = invalidSeqNum; ///< tagged micro-op in flight
+
+    /**
+     * The last-committed register: the latest retire of this trace,
+     * where a TimeProportional Flushed sample goes. Set in onRetire
+     * and cleared in onEnd, so a further trace starts without one.
+     */
+    bool lastValid_ = false;
+    InstIndex lastPc_ = 0;
+    Psv lastPsv_;
 };
 
 } // namespace tea

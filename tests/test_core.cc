@@ -28,12 +28,6 @@ class InvariantSink : public TraceSink
         } else {
             EXPECT_EQ(rec.numCommitted, 0u);
         }
-        if (rec.state == CommitState::Stalled) {
-            EXPECT_TRUE(rec.headValid);
-        }
-        if (rec.state == CommitState::Flushed) {
-            EXPECT_TRUE(rec.lastValid);
-        }
         // In-order front end: fetch and dispatch only move forward,
         // dispatch never overtakes fetch, and a uop commits only after
         // it has dispatched.
@@ -42,6 +36,22 @@ class InvariantSink : public TraceSink
         EXPECT_LE(rec.nextDispatchSeq, rec.nextFetchSeq);
         for (unsigned i = 0; i < rec.numCommitted; ++i)
             EXPECT_LT(rec.committed[i].seq, rec.nextDispatchSeq);
+        // ROB occupancy: the ROB holds [next to commit,
+        // nextDispatchSeq), so a Stalled cycle has a head and a Drained
+        // or Flushed one an empty ROB. A Flushed cycle follows a commit.
+        if (lastRetire != invalidSeqNum) {
+            const SeqNum next = lastRetire + 1;
+            if (rec.state == CommitState::Stalled) {
+                EXPECT_GT(rec.nextDispatchSeq, next);
+            }
+            if (rec.state == CommitState::Drained ||
+                rec.state == CommitState::Flushed) {
+                EXPECT_EQ(rec.nextDispatchSeq, next);
+            }
+            EXPECT_GE(rec.nextDispatchSeq, next);
+        } else {
+            EXPECT_NE(rec.state, CommitState::Flushed);
+        }
         nextFetch = rec.nextFetchSeq;
         nextDispatch = rec.nextDispatchSeq;
     }

@@ -16,7 +16,11 @@ using namespace tea::test;
 
 namespace {
 
-/** Records the per-cycle commit-state sequence and attribution targets. */
+/**
+ * Records the per-cycle commit-state sequence and attribution targets:
+ * a Stalled cycle's is the ROB head, which in-order commit retires
+ * next, and a Flushed cycle's the last retire before it.
+ */
 class StateTracker : public TraceSink
 {
   public:
@@ -25,9 +29,17 @@ class StateTracker : public TraceSink
     {
         states.push_back(rec.state);
         if (rec.state == CommitState::Stalled)
-            stalledPcs.push_back(rec.headPc);
+            ++stalledPending;
         if (rec.state == CommitState::Flushed)
-            flushedPcs.push_back(rec.lastPc);
+            flushedPcs.push_back(lastPc);
+    }
+
+    void
+    onRetire(const RetireRecord &rec) override
+    {
+        stalledPcs.insert(stalledPcs.end(), stalledPending, rec.pc);
+        stalledPending = 0;
+        lastPc = rec.pc;
     }
 
     std::uint64_t
@@ -42,6 +54,8 @@ class StateTracker : public TraceSink
     std::vector<CommitState> states;
     std::vector<InstIndex> stalledPcs;
     std::vector<InstIndex> flushedPcs;
+    std::size_t stalledPending = 0; ///< Stalled cycles since a retire
+    InstIndex lastPc = invalidInstIndex; ///< the last retire's
 };
 
 /** Run a raw program (no data image) with a tracker attached. */

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -108,8 +109,8 @@ class OracleGolden final : public TraceSink
             pending_ += 1.0;
             break;
           case CommitState::Flushed:
-            if (rec.lastValid)
-                pics_.add(rec.lastPc, rec.lastPsv, 1.0);
+            if (last_)
+                pics_.add(last_->pc, last_->psv, 1.0);
             else
                 pending_ += 1.0;
             break;
@@ -118,6 +119,7 @@ class OracleGolden final : public TraceSink
 
     void onRetire(const RetireRecord &rec) override
     {
+        last_ = rec;
         auto [it, inserted] = stallHist_.try_emplace(rec.psv.bits(), 512);
         if (pending_ > 0.0) {
             pics_.add(rec.pc, rec.psv, pending_);
@@ -137,9 +139,11 @@ class OracleGolden final : public TraceSink
     {
         dropped_ = pending_;
         pending_ = 0.0;
+        last_.reset();
     }
 
     Pics pics_;
+    std::optional<RetireRecord> last_; ///< the last-committed register
     double pending_ = 0.0;
     double dropped_ = 0.0;
     std::unordered_map<InstIndex, GoldenReference::EventCounts>
@@ -244,18 +248,17 @@ TEST(GoldenReference, TablesMatchHashedOracleForPcsPastTheReserve)
 TEST(GoldenReference, PicsAreEmptyUntilEnd)
 {
     GoldenReference golden;
+    golden.onRetire(RetireRecord{1, 7, Psv{}, 0});
     CycleRecord rec{};
-    rec.cycle = 0;
+    rec.cycle = 1;
     rec.state = CommitState::Flushed;
-    rec.lastValid = true;
-    rec.lastPc = 7;
-    golden.onCycle(rec);
+    golden.onCycle(rec); // charged to the last retire
     EXPECT_EQ(golden.pics().size(), 0u);
-    golden.onEnd(1);
+    golden.onEnd(2);
     EXPECT_EQ(golden.pics().size(), 1u);
     EXPECT_EQ(golden.pics().cycles(7, 0), 1.0);
     // A pc past the reserve grew the event-count rows to cover it.
-    golden.onRetire(RetireRecord{1, 9, Psv{}, 0});
+    golden.onRetire(RetireRecord{2, 9, Psv{}, 0});
     EXPECT_GE(golden.eventCounts().size(), 10u);
 }
 
@@ -412,12 +415,10 @@ TEST(Sampler, FiresRealignAfterACycleJump)
     rec.committed[0] = CommittedUop{1, 7, Psv{}};
     for (Cycle c : {0, 1, 25, 26, 30, 40, 57, 61, 100}) {
         rec.cycle = c;
-        tea.onCycle(rec); // fires at 0, 30, 40 and 100
+        deliverCycle(tea, rec); // fires at 0, 30, 40 and 100
     }
-    CycleRecord idle;
+    CycleRecord idle; // charged to the last retire, pc 7
     idle.state = CommitState::Flushed;
-    idle.lastValid = true;
-    idle.lastPc = 7;
     idle.cycle = 135;
     tea.onSpan(idle, 16); // [135, 151): fires at 140 and 150
     idle.cycle = 151;

@@ -176,9 +176,6 @@ extremeChunk(Rng &rng, std::size_t count)
     c.events.reserve(count);
     Cycle cycle = ~Cycle{0} - (Cycle{1} << 50) - rng.below(1024);
     SeqNum seq = ~SeqNum{0} - (SeqNum{1} << 20) - rng.below(1024);
-    bool lastValid = false;
-    InstIndex lastPc = 0;
-    Psv lastPsv;
     bool swing = false;
     auto wildPc = [&]() {
         return static_cast<InstIndex>(
@@ -208,19 +205,10 @@ extremeChunk(Rng &rng, std::size_t count)
                              ? static_cast<std::uint8_t>(rng.range(1, 8))
                              : 0;
         for (unsigned u = 0; u < r.numCommitted; ++u) {
-            lastPc = wildPc();
-            lastPsv = Psv(static_cast<std::uint16_t>(rng.below(512)));
-            r.committed[u] = CommittedUop{seq++, lastPc, lastPsv};
-            lastValid = true;
+            r.committed[u] = CommittedUop{
+                seq++, wildPc(),
+                Psv(static_cast<std::uint16_t>(rng.below(512)))};
         }
-        r.headValid = r.state == CommitState::Stalled;
-        if (r.headValid) {
-            r.headSeq = seq;
-            r.headPc = wildPc();
-        }
-        r.lastValid = lastValid;
-        r.lastPc = lastPc;
-        r.lastPsv = lastPsv;
         r.nextDispatchSeq = seq;
         r.nextFetchSeq = seq + (swing ? 0x7fffffffffffffffull : rng.below(8));
         c.cycleRecords += cyclesCovered(ev);

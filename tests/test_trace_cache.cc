@@ -170,76 +170,6 @@ cachedOptions(const TempCacheDir &dir)
     return o;
 }
 
-/**
- * Pseudo-random trace event stream that obeys the codec's rules
- * (trace_codec.hh): dense cycles, consecutive commit seqs, the ROB head
- * at the next seq to commit, and last-committed at the latest commit
- * slot. It may open after earlier commits (lastValid already set) or
- * before any. @p end is set to the cycle after the last event.
- */
-std::vector<TraceEvent>
-randomEvents(Rng &rng, std::size_t count, Cycle *end = nullptr)
-{
-    std::vector<TraceEvent> events;
-    events.reserve(count);
-    Cycle cycle = rng.below(1000);
-    SeqNum seq = 1 + rng.below(1000);
-    bool lastValid = rng.chance(0.5);
-    InstIndex lastPc = static_cast<InstIndex>(rng.below(4096));
-    Psv lastPsv(static_cast<std::uint16_t>(rng.below(512)));
-    // Front-end seqs: small steps with rare jumps past 2^32, so the
-    // delta streams carry wide varints too.
-    SeqNum fetch = 1;
-    SeqNum dispatch = 1;
-    for (std::size_t i = 0; i < count; ++i) {
-        TraceEvent ev;
-        CycleRecord &c = ev.rec;
-        c.cycle = cycle;
-        if (rng.below(4) != 3) {
-            ev.kind = TraceEventKind::Cycle;
-            c.state = static_cast<CommitState>(rng.below(4));
-            ++cycle;
-        } else {
-            // An idle span: one of the three idle states, no commits,
-            // 2 cycles up to the longest length the format carries.
-            ev.kind = TraceEventKind::Span;
-            ev.spanCycles = static_cast<std::uint32_t>(
-                rng.chance(0.05) ? maxSpanCycles - rng.below(4)
-                                 : rng.range(2, 500));
-            c.state = static_cast<CommitState>(rng.range(1, 3));
-            cycle += ev.spanCycles;
-        }
-        c.numCommitted = c.state == CommitState::Compute
-                             ? static_cast<std::uint8_t>(rng.range(1, 8))
-                             : 0;
-        for (unsigned u = 0; u < c.numCommitted; ++u) {
-            lastPc = static_cast<InstIndex>(rng.below(4096));
-            lastPsv = Psv(static_cast<std::uint16_t>(rng.below(512)));
-            c.committed[u] = CommittedUop{seq++, lastPc, lastPsv};
-            lastValid = true;
-        }
-        c.headValid = c.state == CommitState::Stalled;
-        if (c.headValid) {
-            c.headSeq = seq;
-            c.headPc = static_cast<InstIndex>(rng.below(4096));
-        }
-        c.lastValid = lastValid;
-        if (lastValid) {
-            c.lastPc = lastPc;
-            c.lastPsv = lastPsv;
-        }
-        fetch += rng.chance(0.02) ? (SeqNum{1} << 32) + rng.below(999)
-                                  : rng.below(5);
-        dispatch = std::min(fetch, dispatch + rng.below(5));
-        c.nextFetchSeq = fetch;
-        c.nextDispatchSeq = dispatch;
-        events.push_back(ev);
-    }
-    if (end)
-        *end = cycle;
-    return events;
-}
-
 /** A chunk of @p count random events; @p ends marks it the last one. */
 TraceChunk
 randomChunk(Rng &rng, std::size_t count, bool ends)
@@ -308,6 +238,7 @@ TEST(TraceCodec, RealTraceRoundTrips)
 
         ASSERT_FALSE(buf.chunks().empty());
         const TraceEvent *prev = nullptr;
+        bool committed = false; // by an earlier frame
         for (const TraceChunkPtr &chunk : buf.chunks()) {
             expectRoundTrips(*chunk);
             if (chunk->events.empty())
@@ -318,8 +249,9 @@ TEST(TraceCodec, RealTraceRoundTrips)
                              first.state != CommitState::Compute;
                 afterCommit |= prev->rec.numCommitted != 0;
             }
-            beforeFirstCommit |=
-                !first.lastValid && first.numCommitted == 0;
+            beforeFirstCommit |= !committed && first.numCommitted == 0;
+            for (const TraceEvent &ev : chunk->events)
+                committed |= ev.rec.numCommitted != 0;
             prev = &chunk->events.back();
         }
         EXPECT_EQ(buf.chunks().back()->endCycle,
@@ -349,7 +281,7 @@ namespace {
 
 /**
  * A small chunk that obeys every codec rule: a Compute cycle 10
- * committing seq 5 at pc 7, then a Stalled cycle 11 whose ROB head is
+ * committing seq 5 at pc 7, then a Stalled cycle 11 whose ROB holds
  * seq 6, ending the trace at cycle 12.
  */
 TraceChunk
@@ -362,18 +294,12 @@ wellFormedChunk()
     c.state = CommitState::Compute;
     c.numCommitted = 1;
     c.committed[0] = CommittedUop{5, 7, Psv(0x3)};
-    c.lastValid = true;
-    c.lastPc = 7;
-    c.lastPsv = Psv(0x3);
-    c.nextFetchSeq = c.nextDispatchSeq = 6;
+    c.nextFetchSeq = c.nextDispatchSeq = 7;
     CycleRecord &s = chunk.events[1].rec;
     s = c;
     s.cycle = 11;
     s.state = CommitState::Stalled;
     s.numCommitted = 0;
-    s.headValid = true;
-    s.headSeq = 6;
-    s.headPc = 8;
     chunk.cycleRecords = 2;
     chunk.endCycle = 12;
     return chunk;
@@ -408,22 +334,7 @@ TEST(TraceCodecDeathTest, EncodeRefusesACommitSeqGap)
     CycleRecord &c = chunk.events[0].rec;
     c.numCommitted = 2;
     c.committed[1] = CommittedUop{7, 7, Psv(0x3)}; // seq 6 skipped
-    chunk.events[1].rec.headSeq = 8;
     EXPECT_DEATH(encode(chunk), "consecutive commits only");
-}
-
-TEST(TraceCodecDeathTest, EncodeRefusesAHeadOtherThanTheNextCommit)
-{
-    TraceChunk chunk = wellFormedChunk();
-    chunk.events[1].rec.headSeq = 7;
-    EXPECT_DEATH(encode(chunk), "not the next seq to commit");
-}
-
-TEST(TraceCodecDeathTest, EncodeRefusesLastCommittedChangingWithoutACommit)
-{
-    TraceChunk chunk = wellFormedChunk();
-    chunk.events[1].rec.lastPc = 9;
-    EXPECT_DEATH(encode(chunk), "latest commit slot");
 }
 
 TEST(TraceCodecDeathTest, EncodeRefusesAnEndOtherThanTheNextCycle)
@@ -463,19 +374,20 @@ namespace {
  * A hand-built codec frame, for the inputs encodeChunk refuses to
  * write. The payload follows the on-disk layout (trace_codec.cc): the
  * entry state (first cycle, next seq, flags), then the streams in
- * directory order: 0 cycle flags, 1 ROB-head pc, 2-3 commit slots, 4-5
- * next fetch and dispatch seqs, 6 span length.
+ * directory order: 0 cycle flags, 1-2 commit slots, 3-4 next fetch and
+ * dispatch seqs, 5 span length.
  */
 struct HandFrame
 {
-    static constexpr unsigned cycFlags = 0, comPc = 2, comPsv = 3,
-                              nextFetch = 4, nextDisp = 5, spanLen = 6;
+    static constexpr unsigned cycFlags = 0, comPc = 1, comPsv = 2,
+                              nextFetch = 3, nextDisp = 4, spanLen = 5;
 
     Cycle first = 0;
-    /** Entry-state flags: 0x1 last-committed follows, 0x2 trace ends. */
+    /** Entry-state flags: 0x1 the trace ends after this frame. */
     std::uint8_t flags = 0;
-    std::uint64_t lastPc = 0, lastPsv = 0; ///< written when flags & 0x1
-    std::array<std::vector<std::uint8_t>, 7> streams;
+    /** Written for every commit slot: the zigzag pc delta and the PSV. */
+    std::uint64_t pcDelta = 0, psv = 0;
+    std::array<std::vector<std::uint8_t>, 6> streams;
     std::uint32_t records = 0;
     std::uint32_t spans = 0;
     std::uint64_t cycles = 0;
@@ -490,7 +402,7 @@ struct HandFrame
         out.push_back(static_cast<std::uint8_t>(v));
     }
 
-    /** Append a record's flags and fields (no head, no last). */
+    /** Append a record's flags and fields. */
     void
     record(bool span, CommitState state, unsigned commits)
     {
@@ -499,8 +411,8 @@ struct HandFrame
             (static_cast<unsigned>(state) << 6) | (commits << 2) |
             (span ? 1u : 0u)));
         for (unsigned i = 0; i < commits; ++i) {
-            put(streams[comPc], 0);
-            put(streams[comPsv], 0);
+            put(streams[comPc], pcDelta);
+            put(streams[comPsv], psv);
         }
         put(streams[nextFetch], 0);
         put(streams[nextDisp], 0);
@@ -529,10 +441,6 @@ struct HandFrame
         put(payload, first);
         put(payload, 0); // next seq
         payload.push_back(flags);
-        if (flags & 0x1) {
-            put(payload, lastPc);
-            put(payload, lastPsv);
-        }
         for (const auto &st : streams) {
             put(payload, st.size());
             payload.insert(payload.end(), st.begin(), st.end());
@@ -573,7 +481,7 @@ TEST(TraceCodec, HandBuiltSpanDecodes)
     // The builder itself is sound: a legal span decodes to what it says.
     HandFrame f;
     f.first = 7;
-    f.flags = 0x2; // the trace ends after this frame
+    f.flags = 0x1; // the trace ends after this frame
     f.cycle(CommitState::Compute, 1);
     f.span(CommitState::Drained, 5);
     f.cycle(CommitState::Flushed);
@@ -647,7 +555,7 @@ TEST(TraceCodec, DecodeRejectsFrameRunningPastTheLastCycle)
 
 TEST(TraceCodec, DecodeRejectsUnknownHeaderFlags)
 {
-    for (unsigned bit = 0x4; bit <= 0x80; bit <<= 1) {
+    for (unsigned bit = 0x2; bit <= 0x80; bit <<= 1) {
         SCOPED_TRACE(bit);
         HandFrame f;
         f.flags = static_cast<std::uint8_t>(bit);
@@ -656,29 +564,56 @@ TEST(TraceCodec, DecodeRejectsUnknownHeaderFlags)
     }
 }
 
-TEST(TraceCodec, DecodeRejectsEntryStateOutOfRange)
+TEST(TraceCodec, DecodeRejectsUnknownRecordFlagBit)
 {
-    // A last-committed pc or PSV wider than its field would be
-    // truncated into another instruction or event set.
-    for (int field = 0; field < 2; ++field) {
-        SCOPED_TRACE(field);
+    // Bit 1 of a record's flag byte carries nothing. Nine records, so
+    // the bit is tested both in an eight-record word and in the tail.
+    for (unsigned at : {0u, 8u}) {
+        SCOPED_TRACE(at);
         HandFrame f;
-        f.flags = 0x1;
-        f.lastPc = field == 0 ? std::uint64_t{1} << 32 : 5;
-        f.lastPsv = field == 1 ? 0x10000 : 3;
-        f.cycle(CommitState::Drained);
-        EXPECT_EQ(decodeError(f), "implausible frame entry state");
+        for (int i = 0; i < 9; ++i)
+            f.cycle(CommitState::Drained);
+        f.streams[HandFrame::cycFlags][at] |= 0x2;
+        EXPECT_EQ(decodeError(f), "unknown record flag bit");
     }
+}
+
+TEST(TraceCodec, DecodeRejectsCommitPcOutsideInstIndex)
+{
+    // The pc deltas sum to 2^32, or below 0: either would be truncated
+    // into another instruction.
+    for (std::uint64_t delta : {std::uint64_t{1} << 33, std::uint64_t{1}}) {
+        SCOPED_TRACE(delta);
+        HandFrame f;
+        f.pcDelta = delta; // zigzag: +2^32, then -1
+        f.cycle(CommitState::Compute, 1);
+        EXPECT_EQ(decodeError(f), "commit pc past the instruction index");
+    }
+    // The largest InstIndex is a pc like any other.
     HandFrame ok;
-    ok.flags = 0x1;
-    ok.lastPc = 5;
-    ok.lastPsv = 3;
-    ok.cycle(CommitState::Drained);
+    ok.pcDelta = std::uint64_t{invalidInstIndex} << 1;
+    ok.cycle(CommitState::Compute, 1);
     TraceChunk chunk;
     ASSERT_EQ(decodeError(ok, &chunk), "");
-    EXPECT_TRUE(chunk.events[0].rec.lastValid);
-    EXPECT_EQ(chunk.events[0].rec.lastPc, 5u);
-    EXPECT_EQ(chunk.events[0].rec.lastPsv, Psv(3));
+    EXPECT_EQ(chunk.events[0].rec.committed[0].pc, invalidInstIndex);
+}
+
+TEST(TraceCodec, DecodeRejectsCommitPsvBeyondTheNineEvents)
+{
+    // 0x10001 would be truncated to 0x1; 0x200 sets a tenth event.
+    for (std::uint64_t psv : {std::uint64_t{0x10001}, std::uint64_t{0x200}}) {
+        SCOPED_TRACE(psv);
+        HandFrame f;
+        f.psv = psv;
+        f.cycle(CommitState::Compute, 2);
+        EXPECT_EQ(decodeError(f), "commit PSV bits past the nine events");
+    }
+    HandFrame ok;
+    ok.psv = 0x1FF;
+    ok.cycle(CommitState::Compute, 1);
+    TraceChunk chunk;
+    ASSERT_EQ(decodeError(ok, &chunk), "");
+    EXPECT_EQ(chunk.events[0].rec.committed[0].psv, Psv(0x1FF));
 }
 
 TEST(TraceCodec, DecodeRejectsFrameWhoseCycleTotalDisagrees)
@@ -1243,25 +1178,33 @@ TEST(TraceDelivery, SamplersMatchThroughOnBatchAndDeliverEvent)
 namespace {
 
 /**
- * A synthetic trace with idle spans in every state, for pinning the
- * span handlers against per-cycle delivery. Cycle stamps are dense;
- * every record's front-end seqs name the next uop to commit, as if
- * each uop were fetched and dispatched just before the cycle it commits
- * in, so the tagging samplers have something to tag.
+ * Synthetic traces with idle spans in every state, for pinning the
+ * span handlers against per-cycle delivery. Cycle stamps are dense
+ * within a trace; every record's front-end seqs name the next uop to
+ * commit, as if each uop were fetched and dispatched just before the
+ * cycle it commits in, so the tagging samplers have something to tag.
+ * end() closes the open trace and opens another, so the records after
+ * it come before that trace's first retire.
  */
 struct SpanStream
 {
-    TraceChunk chunk;
+    std::vector<TraceChunk> traces{1}; ///< the last one is open
     Cycle next = 0;
     SeqNum seq = 1;
-    InstIndex lastPc = 0;
-    Psv lastPsv;
+    std::uint64_t cycles = 0; ///< covered by all traces
 
-    TraceEvent &push(TraceEventKind kind)
+    TraceEvent &push(TraceEventKind kind, const CycleRecord &rec,
+                     std::uint32_t n)
     {
+        TraceChunk &chunk = traces.back();
         chunk.events.emplace_back();
-        chunk.events.back().kind = kind;
-        return chunk.events.back();
+        TraceEvent &ev = chunk.events.back();
+        ev.kind = kind;
+        ev.rec = rec;
+        chunk.cycleRecords += n;
+        cycles += n;
+        next += n;
+        return ev;
     }
 
     /** One Compute cycle committing a uop at each of @p pcs. */
@@ -1270,45 +1213,47 @@ struct SpanStream
         CycleRecord rec;
         rec.cycle = next;
         rec.state = CommitState::Compute;
-        for (InstIndex pc : pcs) {
+        for (InstIndex pc : pcs)
             rec.committed[rec.numCommitted++] = CommittedUop{seq++, pc, psv};
-            lastPc = pc;
-            lastPsv = psv;
-        }
-        rec.lastValid = true;
-        rec.lastPc = lastPc;
-        rec.lastPsv = lastPsv;
         rec.nextFetchSeq = rec.nextDispatchSeq = seq;
-        push(TraceEventKind::Cycle).rec = rec;
-        ++chunk.cycleRecords;
-        ++next;
+        push(TraceEventKind::Cycle, rec, 1);
     }
 
-    /** @p n idle cycles in @p state as one span (n >= 2). */
-    void span(CommitState state, bool last_valid, std::uint32_t n)
+    /** One idle cycle in @p state. */
+    void idle(CommitState state)
     {
         CycleRecord rec;
         rec.cycle = next;
         rec.state = state;
-        rec.headValid = state == CommitState::Stalled;
-        if (rec.headValid) {
-            rec.headSeq = seq;
-            rec.headPc = lastPc + 1;
-        }
-        rec.lastValid = last_valid;
-        if (last_valid) {
-            rec.lastPc = lastPc;
-            rec.lastPsv = lastPsv;
-        }
         rec.nextFetchSeq = rec.nextDispatchSeq = seq;
-        TraceEvent &ev = push(TraceEventKind::Span);
-        ev.spanCycles = n;
-        ev.rec = rec;
-        chunk.cycleRecords += n;
-        next += n;
+        push(TraceEventKind::Cycle, rec, 1);
     }
 
-    void end() { chunk.endCycle = next; }
+    /** @p n idle cycles in @p state as one span (n >= 2). */
+    void span(CommitState state, std::uint32_t n)
+    {
+        CycleRecord rec;
+        rec.cycle = next;
+        rec.state = state;
+        rec.nextFetchSeq = rec.nextDispatchSeq = seq;
+        push(TraceEventKind::Span, rec, n).spanCycles = n;
+    }
+
+    /** Close the open trace with its end marker and open another. */
+    void end()
+    {
+        traces.back().endCycle = next;
+        traces.emplace_back();
+    }
+
+    /** Replay every trace in order; @return the cycles delivered. */
+    std::uint64_t replay(const std::vector<TraceSink *> &sinks) const
+    {
+        std::uint64_t delivered = 0;
+        for (const TraceChunk &chunk : traces)
+            delivered += replayChunk(chunk, sinks);
+        return delivered;
+    }
 };
 
 void
@@ -1336,32 +1281,41 @@ TEST(TraceDelivery, SpanHandlersMatchPerCycleDelivery)
     // The golden reference and the samplers handle a span in one step
     // (onSpan); a sink without onBatch and onSpan overrides sees the
     // same span as per-cycle onCycle calls. Every state, with and
-    // without a last-committed instruction, at lengths around the
-    // sampling period and at every offset to a fire point, must leave
-    // both routes bit-identical.
+    // without a last-committed instruction (after a retire of the same
+    // trace, or before any), at lengths around the sampling period and
+    // at every offset to a fire point, must leave both routes
+    // bit-identical.
     constexpr Cycle period = 7;
     SpanStream st;
     st.compute({10, 11, 12}, Psv(0x41)); // thirds: fractional cells
     const std::uint32_t lengths[] = {2, period - 1, period, period + 1};
     for (CommitState state : {CommitState::Stalled, CommitState::Drained,
                               CommitState::Flushed}) {
-        for (bool last_valid : {false, true}) {
+        for (bool retired : {false, true}) {
             for (std::uint32_t n : lengths) {
                 for (Cycle offset = 0; offset < period; ++offset) {
-                    // Pad with Compute cycles so the span starts at
-                    // `offset` cycles past a fire point.
-                    while (st.next % period != offset)
-                        st.compute({static_cast<InstIndex>(
-                                       20 + st.next % 5)},
-                                   Psv(static_cast<std::uint16_t>(
-                                       st.next % 3)));
-                    st.span(state, last_valid, n);
+                    if (retired) {
+                        // Pad with Compute cycles so the span starts
+                        // at `offset` cycles past a fire point.
+                        while (st.next % period != offset)
+                            st.compute({static_cast<InstIndex>(
+                                           20 + st.next % 5)},
+                                       Psv(static_cast<std::uint16_t>(
+                                           st.next % 3)));
+                    } else {
+                        // A new trace opens with the span, at `offset`
+                        // cycles past a fire point.
+                        st.end();
+                        st.next += (offset + period - st.next % period) %
+                                   period;
+                    }
+                    st.span(state, n);
                     st.compute({30, 31, 32}, Psv(0x100)); // thirds
                 }
             }
         }
     }
-    st.span(CommitState::Stalled, true, period + 1); // pending at End
+    st.span(CommitState::Stalled, period + 1); // pending at End
     st.end();
 
     GoldenReference golden, goldenPerCycle;
@@ -1384,7 +1338,7 @@ TEST(TraceDelivery, SpanHandlersMatchPerCycleDelivery)
             }
         }
     }
-    EXPECT_EQ(replayChunk(st.chunk, sinks), st.next);
+    EXPECT_EQ(st.replay(sinks), st.cycles);
 
     expectGoldenIdentical(golden, goldenPerCycle);
     EXPECT_GT(golden.droppedCycles(), 0.0);
@@ -1412,12 +1366,12 @@ TEST(TraceDelivery, GoldenFlushedSpanKeepsItsPerCycleAdds)
     // the last-committed instruction must make the per-cycle adds.
     SpanStream st;
     st.compute({10, 11, 12});
-    st.span(CommitState::Flushed, true, 2);
+    st.span(CommitState::Flushed, 2);
     st.end();
 
     GoldenReference spanned, perCycle;
     Forwarder fwd(perCycle);
-    replayChunk(st.chunk, {&spanned, &fwd});
+    st.replay({&spanned, &fwd});
 
     double expect = 1.0 / 3;
     expect += 1.0;
@@ -1425,4 +1379,62 @@ TEST(TraceDelivery, GoldenFlushedSpanKeepsItsPerCycleAdds)
     EXPECT_EQ(perCycle.pics().cycles(12, 0), expect);
     EXPECT_EQ(spanned.pics().cycles(12, 0), expect);
     expectGoldenIdentical(spanned, perCycle);
+}
+
+TEST(TraceDelivery, LastCommittedRegisterStartsEmptyOnEachTrace)
+{
+    // The observers keep the last-committed register from the retires
+    // they see. A trace's Flushed cycles before its first commit have
+    // none, so they wait for that commit, on observers that replayed an
+    // earlier trace just as on fresh ones; they must not go to the
+    // earlier trace's last commit. Trace A misses every fire point, so
+    // the samplers take no sample in it, and its pcs are not B's, so
+    // the golden reference's cells for B's pcs are B's alone.
+    constexpr Cycle period = 5;
+    SpanStream a;
+    a.next = 1;
+    a.compute({40});
+    a.compute({41}, Psv(0x2));
+    a.end();
+
+    SpanStream b;
+    b.idle(CommitState::Flushed);    // cycle 0, a fire point
+    b.span(CommitState::Flushed, 6); // [1, 7): fires at 5
+    b.compute({50}, Psv(0x1));
+    b.compute({51, 52});
+    b.span(CommitState::Flushed, 3); // [9, 12): fires at 10
+    b.compute({53});
+    b.span(CommitState::Stalled, 4); // [13, 17): fires at 15, pending
+    b.end();
+
+    GoldenReference goldenA, goldenB, goldenAB;
+    a.replay({&goldenA});
+    b.replay({&goldenB});
+    a.replay({&goldenAB});
+    b.replay({&goldenAB});
+    EXPECT_EQ(goldenB.pics().cycles(50, 0x1), 8.0); // 7 Flushed + its own
+    EXPECT_EQ(goldenAB.droppedCycles(), goldenB.droppedCycles());
+    const Pics &ab = goldenAB.pics();
+    EXPECT_EQ(ab.size(), goldenA.pics().size() + goldenB.pics().size());
+    EXPECT_EQ(ab.total(), goldenA.pics().total() + goldenB.pics().total());
+    for (const Pics *alone : {&goldenA.pics(), &goldenB.pics()}) {
+        for (const PicsComponent &c : alone->components()) {
+            EXPECT_EQ(ab.cycles(c.unit, c.signature), c.cycles)
+                << "pc " << c.unit << " signature " << c.signature;
+        }
+    }
+
+    for (const SamplerConfig &cfg : standardTechniques(period)) {
+        SCOPED_TRACE(cfg.name);
+        TechniqueSampler fresh(cfg), reused(cfg);
+        b.replay({&fresh});
+        a.replay({&reused});
+        EXPECT_EQ(reused.samplesTaken(), 0u);
+        EXPECT_EQ(reused.samplesDropped(), 0u);
+        b.replay({&reused});
+        EXPECT_GT(fresh.samplesTaken(), 0u);
+        EXPECT_EQ(reused.samplesTaken(), fresh.samplesTaken());
+        EXPECT_EQ(reused.samplesDropped(), fresh.samplesDropped());
+        expectPicsIdentical(reused.pics(), fresh.pics());
+    }
 }

@@ -186,77 +186,6 @@ TEST(TraceIo, CyclesReturnedMatchesSimulation)
     EXPECT_EQ(replayFile(tmp.path, {}), sim_cycles);
 }
 
-namespace {
-
-/**
- * A seeded random event sequence that obeys the codec's rules
- * (trace_codec.hh): dense cycles, consecutive commit seqs from a random
- * start, a valid ROB head at the next seq to commit and last-committed
- * at the latest commit slot. Commits, heads and states are otherwise
- * independent. Cycle records only populate committed[0, numCommitted)
- * — exactly what the core emits and what the on-disk format preserves.
- * @p end is set to the cycle after the last event.
- */
-std::vector<TraceEvent>
-randomEvents(std::uint64_t seed, unsigned count, Cycle *end = nullptr)
-{
-    Rng rng(seed);
-    std::vector<TraceEvent> evs;
-    evs.reserve(count);
-    Cycle cycle = rng.below(1 << 20);
-    SeqNum seq = rng.next();
-    bool lastValid = false;
-    InstIndex lastPc = 0;
-    Psv lastPsv;
-    // Front-end seqs: small steps with rare jumps past 2^32, so the
-    // delta streams carry wide varints too.
-    SeqNum fetch = 0;
-    SeqNum dispatch = 0;
-    for (unsigned i = 0; i < count; ++i) {
-        TraceEvent ev;
-        CycleRecord &rec = ev.rec;
-        rec.cycle = cycle;
-        if (rng.below(5) != 1) {
-            ev.kind = TraceEventKind::Cycle;
-            rec.state = static_cast<CommitState>(rng.below(4));
-            rec.numCommitted = static_cast<std::uint8_t>(rng.below(9));
-            rec.headValid = rng.chance(0.5);
-            ++cycle;
-        } else {
-            // An idle span: no commits, not Compute, >= 2 cycles.
-            ev.kind = TraceEventKind::Span;
-            ev.spanCycles = static_cast<std::uint32_t>(
-                rng.chance(0.1) ? maxSpanCycles - rng.below(2)
-                                : rng.range(2, 1000));
-            rec.state = static_cast<CommitState>(rng.range(1, 3));
-            rec.headValid = rec.state == CommitState::Stalled;
-            cycle += ev.spanCycles;
-        }
-        rec.headSeq = seq;
-        rec.headPc = static_cast<InstIndex>(rng.below(1 << 20));
-        for (unsigned u = 0; u < rec.numCommitted; ++u) {
-            lastPc = static_cast<InstIndex>(rng.below(1 << 20));
-            lastPsv = Psv(static_cast<std::uint16_t>(rng.below(0x200)));
-            rec.committed[u] = CommittedUop{seq++, lastPc, lastPsv};
-            lastValid = true;
-        }
-        rec.lastValid = lastValid;
-        rec.lastPc = lastPc;
-        rec.lastPsv = lastPsv;
-        fetch += rng.chance(0.05) ? (SeqNum{1} << 32) + rng.below(999)
-                                  : rng.below(5);
-        dispatch = std::min(fetch, dispatch + rng.below(5));
-        rec.nextFetchSeq = fetch;
-        rec.nextDispatchSeq = dispatch;
-        evs.push_back(ev);
-    }
-    if (end)
-        *end = cycle;
-    return evs;
-}
-
-} // namespace
-
 class TraceIoRoundTrip : public ::testing::TestWithParam<std::uint64_t>
 {
 };
@@ -266,7 +195,8 @@ TEST_P(TraceIoRoundTrip, RandomizedEventSequenceSurvivesRoundTrip)
     const std::uint64_t seed = GetParam();
     TempFile tmp(("roundtrip" + std::to_string(seed) + ".bin").c_str());
     Cycle end = 0;
-    std::vector<TraceEvent> written = randomEvents(seed, 2000, &end);
+    Rng rng(seed);
+    std::vector<TraceEvent> written = randomEvents(rng, 2000, &end);
 
     // A run ends with its end marker.
     CompactRecorder recorder(tmp.path);
@@ -305,7 +235,8 @@ TEST(TraceCodec, DecodeFromMisalignedBuffer)
     // region. Every multi-byte field read must therefore be
     // alignment-safe (memcpy, not pointer casts) — under UBSan a
     // misaligned load here aborts the test.
-    std::vector<TraceEvent> written = randomEvents(0xa11a, 500);
+    Rng rng(0xa11a);
+    std::vector<TraceEvent> written = randomEvents(rng, 500);
     TraceChunk chunk;
     chunk.events = written;
     for (const TraceEvent &ev : written)
@@ -398,7 +329,8 @@ TraceChunk
 sampleChunk()
 {
     TraceChunk chunk;
-    chunk.events = randomEvents(0xfau, 200);
+    Rng rng(0xfa);
+    chunk.events = randomEvents(rng, 200);
     for (const TraceEvent &ev : chunk.events)
         chunk.cycleRecords += cyclesCovered(ev);
     return chunk;

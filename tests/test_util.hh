@@ -6,6 +6,7 @@
 #ifndef TEA_TESTS_TEST_UTIL_HH
 #define TEA_TESTS_TEST_UTIL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/fingerprint.hh"
+#include "common/rng.hh"
 #include "core/core.hh"
 #include "core/trace_codec.hh"
 #include "isa/executor.hh"
@@ -75,6 +77,63 @@ runFunctional(const Program &prog, ArchState st,
         pc = r.nextPc;
     }
     return st;
+}
+
+/**
+ * A pseudo-random event stream that obeys the codec's rules
+ * (trace_codec.hh): dense cycles from a random first cycle, and
+ * consecutive commit seqs from a random first seq. Everything else is
+ * drawn independently: a Cycle record commits 0-8 uops in any state,
+ * an idle span (any state but Compute, no commits) covers 2 cycles up
+ * to maxSpanCycles, pcs and PSVs take any legal value, and the
+ * front-end seqs take small steps with rare jumps past 2^32, so the
+ * delta streams carry wide varints too. Commit slots past numCommitted
+ * stay default. @p end is set to the cycle after the last event.
+ */
+inline std::vector<TraceEvent>
+randomEvents(Rng &rng, std::size_t count, Cycle *end = nullptr)
+{
+    std::vector<TraceEvent> events;
+    events.reserve(count);
+    Cycle cycle = rng.below(1 << 20);
+    SeqNum seq = rng.next();
+    SeqNum fetch = rng.below(1000);
+    SeqNum dispatch = fetch;
+    for (std::size_t i = 0; i < count; ++i) {
+        TraceEvent ev;
+        CycleRecord &rec = ev.rec;
+        rec.cycle = cycle;
+        if (rng.below(4) != 3) {
+            ev.kind = TraceEventKind::Cycle;
+            rec.state = static_cast<CommitState>(rng.below(4));
+            rec.numCommitted = static_cast<std::uint8_t>(rng.below(9));
+            ++cycle;
+        } else {
+            ev.kind = TraceEventKind::Span;
+            ev.spanCycles = static_cast<std::uint32_t>(
+                rng.chance(0.05) ? maxSpanCycles - rng.below(4)
+                                 : rng.range(2, 1000));
+            rec.state = static_cast<CommitState>(rng.range(1, 3));
+            cycle += ev.spanCycles;
+        }
+        for (unsigned u = 0; u < rec.numCommitted; ++u) {
+            rec.committed[u] = CommittedUop{
+                seq++,
+                static_cast<InstIndex>(rng.chance(0.5) ? rng.below(4096)
+                                                       : rng.next()),
+                Psv(static_cast<std::uint16_t>(
+                    rng.below(std::uint64_t{1} << numEvents)))};
+        }
+        fetch += rng.chance(0.03) ? (SeqNum{1} << 32) + rng.below(999)
+                                  : rng.below(5);
+        dispatch = std::min(fetch, dispatch + rng.below(5));
+        rec.nextFetchSeq = fetch;
+        rec.nextDispatchSeq = dispatch;
+        events.push_back(ev);
+    }
+    if (end)
+        *end = cycle;
+    return events;
 }
 
 /**
