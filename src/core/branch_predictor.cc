@@ -75,10 +75,31 @@ TagePredictor::foldedHistory(unsigned len, unsigned bits) const
     return folded & ((1ULL << bits) - 1);
 }
 
+namespace {
+
+/**
+ * Advance the @p bits-bit fold of a @p len-bit history window by one
+ * history shift: outcome @p in enters at bit 0, the rest rotates left
+ * by one, and @p out (history bit len - 1 before the shift, which
+ * leaves the window) is cancelled where it had rotated to, at
+ * len % bits.
+ */
+std::uint32_t
+advanceFold(std::uint32_t f, unsigned len, unsigned bits, std::uint32_t in,
+            std::uint32_t out)
+{
+    f = (f << 1) | in;
+    f ^= out << (len % bits);
+    f ^= f >> bits;
+    return f & ((1u << bits) - 1);
+}
+
+} // namespace
+
 std::size_t
 TagePredictor::indexOf(unsigned table, InstIndex pc) const
 {
-    std::uint64_t h = foldedHistory(historyLengths[table], tableBits);
+    std::uint64_t h = indexFold_[table];
     std::uint64_t v = pc ^ (pc >> tableBits) ^ h ^
                       (static_cast<std::uint64_t>(table) << 3);
     return static_cast<std::size_t>(v & ((1ULL << tableBits) - 1));
@@ -87,7 +108,7 @@ TagePredictor::indexOf(unsigned table, InstIndex pc) const
 std::uint16_t
 TagePredictor::tagOf(unsigned table, InstIndex pc) const
 {
-    std::uint64_t h = foldedHistory(historyLengths[table], tagBits);
+    std::uint64_t h = tagFold_[table];
     std::uint64_t v = pc ^ (pc >> 5) ^ (h << 1) ^ table;
     return static_cast<std::uint16_t>(v & ((1ULL << tagBits) - 1));
 }
@@ -181,10 +202,20 @@ TagePredictor::update(InstIndex pc, bool taken)
         }
     }
 
-    // Shift the global history (newest outcome into bit 0).
+    // Advance every fold, then shift the global history (newest
+    // outcome into bit 0).
+    const std::uint32_t in = taken ? 1 : 0;
+    for (unsigned t = 0; t < numTables; ++t) {
+        const unsigned last = historyLengths[t] - 1;
+        const std::uint32_t out = (history_[last / 64] >> (last % 64)) & 1;
+        indexFold_[t] =
+            advanceFold(indexFold_[t], historyLengths[t], tableBits, in, out);
+        tagFold_[t] =
+            advanceFold(tagFold_[t], historyLengths[t], tagBits, in, out);
+    }
     for (unsigned w = history_.size() - 1; w > 0; --w)
         history_[w] = (history_[w] << 1) | (history_[w - 1] >> 63);
-    history_[0] = (history_[0] << 1) | (taken ? 1 : 0);
+    history_[0] = (history_[0] << 1) | in;
 }
 
 std::uint64_t

@@ -75,22 +75,46 @@ class GsharePredictor : public BranchPredictor
  * geometrically growing global-history lengths; prediction comes from
  * the longest matching component, with allocate-on-mispredict and
  * usefulness-based replacement (Seznec-style, simplified).
+ *
+ * Each component's index and tag hash its history folded into
+ * tableBits and tagBits bits. The ten folds are kept as circular shift
+ * registers (Seznec and Michaud, JILP 2006) that update() advances in
+ * O(1) next to the history shift, so a lookup reads a register instead
+ * of re-folding up to 128 history bits.
  */
 class TagePredictor : public BranchPredictor
 {
   public:
+    static constexpr unsigned numTables = 5;
+    static constexpr unsigned tableBits = 11; ///< 2048 entries/table
+    static constexpr unsigned tagBits = 10;
+    static constexpr std::array<unsigned, numTables> historyLengths{
+        4, 10, 24, 56, 128};
+
     explicit TagePredictor(const CoreConfig &cfg);
 
     bool predict(InstIndex pc) const override;
     void update(InstIndex pc, bool taken) override;
     std::uint64_t storageBits() const override;
 
+    /** Table @p t's history folded into tableBits bits. */
+    std::uint32_t indexFold(unsigned t) const { return indexFold_[t]; }
+    /** Table @p t's history folded into tagBits bits. */
+    std::uint32_t tagFold(unsigned t) const { return tagFold_[t]; }
+
+    /**
+     * Fold the first @p len history bits into @p bits bits, bit by bit:
+     * the reference the fold registers are tested against.
+     */
+    std::uint64_t foldedHistory(unsigned len, unsigned bits) const;
+
   private:
-    static constexpr unsigned numTables = 5;
-    static constexpr unsigned tableBits = 11; ///< 2048 entries/table
-    static constexpr unsigned tagBits = 10;
-    static constexpr std::array<unsigned, numTables> historyLengths{
-        4, 10, 24, 56, 128};
+    static constexpr unsigned historyBits = 128;
+    static_assert(historyLengths.back() <= historyBits,
+                  "the longest component reads past the global history");
+    // A fold shifts left by one before it wraps its top bit around.
+    static_assert(tableBits < 32 && tagBits < 32,
+                  "a fold does not fit its 32-bit register");
 
     struct TaggedEntry
     {
@@ -99,8 +123,6 @@ class TagePredictor : public BranchPredictor
         std::uint8_t useful = 0;  ///< 2-bit usefulness
     };
 
-    /** Fold the first @p len history bits into @p bits bits. */
-    std::uint64_t foldedHistory(unsigned len, unsigned bits) const;
     std::size_t indexOf(unsigned table, InstIndex pc) const;
     std::uint16_t tagOf(unsigned table, InstIndex pc) const;
 
@@ -111,8 +133,10 @@ class TagePredictor : public BranchPredictor
     std::vector<std::uint8_t> bimodal_; ///< 2-bit counters
     std::array<std::vector<TaggedEntry>, numTables> tables_;
     // Global history as a bit deque (newest in bit 0).
-    std::array<std::uint64_t, 4> history_{}; ///< 256 bits
-    std::uint64_t allocSeed_ = 0x1234567;    ///< replacement tiebreaks
+    std::array<std::uint64_t, historyBits / 64> history_{};
+    std::array<std::uint32_t, numTables> indexFold_{};
+    std::array<std::uint32_t, numTables> tagFold_{};
+    std::uint64_t allocSeed_ = 0x1234567; ///< replacement tiebreaks
 };
 
 /** Construct the predictor selected by @p cfg. */

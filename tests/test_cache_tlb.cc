@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fingerprint.hh"
 #include "common/rng.hh"
 #include "core/branch_predictor.hh"
 #include "core/cache.hh"
@@ -219,6 +220,52 @@ TEST_P(PredictorKinds, RandomBranchesStayUnpredictable)
     EXPECT_GT(wrong, n / 3u);
 }
 
+TEST_P(PredictorKinds, PinnedPredictionStream)
+{
+    // One fixed seeded stream of 200k branches over 64 pcs, mostly a
+    // loop walk so global history carries information. By pc: biased,
+    // periodic (periods 6 to 66), a copy of the previous branch's
+    // outcome, or a coin flip. The prediction bits and the final
+    // mispredict count are pinned per predictor, so a change to
+    // indexing, allocation or the replacement tiebreak shows up here,
+    // not only as a moved figure.
+    struct Pin
+    {
+        std::uint64_t predictions;
+        std::uint64_t mispredicts;
+    };
+    const Pin pin = GetParam() == PredictorKind::Tage
+                        ? Pin{0x368c73633d1410c4ULL, 49568}
+                        : Pin{0x953f313c3da87005ULL, 82077};
+
+    auto bp = make();
+    Rng rng(24);
+    constexpr unsigned numPcs = 64;
+    std::array<unsigned, numPcs> visits{};
+    Fnv1a predictions;
+    unsigned k = 0;
+    bool last = false;
+    for (int i = 0; i < 200000; ++i) {
+        k = rng.chance(0.75) ? (k + 1) % numPcs
+                             : static_cast<unsigned>(rng.below(numPcs));
+        const auto pc = static_cast<InstIndex>(0x40 + k * 0x9e5);
+        const unsigned period = 5 + k;
+        bool taken = false;
+        switch (k % 4) {
+          case 0: taken = rng.chance(0.9); break;
+          case 1: taken = visits[k] % period < period / 3; break;
+          case 2: taken = last; break;
+          default: taken = rng.chance(0.5); break;
+        }
+        ++visits[k];
+        predictions.add(bp->predict(pc) ? 1 : 0);
+        bp->update(pc, taken);
+        last = taken;
+    }
+    EXPECT_EQ(predictions.value(), pin.predictions);
+    EXPECT_EQ(bp->mispredicts, pin.mispredicts);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Both, PredictorKinds,
     ::testing::Values(PredictorKind::Tage, PredictorKind::Gshare),
@@ -256,4 +303,37 @@ TEST(Tage, StorageBudgetNearTable2)
     double kb = static_cast<double>(tage.storageBits()) / 8.0 / 1024.0;
     EXPECT_GT(kb, 15.0);
     EXPECT_LT(kb, 32.0); // Table 2: 28 KB TAGE class
+}
+
+TEST(Tage, FoldRegistersMatchReferenceFold)
+{
+    // update() advances the ten fold registers in O(1); foldedHistory
+    // rebuilds each fold bit by bit. From an empty history, through
+    // biased outcomes, periods 24, 56 and 130 (past the 128-bit
+    // window) and coin flips, they must agree after every update.
+    CoreConfig cfg;
+    TagePredictor tage(cfg);
+    Rng rng(11);
+    constexpr int perPhase = 25000;
+    for (int i = 0; i < 5 * perPhase; ++i) {
+        const auto pc = static_cast<InstIndex>(0x100 + (i % 7) * 0x35);
+        bool taken = false;
+        switch (i / perPhase) {
+          case 0: taken = rng.chance(0.95); break;
+          case 1: taken = i % 24 < 9; break;
+          case 2: taken = i % 56 < 21; break;
+          case 3: taken = i % 130 < 40; break;
+          default: taken = rng.chance(0.5); break;
+        }
+        tage.update(pc, taken);
+        for (unsigned t = 0; t < TagePredictor::numTables; ++t) {
+            const unsigned len = TagePredictor::historyLengths[t];
+            ASSERT_EQ(tage.indexFold(t),
+                      tage.foldedHistory(len, TagePredictor::tableBits))
+                << "index fold of table " << t << " after update " << i;
+            ASSERT_EQ(tage.tagFold(t),
+                      tage.foldedHistory(len, TagePredictor::tagBits))
+                << "tag fold of table " << t << " after update " << i;
+        }
+    }
 }

@@ -13,13 +13,17 @@
  *    fingerprint) as the direct factory;
  *  - end-to-end acceptance — the 120-experiment example sweep runs to
  *    completion through runExperimentSuite with trace caching on,
- *    auditing on, and zero degraded experiments.
+ *    auditing on, and zero degraded experiments, and its report matches
+ *    `sweep_cli --example`'s stdout pinned in tests/sweep_example.txt
+ *    byte for byte.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <thread>
 
 #include "analysis/audit.hh"
@@ -278,4 +282,12 @@ TEST(SweepAcceptance, ExampleSweepRunsToCompletionAuditedAndCached)
     EXPECT_FALSE(fs::is_empty(cacheDir));
 
     fs::remove_all(cacheDir);
+
+    // Every cycle count, IPC and error is pinned: the predictor, the
+    // core and the techniques all feed it.
+    std::ifstream pinFile(TEA_SWEEP_PIN, std::ios::binary);
+    ASSERT_TRUE(pinFile) << "cannot read " << TEA_SWEEP_PIN;
+    std::ostringstream pin;
+    pin << pinFile.rdbuf();
+    EXPECT_EQ(report, pin.str());
 }
