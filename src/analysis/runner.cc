@@ -18,11 +18,12 @@ ExperimentResult::technique(const std::string &tech_name) const
 double
 ExperimentResult::errorOf(const TechniqueResult &t, Granularity g) const
 {
-    Pics gold = golden->pics()
-                    .masked(t.config.eventMask)
-                    .aggregated(program, g);
-    Pics mine = t.pics.aggregated(program, g);
-    return mine.errorAgainst(gold);
+    const Pics gold = golden->pics().masked(t.config.eventMask);
+    // At instruction granularity aggregated() would only copy.
+    if (g == Granularity::Instruction)
+        return t.pics.errorAgainst(gold);
+    return t.pics.aggregated(program, g)
+        .errorAgainst(gold.aggregated(program, g));
 }
 
 std::vector<SamplerConfig>

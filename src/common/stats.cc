@@ -90,18 +90,6 @@ Histogram::Histogram(std::uint64_t max_value)
 {
 }
 
-void
-Histogram::add(std::uint64_t value, std::uint64_t weight)
-{
-    std::size_t idx = value > maxValue_ ? bins_.size() - 1
-                                        : static_cast<std::size_t>(value);
-    bins_[idx] += weight;
-    count_ += weight;
-    sum_ += static_cast<unsigned __int128>(
-                std::min<std::uint64_t>(value, maxValue_)) *
-            weight;
-}
-
 double
 Histogram::mean() const
 {

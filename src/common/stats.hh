@@ -9,6 +9,7 @@
 #ifndef TEA_COMMON_STATS_HH
 #define TEA_COMMON_STATS_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -63,7 +64,17 @@ class Histogram
     explicit Histogram(std::uint64_t max_value);
 
     /** Record one observation. */
-    void add(std::uint64_t value, std::uint64_t weight = 1);
+    void add(std::uint64_t value, std::uint64_t weight = 1)
+    {
+        std::size_t idx = value > maxValue_
+                              ? bins_.size() - 1
+                              : static_cast<std::size_t>(value);
+        bins_[idx] += weight;
+        count_ += weight;
+        sum_ += static_cast<unsigned __int128>(
+                    std::min<std::uint64_t>(value, maxValue_)) *
+                weight;
+    }
 
     /** Total recorded weight. */
     std::uint64_t count() const { return count_; }

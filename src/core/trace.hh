@@ -158,6 +158,14 @@ class TraceSink
     virtual void onBatch(const TraceEvent *events, std::size_t n);
 };
 
+/** Commit slots of @p rec that deliverCycle retires, in slot order. */
+inline unsigned
+commitSlots(const CycleRecord &rec)
+{
+    return std::min<unsigned>(rec.numCommitted,
+                              static_cast<unsigned>(rec.committed.size()));
+}
+
 /**
  * Deliver one cycle record to @p sink: an onRetire for each committed
  * slot, in slot order and stamped with the record's cycle, then
@@ -170,8 +178,7 @@ template <typename Sink>
 void
 deliverCycle(Sink &sink, const CycleRecord &rec)
 {
-    const unsigned n = std::min<unsigned>(
-        rec.numCommitted, static_cast<unsigned>(rec.committed.size()));
+    const unsigned n = commitSlots(rec);
     for (unsigned i = 0; i < n; ++i) {
         const CommittedUop &u = rec.committed[i];
         sink.onRetire(RetireRecord{u.seq, u.pc, u.psv, rec.cycle});

@@ -109,8 +109,17 @@ class GoldenReference final : public TraceSink
     /** Chain terminator and empty-head marker of the cell pool. */
     static constexpr std::uint32_t noCell = ~std::uint32_t{0};
 
+    /**
+     * The bodies of onRetire and onCycle. onBatch runs them inline, and
+     * the two callbacks are thin wrappers over them, so both paths
+     * share one implementation.
+     */
+    void retire(InstIndex pc, Psv psv);
+    void chargeCycle(const CycleRecord &rec);
+
     void add(InstIndex pc, Psv psv, double cycles);
     std::uint32_t findOrAddCell(InstIndex pc, std::uint16_t sig);
+    std::uint32_t addCell(InstIndex pc, std::uint16_t sig);
     void growTo(InstIndex pc);
     Histogram &newStallHistogram(std::uint16_t sig);
 

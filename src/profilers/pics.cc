@@ -158,12 +158,18 @@ Pics::errorAgainst(const Pics &golden) const
 {
     if (golden.total() <= 0.0)
         return 0.0;
-    Pics norm = normalized(golden.total());
+    // normalized(golden.total()) without the copy: each cell is scaled
+    // as the loop reads it, so the products and their order of
+    // summation (the golden table's) are the same. Like normalized(),
+    // a table whose total is not positive leaves nothing correct.
     double correct = 0.0;
-    for (const auto &[k, v] : golden.cells_) {
-        auto it = norm.cells_.find(k);
-        if (it != norm.cells_.end())
-            correct += std::min(v, it->second);
+    if (!(total_ <= 0.0)) {
+        const double scale = golden.total() / total_;
+        for (const auto &[k, v] : golden.cells_) {
+            auto it = cells_.find(k);
+            if (it != cells_.end())
+                correct += std::min(v, it->second * scale);
+        }
     }
     return (golden.total() - correct) / golden.total();
 }

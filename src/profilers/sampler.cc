@@ -1,5 +1,7 @@
 #include "profilers/sampler.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "core/trace_buffer.hh"
 
@@ -256,16 +258,87 @@ TechniqueSampler::onRetire(const RetireRecord &rec)
     lastPsv_ = rec.psv;
 }
 
+namespace {
+
+/** Commit slots deliverEvent retires from @p ev (a span has none). */
+inline unsigned
+retiredSlots(const TraceEvent &ev)
+{
+    return ev.kind == TraceEventKind::Cycle ? commitSlots(ev.rec) : 0;
+}
+
+/**
+ * True when @p fire is one of the cycles @p ev covers, or @p ev starts
+ * past it (a jump, which onCycle and onSpan re-align on). Written so
+ * that it cannot overflow; @p fire == invalidCycle is no fire.
+ */
+inline bool
+reachesFire(const TraceEvent &ev, Cycle fire)
+{
+    return !(ev.rec.cycle < fire &&
+             cyclesCovered(ev) <= fire - ev.rec.cycle);
+}
+
+} // namespace
+
 // tea_lint: hot
 void
 TechniqueSampler::onBatch(const TraceEvent *events, std::size_t n)
 {
-    // The default TraceSink::onBatch, minus its per-event virtual hops:
-    // the class is final, so deliverEvent's calls resolve statically. A
-    // sampler touches one cycle in cfg_.period, so a record costs one
-    // switch and one compare against nextFire_.
-    for (std::size_t i = 0; i < n; ++i)
-        deliverEvent(events[i], *this);
+    // Delivers only the events that can change the sampler: one that
+    // reaches the next fire, one whose commits complete the pending
+    // sample (TP/NCI), and one that retires the tagged micro-op
+    // (IBS/SPE/RIS). The callbacks would do nothing else with any
+    // other event but set the last-committed register from its last
+    // commit slot, so the skip loops only remember that slot and write
+    // the register before the next delivery and at the end of the
+    // batch. Nothing the skip tests changes while it skips, so each
+    // state gets its own loop with the fire cycle and the tag hoisted.
+    // The class is final, so deliverEvent's calls resolve statically.
+    const TraceEvent *ev = events;
+    const TraceEvent *const end = events + n;
+    const CommittedUop *last = nullptr; // the latest skipped commit
+    for (;;) {
+        const Cycle fire = nextFire_;
+        if (pendingWeight_ > 0.0) {
+            // The next commit completes the sample: skipped events
+            // have none, so `last` stays as it is.
+            while (ev != end && !reachesFire(*ev, fire) &&
+                   retiredSlots(*ev) == 0)
+                ++ev;
+        } else if (taggedSeq_ != invalidSeqNum) {
+            // Every commit seq is compared: nothing here assumes that
+            // they are contiguous.
+            const SeqNum tag = taggedSeq_;
+            for (; ev != end && !reachesFire(*ev, fire); ++ev) {
+                const unsigned slots = retiredSlots(*ev);
+                const CommittedUop *uops = ev->rec.committed.data();
+                if (std::any_of(uops, uops + slots,
+                                [tag](const CommittedUop &u) {
+                                    return u.seq == tag;
+                                }))
+                    break;
+                if (slots > 0)
+                    last = &uops[slots - 1];
+            }
+        } else {
+            // Only a fire matters. onRetire also compares each seq with
+            // the empty tag, invalidSeqNum, which no micro-op carries.
+            for (; ev != end && !reachesFire(*ev, fire); ++ev) {
+                if (const unsigned slots = retiredSlots(*ev))
+                    last = &ev->rec.committed[slots - 1];
+            }
+        }
+        if (last) {
+            lastValid_ = true;
+            lastPc_ = last->pc;
+            lastPsv_ = last->psv;
+            last = nullptr;
+        }
+        if (ev == end)
+            return;
+        deliverEvent(*ev++, *this);
+    }
 }
 
 void

@@ -3,12 +3,47 @@
  * Tests for the experiment runner and report rendering.
  */
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <gtest/gtest.h>
 
 #include "analysis/report.hh"
 #include "analysis/runner.hh"
 
 using namespace tea;
+
+namespace {
+
+/**
+ * errorOf as it was before it stopped copying tables, kept as the
+ * oracle: aggregate both tables, normalize the technique's to the
+ * golden total, then sum min(golden, technique) over the golden table
+ * in its iteration order. An absent cell adds min(v, 0.0) = +0.0,
+ * which leaves the sum unchanged, as skipping it did.
+ */
+double
+copyingErrorOf(const ExperimentResult &res, const TechniqueResult &t,
+               Granularity g)
+{
+    const Pics gold = res.golden->pics()
+                          .masked(t.config.eventMask)
+                          .aggregated(res.program, g);
+    if (gold.total() <= 0.0)
+        return 0.0;
+    const Pics mine =
+        t.pics.aggregated(res.program, g).normalized(gold.total());
+    double correct = 0.0;
+    for (const PicsComponent &c : gold.components())
+        correct += std::min(c.cycles, mine.cycles(c.unit, c.signature));
+    return (gold.total() - correct) / gold.total();
+}
+
+constexpr Granularity allGranularities[] = {
+    Granularity::Instruction, Granularity::BasicBlock,
+    Granularity::Function, Granularity::Application};
+
+} // namespace
 
 TEST(Runner, RunsAllTechniquesOnOneTrace)
 {
@@ -100,4 +135,48 @@ TEST(Report, HandlesZeroTotalGracefully)
     std::string out =
         renderTopInstructions(res.program, empty, 3, 0.0);
     EXPECT_TRUE(out.empty());
+}
+
+TEST(Runner, ErrorOfMatchesCopyingOracleBitForBit)
+{
+    // errorOf masks the golden reference once and, at instruction
+    // granularity, scores against it without aggregating or
+    // normalizing copies; the error must keep every bit.
+    std::vector<SamplerConfig> techniques = standardTechniques();
+    techniques.push_back(tipConfig());
+    techniques.push_back(dtagTeaConfig());
+    for (const char *name : {"nab", "mcf", "xalancbmk"}) {
+        SCOPED_TRACE(name);
+        const ExperimentResult res = runBenchmark(name, techniques);
+        ASSERT_EQ(res.techniques.size(), techniques.size());
+        for (const TechniqueResult &t : res.techniques) {
+            for (Granularity g : allGranularities) {
+                SCOPED_TRACE(testing::Message()
+                             << t.config.name << " at "
+                             << granularityName(g));
+                const double got = res.errorOf(t, g);
+                if (g == Granularity::Instruction) {
+                    EXPECT_GT(got, 0.0);
+                }
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                          std::bit_cast<std::uint64_t>(
+                              copyingErrorOf(res, t, g)));
+            }
+        }
+    }
+}
+
+TEST(Runner, ErrorOfAZeroTotalTechniqueIsOne)
+{
+    // A technique that took no sample normalizes to an empty table, so
+    // none of the golden reference's cycles are correct.
+    const ExperimentResult res = runBenchmark("nab", {teaConfig()});
+    TechniqueResult none;
+    none.config = teaConfig();
+    ASSERT_EQ(none.pics.total(), 0.0);
+    for (Granularity g : allGranularities) {
+        SCOPED_TRACE(granularityName(g));
+        EXPECT_EQ(res.errorOf(none, g), 1.0);
+        EXPECT_EQ(copyingErrorOf(res, none, g), 1.0);
+    }
 }

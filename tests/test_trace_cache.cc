@@ -1151,30 +1151,6 @@ TEST(TraceDelivery, RetiresAreTheCommitSlotsBeforeTheirCycle)
     EXPECT_GT(multiCommit, 0u);
 }
 
-TEST(TraceDelivery, SamplersMatchThroughOnBatchAndDeliverEvent)
-{
-    // Each sampler's own onBatch derives the retires inline; a sink
-    // without an onBatch override gets them from deliverEvent. Both
-    // must leave every sampler bit-identical.
-    TraceBuffer buf;
-    CoreRun run = makeCore(workloads::branchNoise(2000));
-    run->addSink(&buf);
-    run->run();
-    buf.finish();
-
-    for (const SamplerConfig &cfg : standardTechniques(7)) {
-        SCOPED_TRACE(cfg.name);
-        TechniqueSampler direct(cfg);
-        TechniqueSampler forwarded(cfg);
-        Forwarder fwd(forwarded);
-        buf.replay({&direct, &fwd});
-        EXPECT_GT(direct.samplesTaken(), 0u);
-        EXPECT_EQ(direct.samplesTaken(), forwarded.samplesTaken());
-        EXPECT_EQ(direct.samplesDropped(), forwarded.samplesDropped());
-        expectPicsIdentical(direct.pics(), forwarded.pics());
-    }
-}
-
 namespace {
 
 /**
@@ -1274,7 +1250,302 @@ expectGoldenIdentical(const GoldenReference &a, const GoldenReference &b)
     }
 }
 
+/** Every sampler configuration: Fig 5's five, TIP and DTAG-TEA. */
+std::vector<SamplerConfig>
+allTechniques(Cycle period, Cycle phase)
+{
+    std::vector<SamplerConfig> out = standardTechniques(period);
+    out.push_back(tipConfig(period));
+    out.push_back(dtagTeaConfig(period));
+    for (SamplerConfig &cfg : out)
+        cfg.phase = phase;
+    return out;
+}
+
+/** The trace the core emits for @p w, as one chunk with its end marker. */
+TraceChunk
+capturedTrace(Workload w)
+{
+    TraceBuffer buf;
+    CoreRun run = makeCore(std::move(w));
+    run->addSink(&buf);
+    run->run();
+    buf.finish();
+    TraceChunk out;
+    for (const TraceChunkPtr &chunk : buf.chunks()) {
+        out.events.insert(out.events.end(), chunk->events.begin(),
+                          chunk->events.end());
+        out.cycleRecords += chunk->cycleRecords;
+        if (chunk->endCycle)
+            out.endCycle = chunk->endCycle;
+    }
+    return out;
+}
+
+/**
+ * @p traces random traces of about @p count events each, every one but
+ * the last closed by its end marker, reshaped from randomEvents so that
+ * every observer can replay them per cycle:
+ *  - spans cover at most 200 cycles, and the stamps are re-counted so
+ *    that they stay dense;
+ *  - pcs fall within a 4096-instruction program, and PSVs keep
+ *    randomEvents' uniform nine bits, several per commit on average;
+ *  - commit seqs skip a number now and then, and a quarter of the
+ *    multi-commit cycles list their slots in reverse seq order;
+ *  - the front-end seqs name commits up to 14 ahead (past the trace's
+ *    last one near its end), so tags complete, overlap, and stay in
+ *    flight at the end marker;
+ *  - a third of the spans carry stale commit slots (seqs of upcoming
+ *    commits, pcs the commits never use), which no callback reads.
+ */
+std::vector<TraceChunk>
+observerStream(Rng &rng, std::size_t traces, std::size_t count)
+{
+    std::vector<TraceChunk> out;
+    SeqNum seq = 1 + rng.below(1000);
+    for (std::size_t t = 0; t < traces; ++t) {
+        TraceChunk chunk;
+        chunk.events = randomEvents(rng, count);
+        Cycle cycle = chunk.events.front().rec.cycle;
+        std::vector<SeqNum> commits;
+        for (TraceEvent &ev : chunk.events) {
+            CycleRecord &rec = ev.rec;
+            rec.cycle = cycle;
+            if (ev.kind == TraceEventKind::Span)
+                ev.spanCycles = 2 + ev.spanCycles % 199;
+            for (unsigned s = 0; s < rec.numCommitted; ++s) {
+                seq += rng.chance(0.1) ? 1 + rng.below(3) : 1;
+                rec.committed[s].seq = seq;
+                rec.committed[s].pc %= 4096;
+                commits.push_back(seq);
+            }
+            if (rec.numCommitted > 1 && rng.chance(0.25)) {
+                std::reverse(rec.committed.begin(),
+                             rec.committed.begin() + rec.numCommitted);
+                std::reverse(commits.end() - rec.numCommitted,
+                             commits.end());
+            }
+            cycle += cyclesCovered(ev);
+        }
+        std::size_t next = 0; // commits delivered so far
+        for (TraceEvent &ev : chunk.events) {
+            CycleRecord &rec = ev.rec;
+            next += commitSlots(rec);
+            auto ahead = [&](std::size_t k) {
+                return k < commits.size() ? commits[k] : seq + 1 + k;
+            };
+            const std::size_t dispatch = next + rng.below(12);
+            rec.nextDispatchSeq = ahead(dispatch);
+            rec.nextFetchSeq = ahead(dispatch + rng.below(4));
+            if (ev.kind == TraceEventKind::Span && rng.chance(1.0 / 3)) {
+                rec.numCommitted = static_cast<std::uint8_t>(
+                    1 + rng.below(rec.committed.size()));
+                for (unsigned s = 0; s < rec.numCommitted; ++s) {
+                    rec.committed[s] = CommittedUop{
+                        ahead(next + s), static_cast<InstIndex>(5000 + s),
+                        Psv(static_cast<std::uint16_t>(
+                            rng.below(std::uint64_t{1} << numEvents)))};
+                }
+            }
+        }
+        for (const TraceEvent &ev : chunk.events)
+            chunk.cycleRecords += cyclesCovered(ev);
+        if (t + 1 < traces)
+            chunk.endCycle = cycle;
+        out.push_back(std::move(chunk));
+    }
+    return out;
+}
+
+/** Stream groups the delivery tests replay, each a run of traces. */
+struct NamedStream
+{
+    std::string name;
+    std::vector<TraceChunk> traces;
+};
+
+/**
+ * Real traces (branchNoise; a short nab, whose Flushed cycles the TP
+ * samplers charge to the last commit; a pointer chase, whose misses keep
+ * tags in flight for hundreds of cycles), a SpanStream with several end
+ * markers, and the random observerStream traces.
+ */
+std::vector<NamedStream>
+deliveryStreams()
+{
+    std::vector<NamedStream> out;
+    out.push_back(
+        {"branchNoise", {capturedTrace(workloads::branchNoise(2000))}});
+    workloads::NabParams nab;
+    nab.iterations = 400;
+    out.push_back({"nab", {capturedTrace(workloads::nab(nab))}});
+    out.push_back(
+        {"pointerChase",
+         {capturedTrace(workloads::pointerChase(256, 4, 4096))}});
+
+    SpanStream st;
+    Rng rng(0x5eed);
+    const CommitState idle[] = {CommitState::Stalled, CommitState::Drained,
+                                CommitState::Flushed};
+    for (int trace = 0; trace < 6; ++trace) {
+        for (int i = 0; i < 300; ++i) {
+            switch (rng.below(3)) {
+              case 0: {
+                const auto pc = static_cast<InstIndex>(rng.below(64));
+                const Psv psv(static_cast<std::uint16_t>(rng.below(512)));
+                if (rng.chance(0.5))
+                    st.compute({pc}, psv);
+                else
+                    st.compute({pc, pc + 1, pc + 2}, psv);
+                break;
+              }
+              case 1:
+                st.idle(idle[rng.below(3)]);
+                break;
+              default:
+                st.span(idle[rng.below(3)],
+                        static_cast<std::uint32_t>(rng.range(2, 300)));
+                break;
+            }
+        }
+        if (trace < 5)
+            st.end(); // the last trace has no end marker
+    }
+    out.push_back({"SpanStream", st.traces});
+
+    Rng random(0xbeef);
+    out.push_back({"random", observerStream(random, 4, 1500)});
+    return out;
+}
+
+/**
+ * Replay @p traces into @p sink through its onBatch, @p batch events
+ * per call, each trace's end marker after its events.
+ */
+void
+replayInBatches(const std::vector<TraceChunk> &traces, TraceSink &sink,
+                std::size_t batch)
+{
+    for (const TraceChunk &chunk : traces) {
+        const std::size_t n = chunk.events.size();
+        for (std::size_t i = 0; i < n; i += batch)
+            sink.onBatch(chunk.events.data() + i, std::min(batch, n - i));
+        if (chunk.endCycle)
+            sink.onEnd(*chunk.endCycle);
+    }
+}
+
+/**
+ * Replay @p traces into @p sink one event at a time, through the
+ * per-kind callbacks, each trace's end marker after its events.
+ */
+void
+replayPerEvent(const std::vector<TraceChunk> &traces, TraceSink &sink)
+{
+    for (const TraceChunk &chunk : traces) {
+        for (const TraceEvent &ev : chunk.events)
+            deliverEvent(ev, sink);
+        if (chunk.endCycle)
+            sink.onEnd(*chunk.endCycle);
+    }
+}
+
+/** Expect two samplers bit-identical, sample records included. */
+void
+expectSamplersIdentical(const TechniqueSampler &a, const SampleBuffer &ra,
+                        const TechniqueSampler &b, const SampleBuffer &rb)
+{
+    EXPECT_EQ(a.samplesTaken(), b.samplesTaken());
+    EXPECT_EQ(a.samplesDropped(), b.samplesDropped());
+    expectPicsIdentical(a.pics(), b.pics());
+    ASSERT_EQ(ra.size(), rb.size());
+    EXPECT_EQ(std::memcmp(ra.records().data(), rb.records().data(),
+                          ra.size() * sizeof(SampleRecord)),
+              0);
+}
+
 } // namespace
+
+TEST(TraceDelivery, SamplersMatchThroughOnBatchAndDeliverEvent)
+{
+    // Each sampler's own onBatch derives the retires inline; a sink
+    // without an onBatch override gets them from deliverEvent. Both
+    // must leave every sampler bit-identical.
+    TraceBuffer buf;
+    CoreRun run = makeCore(workloads::branchNoise(2000));
+    run->addSink(&buf);
+    run->run();
+    buf.finish();
+
+    for (const SamplerConfig &cfg : standardTechniques(7)) {
+        SCOPED_TRACE(cfg.name);
+        TechniqueSampler direct(cfg);
+        TechniqueSampler forwarded(cfg);
+        Forwarder fwd(forwarded);
+        buf.replay({&direct, &fwd});
+        EXPECT_GT(direct.samplesTaken(), 0u);
+        EXPECT_EQ(direct.samplesTaken(), forwarded.samplesTaken());
+        EXPECT_EQ(direct.samplesDropped(), forwarded.samplesDropped());
+        expectPicsIdentical(direct.pics(), forwarded.pics());
+    }
+
+    // onBatch delivers only the events that can change the sampler
+    // and keeps the last-committed register from the commits it skips.
+    // Batches of 1 and 3 events end between a skipped commit and the
+    // event that reads it; 4096 is the replay's chunk size. Forwarder
+    // sees every event, and every span as per-cycle onCycle calls.
+    for (const NamedStream &stream : deliveryStreams()) {
+        SCOPED_TRACE(stream.name);
+        for (Cycle period : {1, 2, 7, 127}) {
+            for (Cycle phase : {0, 5}) {
+                for (const SamplerConfig &cfg :
+                     allTechniques(period, phase)) {
+                    SCOPED_TRACE(testing::Message()
+                                 << cfg.name << " period " << period
+                                 << " phase " << phase);
+                    TechniqueSampler perEvent(cfg);
+                    SampleBuffer perEventRecords;
+                    perEvent.setRecorder(&perEventRecords);
+                    Forwarder fwd(perEvent);
+                    replayPerEvent(stream.traces, fwd);
+                    EXPECT_GT(perEvent.samplesTaken(), 0u);
+                    for (std::size_t batch : {1, 3, 4096}) {
+                        SCOPED_TRACE(testing::Message()
+                                     << "batch " << batch);
+                        TechniqueSampler batched(cfg);
+                        SampleBuffer batchedRecords;
+                        batched.setRecorder(&batchedRecords);
+                        replayInBatches(stream.traces, batched, batch);
+                        expectSamplersIdentical(batched, batchedRecords,
+                                                perEvent, perEventRecords);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(TraceDelivery, GoldenMatchesThroughOnBatchAndDeliverEvent)
+{
+    // The golden reference's onBatch runs its retire and cycle bodies
+    // inline; Forwarder reaches them one event at a time through
+    // onRetire and onCycle, and expands every span into per-cycle
+    // onCycle calls. The random traces' PSVs carry several events each,
+    // so the event counts walk several set bits per retire.
+    for (const NamedStream &stream : deliveryStreams()) {
+        SCOPED_TRACE(stream.name);
+        GoldenReference perEvent;
+        Forwarder fwd(perEvent);
+        replayPerEvent(stream.traces, fwd);
+        EXPECT_GT(perEvent.pics().total(), 0.0);
+        for (std::size_t batch : {1, 3, 4096}) {
+            SCOPED_TRACE(testing::Message() << "batch " << batch);
+            GoldenReference batched;
+            replayInBatches(stream.traces, batched, batch);
+            expectGoldenIdentical(batched, perEvent);
+        }
+    }
+}
 
 TEST(TraceDelivery, SpanHandlersMatchPerCycleDelivery)
 {
