@@ -1,6 +1,7 @@
 #include "core/core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "isa/memory.hh"
@@ -69,7 +70,8 @@ Core::Core(const CoreConfig &cfg, const Program &prog, ArchState initial)
       mem_(cfg),
       bp_(makePredictor(cfg)),
       fetchPc_(prog.entry()),
-      rob_(cfg.robEntries)
+      rob_(std::bit_ceil(cfg.robEntries)),
+      robMask_(rob_.size() - 1)
 {
     init();
 }
@@ -82,7 +84,8 @@ Core::Core(const CoreConfig &cfg, const Program &prog, ArchState initial,
       mem_(cfg, uncore),
       bp_(makePredictor(cfg)),
       fetchPc_(prog.entry()),
-      rob_(cfg.robEntries)
+      rob_(std::bit_ceil(cfg.robEntries)),
+      robMask_(rob_.size() - 1)
 {
     init();
 }
@@ -234,7 +237,7 @@ Core::uopFor(SeqNum seq)
 {
     if (seq == invalidSeqNum)
         return nullptr;
-    DynUop &u = rob_[seq % rob_.size()];
+    DynUop &u = rob_[seq & robMask_];
     return (u.inRob && u.seq == seq) ? &u : nullptr;
 }
 
@@ -354,7 +357,7 @@ Core::commitStage()
 {
     numCommitted_ = 0;
     while (numCommitted_ < cfg_.commitWidth && robCount_ > 0) {
-        DynUop &h = rob_[robHead_ % rob_.size()];
+        DynUop &h = rob_[robHead_ & robMask_];
         tea_assert(h.inRob && h.seq == robHead_, "ROB head corrupt");
         if (!h.complete(cycle_))
             break;
@@ -772,8 +775,7 @@ Core::dispatchStage()
         // Allocate the ROB entry. Field-wise assignment (not a struct
         // move) so the slot's waiters vector keeps its heap capacity
         // across reuse.
-        std::size_t slot = fb.seq % rob_.size();
-        DynUop &d = rob_[slot];
+        DynUop &d = rob_[fb.seq & robMask_];
         d.seq = fb.seq;
         d.pc = fb.pc;
         d.si = fb.si;

@@ -300,8 +300,12 @@ class Core
     // Rename: last in-flight writer of each architectural register.
     std::array<SeqNum, numArchRegs> lastWriter_;
 
-    // ROB as a ring keyed by seq % robEntries.
+    // ROB as a ring of bit_ceil(robEntries) slots keyed by seq & robMask_.
+    // Dispatch admits at most robEntries micro-ops, so the in-flight
+    // seqs are at most robEntries consecutive numbers and never share a
+    // slot; the mask replaces a 64-bit division per lookup.
     std::vector<DynUop> rob_;
+    SeqNum robMask_;
     SeqNum robHead_ = 0;  ///< seq of the oldest in-flight micro-op
     unsigned robCount_ = 0;
 

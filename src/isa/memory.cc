@@ -57,21 +57,29 @@ SparseMemory::contentHash() const
         pages.push_back(page);
     std::sort(pages.begin(), pages.end());
 
+    // Each page's words go through four independent multiply-mix lanes
+    // (word i into lane i % 4), so four multiplies are in flight at
+    // once; the page number and the four finalized lanes then go into
+    // the FNV-1a stream.
+    constexpr std::size_t lanes = 4;
+    static_assert(wordsPerPage % lanes == 0);
     Fnv1a h;
     for (Addr page : pages) {
         const Page &words = pages_.at(page);
-        // An all-zero page reads identically to an absent one.
-        bool all_zero = true;
-        for (std::uint64_t w : words) {
-            if (w != 0) {
-                all_zero = false;
-                break;
+        std::uint64_t lane[lanes] = {};
+        std::uint64_t any = 0;
+        for (std::size_t i = 0; i < wordsPerPage; i += lanes) {
+            for (std::size_t l = 0; l < lanes; ++l) {
+                lane[l] = (lane[l] ^ words[i + l]) * 0x9e3779b97f4a7c15ULL;
+                any |= words[i + l];
             }
         }
-        if (all_zero)
+        // An all-zero page reads identically to an absent one.
+        if (any == 0)
             continue;
         h.add(page);
-        h.addBytes(words.data(), sizeof(Page));
+        for (std::uint64_t v : lane)
+            h.add(mix64(v));
     }
     return h.value();
 }

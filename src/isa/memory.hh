@@ -62,7 +62,9 @@ class SparseMemory
      * Order-independent 64-bit hash of the full memory contents
      * (page-number-sorted), used to fingerprint initial state for the
      * trace cache. Identical contents hash identically regardless of
-     * the order writes populated the pages.
+     * the order writes populated the pages, and an all-zero page hashes
+     * like an absent one. Word-wise: a change to any one word changes
+     * the hash.
      */
     std::uint64_t contentHash() const;
 

@@ -50,99 +50,13 @@ opName(Op op)
       case Op::Halt: return "halt";
       case Op::NumOps: break;
     }
+    badOp(op);
+}
+
+void
+badOp(Op op)
+{
     tea_panic("unknown op %d", static_cast<int>(op));
-}
-
-InstClass
-opClass(Op op)
-{
-    switch (op) {
-      case Op::Nop:
-      case Op::Halt:
-        return InstClass::Nop;
-      case Op::Add:
-      case Op::Sub:
-      case Op::And:
-      case Op::Or:
-      case Op::Xor:
-      case Op::Shl:
-      case Op::Shr:
-      case Op::AddI:
-      case Op::AndI:
-      case Op::ShlI:
-      case Op::ShrI:
-      case Op::Li:
-      case Op::Slt:
-      case Op::SltI:
-        return InstClass::IntAlu;
-      case Op::Mul:
-        return InstClass::IntMul;
-      case Op::Div:
-        return InstClass::IntDiv;
-      case Op::Ld:
-      case Op::Fld:
-        return InstClass::Load;
-      case Op::St:
-      case Op::Fst:
-        return InstClass::Store;
-      case Op::Prefetch:
-        return InstClass::Prefetch;
-      case Op::FAdd:
-      case Op::FSub:
-      case Op::FMul:
-      case Op::FMov:
-      case Op::FLi:
-      case Op::FCmpLt:
-        return InstClass::FpAlu;
-      case Op::FDiv:
-        return InstClass::FpDiv;
-      case Op::FSqrt:
-        return InstClass::FpSqrt;
-      case Op::Beq:
-      case Op::Bne:
-      case Op::Blt:
-      case Op::Bge:
-      case Op::Jmp:
-      case Op::Call:
-      case Op::Ret:
-        return InstClass::Branch;
-      case Op::FsFlags:
-      case Op::FrFlags:
-        return InstClass::Csr;
-      case Op::NumOps:
-        break;
-    }
-    tea_panic("unknown op %d", static_cast<int>(op));
-}
-
-bool
-isCondBranch(Op op)
-{
-    return op == Op::Beq || op == Op::Bne || op == Op::Blt || op == Op::Bge;
-}
-
-bool
-isControl(Op op)
-{
-    return opClass(op) == InstClass::Branch;
-}
-
-bool
-isLoad(Op op)
-{
-    return op == Op::Ld || op == Op::Fld;
-}
-
-bool
-isStore(Op op)
-{
-    return op == Op::St || op == Op::Fst;
-}
-
-bool
-isAlwaysFlush(Op op)
-{
-    return opClass(op) == InstClass::Csr;
 }
 
 } // namespace tea

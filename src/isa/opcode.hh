@@ -93,23 +93,110 @@ enum class InstClass : std::uint8_t
 /** Mnemonic, e.g. "fsqrt". */
 const char *opName(Op op);
 
-/** Instruction class of @p op. */
-InstClass opClass(Op op);
+/** Panic on a value outside Op (out of line: off the hot path). */
+[[noreturn]] void badOp(Op op);
+
+/**
+ * Instruction class of @p op. This and the predicates below are
+ * constexpr so that the core's per-micro-op calls inline to a compare
+ * or a table switch.
+ */
+constexpr InstClass
+opClass(Op op)
+{
+    switch (op) {
+      case Op::Nop:
+      case Op::Halt:
+        return InstClass::Nop;
+      case Op::Add:
+      case Op::Sub:
+      case Op::And:
+      case Op::Or:
+      case Op::Xor:
+      case Op::Shl:
+      case Op::Shr:
+      case Op::AddI:
+      case Op::AndI:
+      case Op::ShlI:
+      case Op::ShrI:
+      case Op::Li:
+      case Op::Slt:
+      case Op::SltI:
+        return InstClass::IntAlu;
+      case Op::Mul:
+        return InstClass::IntMul;
+      case Op::Div:
+        return InstClass::IntDiv;
+      case Op::Ld:
+      case Op::Fld:
+        return InstClass::Load;
+      case Op::St:
+      case Op::Fst:
+        return InstClass::Store;
+      case Op::Prefetch:
+        return InstClass::Prefetch;
+      case Op::FAdd:
+      case Op::FSub:
+      case Op::FMul:
+      case Op::FMov:
+      case Op::FLi:
+      case Op::FCmpLt:
+        return InstClass::FpAlu;
+      case Op::FDiv:
+        return InstClass::FpDiv;
+      case Op::FSqrt:
+        return InstClass::FpSqrt;
+      case Op::Beq:
+      case Op::Bne:
+      case Op::Blt:
+      case Op::Bge:
+      case Op::Jmp:
+      case Op::Call:
+      case Op::Ret:
+        return InstClass::Branch;
+      case Op::FsFlags:
+      case Op::FrFlags:
+        return InstClass::Csr;
+      case Op::NumOps:
+        break;
+    }
+    badOp(op);
+}
 
 /** True for conditional branches (not jumps/calls/returns). */
-bool isCondBranch(Op op);
+constexpr bool
+isCondBranch(Op op)
+{
+    return op == Op::Beq || op == Op::Bne || op == Op::Blt || op == Op::Bge;
+}
 
 /** True for any control-flow instruction. */
-bool isControl(Op op);
+constexpr bool
+isControl(Op op)
+{
+    return opClass(op) == InstClass::Branch;
+}
 
 /** True for loads (Ld/Fld). */
-bool isLoad(Op op);
+constexpr bool
+isLoad(Op op)
+{
+    return op == Op::Ld || op == Op::Fld;
+}
 
 /** True for stores (St/Fst). */
-bool isStore(Op op);
+constexpr bool
+isStore(Op op)
+{
+    return op == Op::St || op == Op::Fst;
+}
 
 /** True for ops that unconditionally flush the pipeline at commit. */
-bool isAlwaysFlush(Op op);
+constexpr bool
+isAlwaysFlush(Op op)
+{
+    return opClass(op) == InstClass::Csr;
+}
 
 } // namespace tea
 

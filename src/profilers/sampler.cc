@@ -244,7 +244,7 @@ TechniqueSampler::onRetire(const RetireRecord &rec)
         samplesTaken_ += pendingCount_;
         pendingCount_ = 0;
     }
-    if (taggedSeq_ == rec.seq) {
+    if (taggedSeq_ != invalidSeqNum && taggedSeq_ == rec.seq) {
         pics_.add(rec.pc, rec.psv.masked(cfg_.eventMask),
                   static_cast<double>(cfg_.period));
         std::uint64_t addr = rec.pc;
@@ -322,8 +322,8 @@ TechniqueSampler::onBatch(const TraceEvent *events, std::size_t n)
                     last = &uops[slots - 1];
             }
         } else {
-            // Only a fire matters. onRetire also compares each seq with
-            // the empty tag, invalidSeqNum, which no micro-op carries.
+            // Only a fire matters: with no tag in flight, onRetire
+            // takes no sample.
             for (; ev != end && !reachesFire(*ev, fire); ++ev) {
                 if (const unsigned slots = retiredSlots(*ev))
                     last = &ev->rec.committed[slots - 1];

@@ -164,6 +164,143 @@ INSTANTIATE_TEST_SUITE_P(
         return info.param;
     });
 
+// --- the event stream of each core preset, pinned ---------------------
+
+/**
+ * Folds every field of every delivered event into one FNV-1a hash:
+ * kind, cycles covered, cycle, state, numCommitted, both front-end
+ * seqs, and seq, pc and PSV of each valid commit slot. It hashes
+ * values, not encoded bytes, so a codec change does not move the pin.
+ */
+class EventHashSink : public TraceSink
+{
+  public:
+    void onBatch(const TraceEvent *events, std::size_t n) override
+    {
+        for (const TraceEvent *ev = events; ev != events + n; ++ev) {
+            const CycleRecord &r = ev->rec;
+            h_.add(static_cast<std::uint64_t>(ev->kind));
+            h_.add(cyclesCovered(*ev));
+            h_.add(r.cycle);
+            h_.add(static_cast<std::uint64_t>(r.state));
+            h_.add(r.numCommitted);
+            h_.add(r.nextFetchSeq);
+            h_.add(r.nextDispatchSeq);
+            for (unsigned i = 0; i < commitSlots(r); ++i) {
+                h_.add(r.committed[i].seq);
+                h_.add(r.committed[i].pc);
+                h_.add(r.committed[i].psv.bits());
+            }
+        }
+    }
+
+    void onEnd(Cycle final_cycle) override { h_.add(final_cycle); }
+
+    /** The stream's hash with @p s's counters folded in. */
+    std::uint64_t value(const CoreStats &s) const
+    {
+        Fnv1a h = h_;
+        h.add(s.cycles);
+        h.add(s.committedUops);
+        for (std::uint64_t c : s.stateCycles)
+            h.add(c);
+        for (std::uint64_t c : s.eventCounts)
+            h.add(c);
+        h.add(s.uopsWithEvents);
+        h.add(s.uopsWithCombined);
+        h.add(s.branchMispredicts);
+        h.add(s.pipelineFlushes);
+        h.add(s.moViolations);
+        h.add(s.drSqStallCycles);
+        h.add(s.samplingInterrupts);
+        return h.value();
+    }
+
+  private:
+    Fnv1a h_;
+};
+
+std::uint64_t
+eventStreamHash(const SweepExperiment &e, bool fast)
+{
+    Workload w = workloads::generateKernel(e.spec);
+    EventHashSink sink;
+    Core core(e.cfg, w.program, std::move(w.initial));
+    core.setFastPath(fast);
+    core.addSink(&sink);
+    core.run();
+    return sink.value(core.stats());
+}
+
+struct PresetPin
+{
+    const char *preset;
+    std::uint64_t l1d; ///< level=L1D,dependent=0,taken=100,chains=4
+    std::uint64_t mem; ///< level=MEM,dependent=1,taken=100,chains=1
+};
+
+// Recorded before the masked ROB ring and the inline opcode predicates.
+// The presets cover ROB sizes 192 (not a power of two), 64 and 16; a
+// change to the core's stages that keeps the trace keeps every pin.
+constexpr PresetPin presetPins[] = {
+    {"big_ooo", 0x1756a6629930967eULL, 0x7fb345e755189c55ULL},
+    {"big_ooo_w2", 0xb37ff7578e1ee281ULL, 0x8558bb9475a68432ULL},
+    {"big_ooo_rob64", 0xa948fcb32547db75ULL, 0x7c0c8572c091f219ULL},
+    {"big_ooo_mini_caches", 0x5d253b53777d4dceULL, 0xa659ea8f93b7035bULL},
+    {"big_ooo_gshare", 0xf2a75c3ba8a4f548ULL, 0x98a059080f7f0d77ULL},
+    {"little_inorder", 0xa636de7996edc468ULL, 0xf180a58a0cd40638ULL},
+    {"little_inorder_w1", 0x34e569cfdbf52fc5ULL, 0x05d1e99f29efd20dULL},
+};
+
+class FastpathPresetPin : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(FastpathPresetPin, EventStreamMatchesPin)
+{
+    const std::string preset = GetParam();
+    const PresetPin *pin = nullptr;
+    for (const PresetPin &p : presetPins) {
+        if (preset == p.preset)
+            pin = &p;
+    }
+    ASSERT_NE(pin, nullptr) << "no pin for preset " << preset;
+
+    // The example sweep's kernels on this preset (it may be outside
+    // the sweep's own five).
+    SweepSpec sweep = exampleSweep();
+    sweep.presets = {preset};
+    const std::vector<SweepExperiment> exps = expandSweep(sweep);
+    const SweepExperiment *l1d = nullptr;
+    const SweepExperiment *mem = nullptr;
+    for (const SweepExperiment &e : exps) {
+        if (!l1d && e.name.find("level=L1D,dependent=0,") !=
+                        std::string::npos &&
+            e.name.find("chains=4") != std::string::npos)
+            l1d = &e;
+        if (!mem && e.name.find("level=MEM") != std::string::npos)
+            mem = &e;
+    }
+    ASSERT_NE(l1d, nullptr);
+    ASSERT_NE(mem, nullptr);
+
+    const std::pair<const SweepExperiment *, std::uint64_t> cases[] = {
+        {l1d, pin->l1d}, {mem, pin->mem}};
+    for (const auto &[e, want] : cases) {
+        SCOPED_TRACE(e->name);
+        const std::uint64_t ref = eventStreamHash(*e, false);
+        const std::uint64_t fast = eventStreamHash(*e, true);
+        EXPECT_EQ(ref, fast);
+        EXPECT_EQ(fast, want) << "got 0x" << std::hex << fast;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, FastpathPresetPin, ::testing::ValuesIn(presets::names()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
+
 // --- microkernels, event-by-event (better diagnostics on divergence) --
 
 TEST(FastpathDifferential, MicrokernelEventStreamsEquivalent)

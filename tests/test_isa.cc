@@ -63,6 +63,51 @@ TEST(SparseMemory, DoubleRoundTrip)
     EXPECT_DOUBLE_EQ(m.readDouble(0x3000), 3.14159);
 }
 
+TEST(SparseMemory, ContentHashIgnoresWriteOrder)
+{
+    SparseMemory a;
+    SparseMemory b;
+    for (Addr i = 0; i < 3000; ++i)
+        a.write(0x10000 + 8 * i * 7, i * 0x1234567ULL + 1);
+    for (Addr i = 3000; i-- > 0;)
+        b.write(0x10000 + 8 * i * 7, i * 0x1234567ULL + 1);
+    EXPECT_EQ(a.contentHash(), b.contentHash());
+}
+
+TEST(SparseMemory, ContentHashZeroPageMatchesAbsent)
+{
+    SparseMemory empty;
+    SparseMemory zeroed;
+    zeroed.write(0x5000, 0);
+    ASSERT_EQ(zeroed.populatedPages(), 1u);
+    EXPECT_EQ(zeroed.contentHash(), empty.contentHash());
+
+    SparseMemory one;
+    one.write(0x9000, 7);
+    SparseMemory one_and_zero = one;
+    one_and_zero.write(0x5000, 0);
+    EXPECT_EQ(one_and_zero.contentHash(), one.contentHash());
+}
+
+TEST(SparseMemory, ContentHashSeesEveryWord)
+{
+    // Every word position, so each of the four lanes at every depth;
+    // also the same change on another page.
+    SparseMemory base;
+    for (Addr i = 0; i < pageBytes / 8; ++i)
+        base.write(0x4000 + 8 * i, i + 1);
+    const std::uint64_t h = base.contentHash();
+    for (Addr i = 0; i < pageBytes / 8; ++i) {
+        SparseMemory m = base;
+        m.write(0x4000 + 8 * i, m.read(0x4000 + 8 * i) ^ 0x100);
+        EXPECT_NE(m.contentHash(), h) << "word " << i;
+    }
+    SparseMemory moved;
+    for (Addr i = 0; i < pageBytes / 8; ++i)
+        moved.write(0x8000 + 8 * i, i + 1);
+    EXPECT_NE(moved.contentHash(), h);
+}
+
 TEST(SparseMemory, LineAndPageHelpers)
 {
     EXPECT_EQ(lineOf(0x12345), 0x12340u);

@@ -429,6 +429,34 @@ TEST(Sampler, FiresRealignAfterACycleJump)
     EXPECT_EQ(tea.pics().cycles(7, 0), 70.0);
 }
 
+TEST(Sampler, NoTagInFlightTakesNoPhantomSample)
+{
+    // The empty tag is invalidSeqNum. A commit slot that carries that
+    // seq must not complete a sample when no tag is in flight, whether
+    // the sampler is fed per event or through the skip-ahead onBatch.
+    TraceEvent events[2];
+    events[0].rec.cycle = 0; // the fire
+    events[0].rec.state = CommitState::Compute;
+    events[0].rec.numCommitted = 1;
+    events[0].rec.committed[0] = CommittedUop{0, 5, Psv{}};
+    events[1].rec.cycle = 1;
+    events[1].rec.state = CommitState::Compute;
+    events[1].rec.numCommitted = 1;
+    events[1].rec.committed[0] = CommittedUop{invalidSeqNum, 6, Psv{}};
+
+    TechniqueSampler per_event(teaConfig(127));
+    for (const TraceEvent &ev : events)
+        deliverEvent(ev, per_event);
+    TechniqueSampler batched(teaConfig(127));
+    batched.onBatch(events, 2);
+
+    for (const TechniqueSampler *s : {&per_event, &batched}) {
+        EXPECT_EQ(s->samplesTaken(), 1u);
+        EXPECT_EQ(s->pics().total(), 127.0);
+        EXPECT_EQ(s->pics().cycles(6, 0), 0.0);
+    }
+}
+
 TEST(Sampler, NciMisattributesFlushCycles)
 {
     // On a flush-heavy workload NCI attributes flush cycles to the
