@@ -10,7 +10,10 @@ namespace tea {
 
 namespace {
 
-/** Signature components of one unit, largest first. */
+/**
+ * Signature components of one unit, largest first and, among equal
+ * cycles, by ascending signature, so the table's order never shows.
+ */
 std::vector<PicsComponent>
 unitComponents(const Pics &pics, std::uint32_t unit)
 {
@@ -21,7 +24,9 @@ unitComponents(const Pics &pics, std::uint32_t unit)
     }
     std::sort(comps.begin(), comps.end(),
               [](const PicsComponent &a, const PicsComponent &b) {
-                  return a.cycles > b.cycles;
+                  if (a.cycles != b.cycles)
+                      return a.cycles > b.cycles;
+                  return a.signature < b.signature;
               });
     return comps;
 }

@@ -1,5 +1,7 @@
 #include "analysis/runner.hh"
 
+#include <optional>
+
 #include "common/logging.hh"
 
 namespace tea {
@@ -18,7 +20,15 @@ ExperimentResult::technique(const std::string &tech_name) const
 double
 ExperimentResult::errorOf(const TechniqueResult &t, Granularity g) const
 {
-    const Pics gold = golden->pics().masked(t.config.eventMask);
+    const Pics &full = golden->pics();
+    // The golden reference's signatures carry only the nine events, so
+    // a mask that keeps all nine (TEA, NCI-TEA) projects nothing:
+    // masked() would return the same cells in the same order.
+    constexpr std::uint16_t allEvents = (1u << numEvents) - 1;
+    std::optional<Pics> projected;
+    if ((t.config.eventMask & allEvents) != allEvents)
+        projected = full.masked(t.config.eventMask);
+    const Pics &gold = projected ? *projected : full;
     // At instruction granularity aggregated() would only copy.
     if (g == Granularity::Instruction)
         return t.pics.errorAgainst(gold);

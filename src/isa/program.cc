@@ -10,14 +10,6 @@ const std::string Program::anonName_ = "<anon>";
 
 Program::Program(std::string name) : name_(std::move(name)) {}
 
-const StaticInst &
-Program::inst(InstIndex idx) const
-{
-    tea_assert(idx < insts_.size(), "instruction index %u out of range",
-               idx);
-    return insts_[idx];
-}
-
 StaticInst &
 Program::instMutable(InstIndex idx)
 {

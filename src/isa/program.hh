@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "isa/static_inst.hh"
 
@@ -42,7 +43,12 @@ class Program
     const std::vector<StaticInst> &insts() const { return insts_; }
 
     /** Static instruction at @p idx. */
-    const StaticInst &inst(InstIndex idx) const;
+    const StaticInst &inst(InstIndex idx) const
+    {
+        tea_assert(idx < insts_.size(), "instruction index %u out of range",
+                   idx);
+        return insts_[idx];
+    }
 
     /** Number of static instructions. */
     InstIndex size() const

@@ -1,5 +1,6 @@
 #include "profilers/correlation.hh"
 
+#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"

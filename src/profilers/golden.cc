@@ -24,12 +24,9 @@ constexpr std::size_t maxStaticInsts = std::size_t{1} << 24;
 void
 GoldenReference::reserveCells(std::size_t static_insts)
 {
-    // Four cells per instruction is the reserve the Pics built at onEnd
-    // takes too (Pics::fromCells), so its layout matches an add()-built
-    // table's.
-    reservedCells_ = 4 * static_insts;
-    cells_.reserve(reservedCells_);
-    nextCell_.reserve(reservedCells_);
+    // Several signatures per instruction: four cells each.
+    cells_.reserve(4 * static_insts);
+    nextCell_.reserve(4 * static_insts);
     if (static_insts > firstCell_.size()) {
         firstCell_.resize(static_insts, noCell);
         eventCounts_.resize(static_insts);
@@ -235,8 +232,9 @@ GoldenReference::onEnd(Cycle final_cycle)
     dropped_ = pendingCycles_;
     pendingCycles_ = 0.0;
     lastValid_ = false;
-    // The one hash-table build of the run: every cell is final here.
-    pics_ = Pics::fromCells(cells_, total_, reservedCells_);
+    // The pool is already in first-touch order, the Pics's own; its
+    // index is built once, here, where every cell is final.
+    pics_ = Pics::fromCells(cells_, total_);
 }
 
 } // namespace tea

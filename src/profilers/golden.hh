@@ -38,7 +38,7 @@ namespace tea {
  * indexed by static instruction (InstIndex is dense) rather than hashed:
  * a per-PC chain of (signature, cycles) cells in one pool, a per-PC row
  * of event counts, and one stall histogram slot per signature. The
- * hashed Pics is built once, at onEnd.
+ * Pics, with its hashed index, is built once, at onEnd.
  *
  * `final` matters for speed, not just hygiene: the batched replay path
  * (replayChunk, core/trace_buffer) delivers whole chunks through
@@ -131,7 +131,6 @@ class GoldenReference final : public TraceSink
     std::vector<PicsComponent> cells_;
     std::vector<std::uint32_t> nextCell_;
     std::vector<std::uint32_t> firstCell_; ///< per pc: chain head
-    std::size_t reservedCells_ = 0; ///< the Pics reserve, for its layout
     double total_ = 0.0; ///< running total, in add() order
 
     /**

@@ -1,7 +1,10 @@
 #include "profilers/pics.hh"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
 
+#include "common/fingerprint.hh"
 #include "common/logging.hh"
 
 namespace tea {
@@ -19,26 +22,92 @@ granularityName(Granularity g)
 }
 
 // tea_lint: hot
+inline std::size_t
+Pics::slotOf(std::uint64_t k) const
+{
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t s = static_cast<std::size_t>(mix64(k)) & mask;
+    while (slots_[s] != noCell && key(cells_[slots_[s]]) != k)
+        s = (s + 1) & mask;
+    return s;
+}
+
+std::uint32_t
+Pics::find(std::uint32_t unit, std::uint16_t sig) const
+{
+    return slots_.empty() ? noCell : slots_[slotOf(key(unit, sig))];
+}
+
+// tea_lint: hot
+inline std::uint32_t
+Pics::findOrAdd(std::uint32_t unit, std::uint16_t sig)
+{
+    std::size_t s = 0;
+    if (!slots_.empty()) {
+        s = slotOf(key(unit, sig));
+        if (slots_[s] != noCell)
+            return slots_[s];
+    }
+    return addCell(s, unit, sig);
+}
+
+// Out of line, unlike the probe: it runs once per cell, not once per
+// add, so the inlined callers do not carry it.
+std::uint32_t
+Pics::addCell(std::size_t slot, std::uint32_t unit, std::uint16_t sig)
+{
+    if (cells_.size() >= noCell) {
+        throw std::length_error(
+            strprintf("pics: more than %u cells", noCell));
+    }
+    const auto i = static_cast<std::uint32_t>(cells_.size());
+    cells_.push_back(PicsComponent{unit, sig, 0.0});
+    if (4 * cells_.size() > 3 * slots_.size())
+        rehash(cells_.size());
+    else
+        slots_[slot] = i;
+    return i;
+}
+
+void
+Pics::rehash(std::size_t cells)
+{
+    // The smallest power of two at least 4/3 of the cells, and 8.
+    const std::size_t size =
+        std::bit_ceil(std::max<std::size_t>(8, (4 * cells + 2) / 3));
+    slots_.assign(size, noCell);
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+        const std::size_t s = slotOf(key(cells_[i]));
+        tea_assert(slots_[s] == noCell, "pics: unit %u signature 0x%x "
+                   "is in two cells", cells_[i].unit, cells_[i].signature);
+        slots_[s] = static_cast<std::uint32_t>(i);
+    }
+}
+
+void
+Pics::reserve(std::size_t cells)
+{
+    cells_.reserve(cells);
+    if (4 * cells > 3 * slots_.size())
+        rehash(cells);
+}
+
+// tea_lint: hot
 void
 Pics::add(InstIndex pc, Psv psv, double cycles)
 {
     if (cycles <= 0.0)
         return;
-    cells_[key(pc, psv.bits())] += cycles;
+    cells_[findOrAdd(pc, psv.bits())].cycles += cycles;
     total_ += cycles;
 }
 
 Pics
-Pics::fromCells(std::span<const PicsComponent> cells, double total,
-                std::size_t reserved)
+Pics::fromCells(std::span<const PicsComponent> cells, double total)
 {
     Pics out;
-    // Even reserve(0) resizes the bucket array, so a table that never
-    // reserved must not call it.
-    if (reserved > 0)
-        out.reserve(reserved);
-    for (const PicsComponent &c : cells)
-        out.cells_.emplace(key(c.unit, c.signature), c.cycles);
+    out.cells_.assign(cells.begin(), cells.end());
+    out.rehash(cells.size());
     out.total_ = total;
     return out;
 }
@@ -46,17 +115,17 @@ Pics::fromCells(std::span<const PicsComponent> cells, double total,
 double
 Pics::cycles(std::uint32_t unit, std::uint16_t signature) const
 {
-    auto it = cells_.find(key(unit, signature));
-    return it == cells_.end() ? 0.0 : it->second;
+    const std::uint32_t i = find(unit, signature);
+    return i == noCell ? 0.0 : cells_[i].cycles;
 }
 
 double
 Pics::unitCycles(std::uint32_t unit) const
 {
     double sum = 0.0;
-    for (const auto &[k, v] : cells_) {
-        if ((k >> 16) == unit)
-            sum += v;
+    for (const PicsComponent &c : cells_) {
+        if (c.unit == unit)
+            sum += c.cycles;
     }
     return sum;
 }
@@ -64,33 +133,25 @@ Pics::unitCycles(std::uint32_t unit) const
 std::vector<PicsComponent>
 Pics::components() const
 {
-    std::vector<PicsComponent> out;
-    out.reserve(cells_.size());
-    for (const auto &[k, v] : cells_) {
-        out.push_back(PicsComponent{static_cast<std::uint32_t>(k >> 16),
-                                    static_cast<std::uint16_t>(k & 0xffff),
-                                    v});
-    }
-    return out;
+    return cells_;
 }
 
 std::vector<std::uint32_t>
 Pics::topUnits(std::size_t n) const
 {
-    std::unordered_map<std::uint32_t, double> per_unit;
-    for (const auto &[k, v] : cells_)
-        per_unit[static_cast<std::uint32_t>(k >> 16)] += v;
-    std::vector<std::pair<std::uint32_t, double>> ranked(per_unit.begin(),
-                                                         per_unit.end());
-    std::sort(ranked.begin(), ranked.end(), [](const auto &a,
-                                               const auto &b) {
-        if (a.second != b.second)
-            return a.second > b.second;
-        return a.first < b.first;
-    });
+    Pics per_unit;
+    for (const PicsComponent &c : cells_)
+        per_unit.cells_[per_unit.findOrAdd(c.unit, 0)].cycles += c.cycles;
+    std::vector<PicsComponent> &ranked = per_unit.cells_;
+    std::sort(ranked.begin(), ranked.end(),
+              [](const PicsComponent &a, const PicsComponent &b) {
+                  if (a.cycles != b.cycles)
+                      return a.cycles > b.cycles;
+                  return a.unit < b.unit;
+              });
     std::vector<std::uint32_t> out;
     for (std::size_t i = 0; i < ranked.size() && i < n; ++i)
-        out.push_back(ranked[i].first);
+        out.push_back(ranked[i].unit);
     return out;
 }
 
@@ -98,10 +159,10 @@ Pics
 Pics::masked(std::uint16_t event_mask) const
 {
     Pics out;
-    for (const auto &[k, v] : cells_) {
-        auto unit = static_cast<std::uint32_t>(k >> 16);
-        auto sig = static_cast<std::uint16_t>(k & 0xffff & event_mask);
-        out.cells_[key(unit, sig)] += v;
+    out.reserve(cells_.size());
+    for (const PicsComponent &c : cells_) {
+        const auto sig = static_cast<std::uint16_t>(c.signature & event_mask);
+        out.cells_[out.findOrAdd(c.unit, sig)].cycles += c.cycles;
     }
     out.total_ = total_;
     return out;
@@ -114,8 +175,11 @@ Pics::normalized(double new_total) const
     if (total_ <= 0.0)
         return out;
     double scale = new_total / total_;
-    for (const auto &[k, v] : cells_)
-        out.cells_[k] = v * scale;
+    // The same keys in the same cells, so the index carries over.
+    out.cells_ = cells_;
+    for (PicsComponent &c : out.cells_)
+        c.cycles *= scale;
+    out.slots_ = slots_;
     out.total_ = new_total;
     return out;
 }
@@ -130,9 +194,8 @@ Pics::aggregated(const Program &prog, Granularity g) const
         bbs = prog.basicBlockIds();
 
     Pics out;
-    for (const auto &[k, v] : cells_) {
-        auto pc = static_cast<std::uint32_t>(k >> 16);
-        auto sig = static_cast<std::uint16_t>(k & 0xffff);
+    for (const PicsComponent &c : cells_) {
+        const std::uint32_t pc = c.unit;
         std::uint32_t unit = 0;
         switch (g) {
           case Granularity::BasicBlock:
@@ -147,8 +210,8 @@ Pics::aggregated(const Program &prog, Granularity g) const
             unit = 0;
             break;
         }
-        out.cells_[key(unit, sig)] += v;
-        out.total_ += v;
+        out.cells_[out.findOrAdd(unit, c.signature)].cycles += c.cycles;
+        out.total_ += c.cycles;
     }
     return out;
 }
@@ -165,10 +228,10 @@ Pics::errorAgainst(const Pics &golden) const
     double correct = 0.0;
     if (!(total_ <= 0.0)) {
         const double scale = golden.total() / total_;
-        for (const auto &[k, v] : golden.cells_) {
-            auto it = cells_.find(k);
-            if (it != cells_.end())
-                correct += std::min(v, it->second * scale);
+        for (const PicsComponent &c : golden.cells_) {
+            const std::uint32_t i = find(c.unit, c.signature);
+            if (i != noCell)
+                correct += std::min(c.cycles, cells_[i].cycles * scale);
         }
     }
     return (golden.total() - correct) / golden.total();

@@ -7,6 +7,16 @@
  * latency while it carried that signature. Aggregation to basic-block,
  * function and application granularity, masking to a technique's event
  * set, and the paper's error metric (Section 4) are provided here.
+ *
+ * Order contract: a Pics iterates its components in first-touch order,
+ * the order in which add() (or fromCells) first gave each (unit,
+ * signature) a positive amount. Nothing else decides it: not
+ * reserve(), not copies or moves, not the standard library. Every
+ * table derived from one (masked, normalized, aggregated) is built by
+ * walking the source in that order, and every floating-point sum over
+ * a table (total() of an aggregation, unitCycles, topUnits,
+ * errorAgainst) adds in that order, so the same trace gives the same
+ * bits on any build.
  */
 
 #ifndef TEA_PROFILERS_PICS_HH
@@ -15,10 +25,8 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/fingerprint.hh"
 #include "common/types.hh"
 #include "events/event.hh"
 #include "isa/program.hh"
@@ -55,26 +63,24 @@ class Pics
     /**
      * Build a finished Pics in one pass from a collector's own table
      * (GoldenReference): @p cells are distinct components in the order
-     * they were first touched, @p total is the running sum of every
-     * cycle they received, in the order received, and @p reserved is
-     * the reserve() an add()-built table would have had (0 for none).
-     * Inserting in first-touch order into an equally reserved table
-     * gives the bucket layout that add() calls would have given, so
-     * iteration order, and every floating-point sum over it, stays
-     * bit-identical; carrying the running total keeps total()
-     * bit-identical too.
+     * they were first touched, and @p total is the running sum of every
+     * cycle they received, in the order received. The cells become the
+     * table as they are, so it iterates, and sums, exactly as the
+     * add() calls that built them would have made it; carrying the
+     * running total keeps total() bit-identical too. Panics on a
+     * repeated (unit, signature).
      */
     static Pics fromCells(std::span<const PicsComponent> cells,
-                          double total, std::size_t reserved);
+                          double total);
 
     /**
-     * Pre-size the cell table for @p cells expected (unit, signature)
+     * Pre-size the table for @p cells expected (unit, signature)
      * components. A Pics on the simulate/replay hot path grows to one
      * cell per live (pc, signature) pair; reserving up front (e.g. from
-     * the program's static-instruction count) avoids repeated rehashes
-     * of a multi-megabyte table while the trace streams through.
+     * the program's static-instruction count) avoids regrowing it while
+     * the trace streams through. It does not change the order.
      */
-    void reserve(std::size_t cells) { cells_.reserve(cells); }
+    void reserve(std::size_t cells);
 
     /** Total attributed cycles. */
     double total() const { return total_; }
@@ -85,13 +91,13 @@ class Pics
     /** Cycles attributed to a unit across all signatures. */
     double unitCycles(std::uint32_t unit) const;
 
-    /** All components (unordered). */
+    /** All components, in first-touch order. */
     std::vector<PicsComponent> components() const;
 
     /** Number of distinct (unit, signature) components. */
     std::size_t size() const { return cells_.size(); }
 
-    /** Units ranked by descending total cycles. */
+    /** Units ranked by descending total cycles, ties by ascending id. */
     std::vector<std::uint32_t> topUnits(std::size_t n) const;
 
     /**
@@ -119,26 +125,46 @@ class Pics
     double errorAgainst(const Pics &golden) const;
 
   private:
+    /** Empty index slot; so at most 2^32 - 1 cells. */
+    static constexpr std::uint32_t noCell = ~std::uint32_t{0};
+
     static std::uint64_t key(std::uint32_t unit, std::uint16_t sig)
     {
         return (static_cast<std::uint64_t>(unit) << 16) | sig;
     }
 
-    /**
-     * Keys are (unit << 16) | signature, so with the standard library's
-     * identity hash consecutive pcs with the same signature land 2^16
-     * buckets apart while all signatures of one pc collide into adjacent
-     * buckets; mixing restores uniform occupancy.
-     */
-    struct KeyHash
+    static std::uint64_t key(const PicsComponent &c)
     {
-        std::size_t operator()(std::uint64_t k) const noexcept
-        {
-            return static_cast<std::size_t>(mix64(k));
-        }
-    };
+        return key(c.unit, c.signature);
+    }
 
-    std::unordered_map<std::uint64_t, double, KeyHash> cells_;
+    /**
+     * The index slot of @p k: the one holding its cell, or the empty
+     * slot where probing for it stops. Needs a non-empty index.
+     */
+    std::size_t slotOf(std::uint64_t k) const;
+
+    /** The cell of (@p unit, @p sig), or noCell. */
+    std::uint32_t find(std::uint32_t unit, std::uint16_t sig) const;
+
+    /** The cell of (@p unit, @p sig), appended with 0 cycles if new. */
+    std::uint32_t findOrAdd(std::uint32_t unit, std::uint16_t sig);
+    std::uint32_t addCell(std::size_t slot, std::uint32_t unit,
+                          std::uint16_t sig);
+
+    /** Rebuild the index for at least @p cells cells. */
+    void rehash(std::size_t cells);
+
+    /** The components, in first-touch order. */
+    std::vector<PicsComponent> cells_;
+
+    /**
+     * Open-addressed index over cells_: a power-of-two array of cell
+     * numbers (noCell when empty), probed linearly from the mix64 of
+     * the key and at most 3/4 full. Keys are (unit << 16) | signature,
+     * so unmixed, all signatures of one pc would fill adjacent slots.
+     */
+    std::vector<std::uint32_t> slots_;
     double total_ = 0.0;
 };
 

@@ -10,6 +10,7 @@
 
 #include "analysis/report.hh"
 #include "analysis/runner.hh"
+#include "isa/builder.hh"
 
 using namespace tea;
 
@@ -126,6 +127,46 @@ TEST(Report, InstructionStackForSpecificPc)
         res.golden->pics().total());
     EXPECT_FALSE(out.empty());
     EXPECT_NE(out.find("cycles"), std::string::npos);
+}
+
+TEST(Report, InstructionStackBreaksCycleTiesBySignature)
+{
+    // Signatures of one pc with equal cycles print by ascending
+    // signature, whichever of them the table touched first.
+    ProgramBuilder b("t");
+    b.nop();
+    b.halt();
+    const Program prog = b.build();
+    Psv l1;
+    l1.set(Event::StL1);
+    Psv llc;
+    llc.set(Event::StLlc);
+    Psv both = l1;
+    both.merge(llc);
+    Pics forward;
+    forward.add(0, both, 5.0);
+    forward.add(0, llc, 5.0);
+    forward.add(0, l1, 5.0);
+    forward.add(0, Psv{}, 2.0);
+    Pics backward;
+    backward.add(0, Psv{}, 2.0);
+    backward.add(0, l1, 5.0);
+    backward.add(0, llc, 5.0);
+    backward.add(0, both, 5.0);
+
+    const std::string out = renderInstructionStack(prog, forward, 0, 17.0);
+    EXPECT_EQ(out, renderInstructionStack(prog, backward, 0, 17.0));
+    const std::size_t at_l1 = out.find("ST-L1 ");
+    const std::size_t at_llc = out.find("ST-LLC ");
+    const std::size_t at_both = out.find("ST-L1+ST-LLC");
+    const std::size_t at_base = out.find("Base");
+    ASSERT_NE(at_l1, std::string::npos) << out;
+    ASSERT_NE(at_llc, std::string::npos) << out;
+    ASSERT_NE(at_both, std::string::npos) << out;
+    ASSERT_NE(at_base, std::string::npos) << out;
+    EXPECT_LT(at_l1, at_llc) << out;
+    EXPECT_LT(at_llc, at_both) << out;
+    EXPECT_LT(at_both, at_base) << out;
 }
 
 TEST(Report, HandlesZeroTotalGracefully)

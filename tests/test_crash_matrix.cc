@@ -46,43 +46,6 @@ using namespace tea::test;
 
 namespace {
 
-std::vector<PicsComponent>
-sortedComponents(const Pics &p)
-{
-    std::vector<PicsComponent> cs = p.components();
-    std::sort(cs.begin(), cs.end(),
-              [](const PicsComponent &a, const PicsComponent &b) {
-                  return a.unit != b.unit ? a.unit < b.unit
-                                          : a.signature < b.signature;
-              });
-    return cs;
-}
-
-/** Exact comparison usable from forked children (no gtest state). */
-bool
-picsIdentical(const Pics &a, const Pics &b)
-{
-    if (a.total() != b.total())
-        return false;
-    std::vector<PicsComponent> ca = sortedComponents(a);
-    std::vector<PicsComponent> cb = sortedComponents(b);
-    if (ca.size() != cb.size())
-        return false;
-    for (std::size_t i = 0; i < ca.size(); ++i) {
-        if (ca[i].unit != cb[i].unit ||
-            ca[i].signature != cb[i].signature ||
-            ca[i].cycles != cb[i].cycles)
-            return false;
-    }
-    return true;
-}
-
-void
-expectPicsIdentical(const Pics &a, const Pics &b)
-{
-    EXPECT_TRUE(picsIdentical(a, b));
-}
-
 /** A scratch cache directory removed (recursively) on destruction. */
 class TempCacheDir
 {
@@ -377,8 +340,9 @@ TEST_F(CrashMatrix, MultiProcessStressStaysIdenticalUnderEviction)
                     try {
                         const ExperimentResult res =
                             runOnce(o, kIterations[i]);
-                        if (!picsIdentical(base[i].golden->pics(),
-                                           res.golden->pics()))
+                        if (!picsDifference(base[i].golden->pics(),
+                                            res.golden->pics())
+                                 .empty())
                             ::_exit(1);
                     } catch (...) {
                         ::_exit(2);

@@ -29,6 +29,7 @@
 #include "analysis/audit.hh"
 #include "analysis/sweep.hh"
 #include "analysis/trace_cache.hh"
+#include "common/fingerprint.hh"
 #include "common/rng.hh"
 
 using namespace tea;

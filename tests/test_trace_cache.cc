@@ -40,33 +40,6 @@ using namespace tea::test;
 
 namespace {
 
-std::vector<PicsComponent>
-sortedComponents(const Pics &p)
-{
-    std::vector<PicsComponent> cs = p.components();
-    std::sort(cs.begin(), cs.end(),
-              [](const PicsComponent &a, const PicsComponent &b) {
-                  return a.unit != b.unit ? a.unit < b.unit
-                                          : a.signature < b.signature;
-              });
-    return cs;
-}
-
-/** Assert two Pics are bit-identical (exact doubles, same cells). */
-void
-expectPicsIdentical(const Pics &a, const Pics &b)
-{
-    EXPECT_EQ(a.total(), b.total()); // exact, not approximate
-    std::vector<PicsComponent> ca = sortedComponents(a);
-    std::vector<PicsComponent> cb = sortedComponents(b);
-    ASSERT_EQ(ca.size(), cb.size());
-    for (std::size_t i = 0; i < ca.size(); ++i) {
-        EXPECT_EQ(ca[i].unit, cb[i].unit);
-        EXPECT_EQ(ca[i].signature, cb[i].signature);
-        EXPECT_EQ(ca[i].cycles, cb[i].cycles);
-    }
-}
-
 /** Assert two experiment results are equivalent to the last bit. */
 void
 expectExperimentsIdentical(const ExperimentResult &ref,

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <gtest/gtest.h>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "core/core.hh"
 #include "core/trace_codec.hh"
 #include "isa/executor.hh"
+#include "profilers/pics.hh"
 #include "workloads/workload.hh"
 
 namespace tea::test {
@@ -58,6 +60,42 @@ runCore(Workload w, CoreConfig cfg = CoreConfig{},
     CoreRun r = makeCore(std::move(w), cfg);
     r.core->run(max_cycles);
     return r;
+}
+
+/**
+ * How @p a and @p b differ, or "" when they are the same Pics to the
+ * last bit: the same total and the same cells in the same order. A Pics
+ * iterates in first-touch order, so two runs of one trace (serial or
+ * parallel, cached or not) must agree on the order too. Needs no gtest
+ * state, so forked children can call it.
+ */
+inline std::string
+picsDifference(const Pics &a, const Pics &b)
+{
+    if (a.total() != b.total())
+        return strprintf("total %.17g vs %.17g", a.total(), b.total());
+    const std::vector<PicsComponent> ca = a.components();
+    const std::vector<PicsComponent> cb = b.components();
+    if (ca.size() != cb.size())
+        return strprintf("%zu cells vs %zu", ca.size(), cb.size());
+    for (std::size_t i = 0; i < ca.size(); ++i) {
+        if (ca[i].unit != cb[i].unit ||
+            ca[i].signature != cb[i].signature ||
+            ca[i].cycles != cb[i].cycles) {
+            return strprintf("cell %zu: (%u, 0x%x, %.17g) vs (%u, 0x%x, "
+                             "%.17g)", i, ca[i].unit, ca[i].signature,
+                             ca[i].cycles, cb[i].unit, cb[i].signature,
+                             cb[i].cycles);
+        }
+    }
+    return "";
+}
+
+/** Expect @p a and @p b to be bit-identical Pics (picsDifference). */
+inline void
+expectPicsIdentical(const Pics &a, const Pics &b)
+{
+    EXPECT_EQ(picsDifference(a, b), "");
 }
 
 /**

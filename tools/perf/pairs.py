@@ -18,9 +18,11 @@ variables are dropped from the environment, as perfbench/run.py does.
 
 Prints one line per pair, then for each end-to-end metric that the
 BENCHMARK.json of this script's repository names: A's median and
-interquartile range, B's median, and in how many pairs B was better in
-that metric's `better` direction. Exits 1 if any run fails, is not
-`correct` or reports `failed > 0`.
+interquartile range, B's median, in how many pairs B was better in
+that metric's `better` direction, and the largest relative difference
+|B - A| / |A| of any pair, which shows a deterministic metric that
+moves only in its last bits (the medians print alike). Exits 1 if any
+run fails, is not `correct` or reports `failed > 0`.
 """
 
 import argparse
@@ -75,6 +77,13 @@ def run_once(tree, workload, seed, seconds):
     return result, None
 
 
+def rel_diff(a, b):
+    """|b - a| / |a|: 0 when equal, inf when only a is 0."""
+    if a == b:
+        return 0.0
+    return abs(b - a) / abs(a) if a != 0 else float("inf")
+
+
 def metric(result, name):
     m = result.get("metrics", {}).get(name)
     return None if m is None else float(m["value"])
@@ -124,8 +133,9 @@ def main():
     pairs = len(values["A"])
     print("%d pairs of %s at --seconds %g" % (pairs, args.workload,
                                               args.seconds))
-    print("%-24s %12s %12s %12s %8s" % ("metric", "A median", "A IQR",
-                                        "B median", "B better"))
+    print("%-24s %12s %12s %12s %8s %12s" % (
+        "metric", "A median", "A IQR", "B median", "B better",
+        "max rel diff"))
     for m in end_to_end:
         n = m["name"]
         rows = [(a[n], b[n]) for a, b in zip(values["A"], values["B"])
@@ -136,9 +146,10 @@ def main():
         b = [r[1] for r in rows]
         lower = m["better"] == "lower"
         better = sum(1 for x, y in rows if (y < x if lower else y > x))
-        print("%-24s %12.6g %12.6g %12.6g %5d/%d" % (
+        print("%-24s %12.6g %12.6g %12.6g %5d/%-2d %12.3g" % (
             n, quantile(a, 0.5), quantile(a, 0.75) - quantile(a, 0.25),
-            quantile(b, 0.5), better, len(rows)))
+            quantile(b, 0.5), better, len(rows),
+            max(rel_diff(x, y) for x, y in rows)))
     if bad:
         print("pairs: %d run(s) failed or were not correct" % bad,
               file=sys.stderr)

@@ -39,9 +39,9 @@ def check(cond, what):
         FAILURES.append(what)
 
 
-def record(wall, cpu, correct=True, failed=0):
+def record(wall, cpu, correct=True, failed=0, tea=4.44):
     metrics = {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": 30.0,
-               "setup_s": 0.25, "tea_error_pct": 4.44,
+               "setup_s": 0.25, "tea_error_pct": tea,
                "analyzed_mcycles_per_s": 10.0 / wall}
     return {"correct": correct, "attempted": 24, "failed": failed,
             "metrics": {k: {"value": v, "unit": "x"}
@@ -71,11 +71,12 @@ def run_pairs(a, b, pairs, seed0):
 
 
 def row(out, name):
-    m = re.search(r"^%s\s+(\S+)\s+(\S+)\s+(\S+)\s+(\d+)/(\d+)$" % name,
-                  out, re.M)
+    """(A median, A IQR, B median, B better, pairs, max rel diff)."""
+    m = re.search(r"^%s\s+(\S+)\s+(\S+)\s+(\S+)\s+(\d+)/(\d+)\s+(\S+)$"
+                  % name, out, re.M)
     return None if m is None else (float(m.group(1)), float(m.group(2)),
                                    float(m.group(3)), int(m.group(4)),
-                                   int(m.group(5)))
+                                   int(m.group(5)), float(m.group(6)))
 
 
 def test_summary_and_order(root):
@@ -83,10 +84,15 @@ def test_summary_and_order(root):
     # wall_s: A 1.0, 1.1, 1.2, 1.3; B 0.8, 0.9, 1.3, 1.0 (better in 3).
     a_walls = [1.0, 1.1, 1.2, 1.3]
     b_walls = [0.8, 0.9, 1.3, 1.0]
+    # tea_error_pct: B moves in the last bits of one pair only.
+    a_tea = 1.0819201597910135
+    b_teas = [a_tea, a_tea, 1.0819201597909978, a_tea]
     a = make_tree(root, "A", log, {
-        700 + i: record(w, 4 * w) for i, w in enumerate(a_walls)})
+        700 + i: record(w, 4 * w, tea=a_tea)
+        for i, w in enumerate(a_walls)})
     b = make_tree(root, "B", log, {
-        700 + i: record(w, 4 * w) for i, w in enumerate(b_walls)})
+        700 + i: record(w, 4 * w, tea=t)
+        for i, (w, t) in enumerate(zip(b_walls, b_teas))})
     proc = run_pairs(a, b, 4, 700)
     check(proc.returncode == 0, "clean pairs exit %d: %s" %
           (proc.returncode, proc.stderr))
@@ -117,13 +123,25 @@ def test_summary_and_order(root):
         check(abs(wall[0] - 1.15) < 1e-9, "A median %r" % wall[0])
         check(abs(wall[1] - 0.15) < 1e-9, "A IQR %r" % wall[1])
         check(abs(wall[2] - 0.95) < 1e-9, "B median %r" % wall[2])
-        check(wall[3:] == (3, 4), "wall_s better %r" % (wall[3:],))
+        check(wall[3:5] == (3, 4), "wall_s better %r" % (wall[3:5],))
+        # Largest |B - A| / |A|: pair 4, 0.3 / 1.3 = 0.231.
+        check(abs(wall[5] - 0.231) < 1e-9, "wall_s max rel %r" %
+              wall[5])
     rate = row(proc.stdout, "analyzed_mcycles_per_s")
-    check(rate is not None and rate[3:] == (3, 4),
+    check(rate is not None and rate[3:5] == (3, 4),
           "higher-is-better count %r" % (rate,))
     rss = row(proc.stdout, "peak_rss_mb")
-    check(rss is not None and rss[3:] == (0, 4),
+    check(rss is not None and rss[3:5] == (0, 4),
           "ties count as not better %r" % (rss,))
+    check(rss is not None and rss[5] == 0.0,
+          "equal runs differ by %r" % (rss,))
+    tea = row(proc.stdout, "tea_error_pct")
+    check(tea is not None and tea[0] == tea[2],
+          "last-bit medians print alike %r" % (tea,))
+    # Three significant digits: about 1.45e-14.
+    want = (a_tea - b_teas[2]) / a_tea
+    check(tea is not None and abs(tea[5] - want) < 1e-2 * want,
+          "last-bit max rel %r, want %.3g" % (tea, want))
 
 
 def test_incorrect_or_failed_run_exits_1(root):
